@@ -51,6 +51,9 @@ _HEADERS = {
     "freq_hz,mag,phase_deg": ("dimensionless", "polar"),
 }
 _META_KEYS = ("sequence", "label", "operating_point")
+_COMMA, _NEWLINE = ord(","), ord("\n")
+_ROW_SEPS = np.array([_COMMA, _COMMA, _NEWLINE], dtype=np.uint8)
+_BLOCK_ROWS = 2048
 
 
 def normalize_deg(angle: float) -> float:
@@ -236,11 +239,14 @@ def parse_response(data: bytes) -> FrequencyResponse:
     (dimensionless). Comment lines start with ``#`` and may carry
     ``sequence=``, ``label=`` and ``operating_point=`` metadata. Phases are
     in degrees; mag/phase rows are converted to rectangular form.
+
+    Cells are converted in bulk; a row-by-row walk runs only to name the
+    first bad row.
     """
     text = data.decode("utf-8")
     meta: dict[str, str] = {}
     header: tuple[str, str] | None = None
-    rows: list[tuple[float, float, float]] = []
+    rows: list[str] = []
 
     for raw in text.splitlines():
         line = raw.strip()
@@ -258,30 +264,23 @@ def parse_response(data: bytes) -> FrequencyResponse:
                 raise UnknownHeader(f"unrecognized header {line!r}")
             header = _HEADERS[key]
             continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise NonFiniteValue(f"malformed row {line!r}")
-        try:
-            f, a, b = (float(p) for p in parts)
-        except ValueError as exc:
-            raise NonFiniteValue(f"unparseable row {line!r}") from exc
-        if not (math.isfinite(f) and math.isfinite(a) and math.isfinite(b)):
-            raise NonFiniteValue(f"non-finite value in row {line!r}")
-        rows.append((f, a, b))
+        rows.append(line)
 
     if header is None:
         raise EmptyTable("no table content found")
     if not rows:
         raise EmptyTable("no data rows after header")
 
+    cols = _parse_rows(rows)
     unit, form = header
-    freqs = np.array([r[0] for r in rows])
+    freqs = cols[0]
     if form == "polar":
-        mag = np.array([r[1] for r in rows])
-        ph = np.radians([r[2] for r in rows])
+        mag = cols[1]
+        ph = np.radians(cols[2])
         samples = mag * np.cos(ph) + 1j * mag * np.sin(ph)
     else:
-        samples = np.array([complex(r[1], r[2]) for r in rows])
+        samples = np.empty(len(rows), dtype=complex)
+        samples.real, samples.imag = cols[1], cols[2]
 
     return FrequencyResponse(
         grid=FrequencyGrid(freqs),
@@ -291,6 +290,55 @@ def parse_response(data: bytes) -> FrequencyResponse:
         label=meta.get("label", ""),
         operating_point=meta.get("operating_point", ""),
     )
+
+
+def _parse_rows(rows: list[str]) -> np.ndarray:
+    """Data rows -> contiguous (3, N) array of finite values.
+
+    Rows are converted a block at a time, which bounds the memory taken by
+    the cell strings. A block that fails is walked row by row to raise the
+    error for its first bad row.
+    """
+    out = np.empty((len(rows), 3))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        values = _convert_block(block)
+        if values is None:
+            for line in block:
+                _check_row(line)
+            raise AssertionError("bulk row conversion failed but no row is bad")
+        out[start:start + len(block)] = values.reshape(-1, 3)
+    return out.T.copy()
+
+
+def _convert_block(rows: list[str]) -> np.ndarray | None:
+    """All cells of rows of exactly three finite cells, else None."""
+    text = "\n".join(rows)
+    # the separators must read ",,\n" per row, without a final newline;
+    # neither byte occurs inside a multi-byte UTF-8 sequence
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    seps = raw[(raw == _COMMA) | (raw == _NEWLINE)]
+    if not np.array_equal(seps, np.tile(_ROW_SEPS, len(rows))[:-1]):
+        return None
+    try:
+        # accepts exactly the spellings float() accepts (np.loadtxt does not)
+        values = np.array(text.replace("\n", ",").split(","), dtype=float)
+    except ValueError:
+        return None
+    return values if np.all(np.isfinite(values)) else None
+
+
+def _check_row(line: str) -> None:
+    """Raise the error for one bad data row; return if the row is good."""
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise NonFiniteValue(f"malformed row {line!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise NonFiniteValue(f"unparseable row {line!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise NonFiniteValue(f"non-finite value in row {line!r}")
 
 
 def write_response(resp: FrequencyResponse) -> bytes:
@@ -308,9 +356,9 @@ def write_response(resp: FrequencyResponse) -> bytes:
     if resp.operating_point:
         lines.append(f"# operating_point={resp.operating_point}")
     lines.append("freq_hz,re_ohm,im_ohm" if resp.unit == "ohm" else "freq_hz,re,im")
-    for f, z in zip(resp.grid.points, resp.samples):
-        lines.append(f"{f:.17g},{z.real:.17g},{z.imag:.17g}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    table = np.column_stack((resp.grid.points, resp.samples.real, resp.samples.imag))
+    body = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
+    return ("\n".join(lines) + "\n" + body).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,13 @@ class MarginSummary:
 
 @dataclass(frozen=True)
 class MarginDecomposition:
-    """Margins at one frequency expressed through the old loop gain."""
+    """Margins at one frequency expressed through the old loop gain.
+
+    ``kind`` is the kind of the L_new crossover at ``f_hz``.
+    """
 
     f_hz: float
+    kind: str
     pm_old_newgc_deg: float
     angle_one_plus_rho_deg: float
     pm_new_deg: float
@@ -237,6 +241,7 @@ def decompose_margins(
     ang = principal_angle_deg(opr)
     return MarginDecomposition(
         f_hz=f,
+        kind=kind,
         pm_old_newgc_deg=pm_old,
         angle_one_plus_rho_deg=ang,
         pm_new_deg=normalize_deg(pm_old - ang),

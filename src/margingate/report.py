@@ -209,7 +209,7 @@ def _report_to_obj(report: AssessmentReport) -> dict:
         "decompositions": [
             {
                 "f_hz": d.f_hz,
-                "kind": "gain",
+                "kind": d.kind,
                 "pm_old_newgc_deg": d.pm_old_newgc_deg,
                 "angle_one_plus_rho_deg": d.angle_one_plus_rho_deg,
                 "pm_new_deg": d.pm_new_deg,
@@ -272,6 +272,7 @@ def parse_report(data: bytes) -> AssessmentReport:
         decompositions=tuple(
             MarginDecomposition(
                 f_hz=d["f_hz"],
+                kind=d["kind"],
                 pm_old_newgc_deg=d["pm_old_newgc_deg"],
                 angle_one_plus_rho_deg=d["angle_one_plus_rho_deg"],
                 pm_new_deg=d["pm_new_deg"],
@@ -450,9 +451,18 @@ def _sector_path(theta_lo_deg: float, theta_hi_deg: float, radius: float) -> str
     )
 
 
-def _locus_subpath(points: np.ndarray) -> str:
-    coords = [f"{_f6(p.real)} {_f6(-p.imag)}" for p in points]
-    return "M " + " L ".join(coords)
+def _path_d(x: np.ndarray, y: np.ndarray, quantum: float) -> str:
+    """Polyline path data at display resolution.
+
+    A vertex in the same ``quantum``-sized (half-pixel) cell as the vertex
+    before it is dropped; the first and last vertices are always kept.
+    """
+    cx, cy = np.floor(x / quantum), np.floor(y / quantum)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])
+    keep[-1] = True
+    xy = np.column_stack((x[keep], y[keep]))
+    return ("M %.6g %.6g" + " L %.6g %.6g" * (len(xy) - 1)) % tuple(xy.ravel().tolist())
 
 
 def _nyquist_svg(report: AssessmentReport) -> str:
@@ -503,9 +513,10 @@ def nyquist_svg_chart(
     parts.append('<line class="critical-point" x1="-1.04" y1="-0.04" x2="-0.96" y2="0.04"/>')
     parts.append('<line class="critical-point" x1="-1.04" y1="0.04" x2="-0.96" y2="-0.04"/>')
 
+    quantum = extent / 600  # half a pixel: 600 px span 2 * extent units
     for i, (name, curve) in enumerate(curves):
-        pts = curve.samples
-        d = _locus_subpath(pts) + " " + _locus_subpath(np.conj(pts)[::-1])
+        x, y = curve.samples.real, curve.samples.imag
+        d = _path_d(x, -y, quantum) + " " + _path_d(x[::-1], y[::-1], quantum)
         parts.append(f'<path class="locus locus-{i % 3}" id="locus-{_xml(name)}" d="{d}"/>')
         parts.append(
             f'<text x="{_f6(extent - 0.1)}" y="{_f6(-extent + 0.18 + 0.14 * i)}" '
@@ -537,6 +548,9 @@ def _ticks_db(lo: float, hi: float) -> list[float]:
         step *= 2
     start = math.floor(lo / step) * step
     return [start + k * step for k in range(int((hi - start) / step) + 2)]
+
+
+_BODE_QUANTUM = 0.5  # half a pixel; the Bode viewBox is in pixels
 
 
 def _bode_svg(report: AssessmentReport) -> str:
@@ -574,13 +588,14 @@ def bode_svg_chart(curves, summaries=()) -> str:
     m_lo, m_hi = min(m_lo, -5.0), max(m_hi, 5.0)
     p_lo, p_hi = min(p_lo, -190.0), max(p_hi, 10.0)
 
-    def x_of(f: float) -> float:
-        return margin_l + (math.log10(f) - lx_lo) / (lx_hi - lx_lo) * panel_w
+    # the maps below take scalars or arrays
+    def x_of(f):
+        return margin_l + (np.log10(f) - lx_lo) / (lx_hi - lx_lo) * panel_w
 
-    def y_mag(v: float) -> float:
+    def y_mag(v):
         return margin_t + (m_hi - v) / (m_hi - m_lo) * panel_h
 
-    def y_ph(v: float) -> float:
+    def y_ph(v):
         return margin_t + panel_h + gap + (p_hi - v) / (p_hi - p_lo) * panel_h
 
     parts: list[str] = []
@@ -656,13 +671,9 @@ def bode_svg_chart(curves, summaries=()) -> str:
         k += 1
 
     for i, ((name, curve), mag, ph) in enumerate(zip(curves, mags, phases)):
-        xs = [x_of(float(f)) for f in curve.grid.points]
-        d_mag = "M " + " L ".join(
-            f"{_f6(x)} {_f6(y_mag(float(v)))}" for x, v in zip(xs, mag)
-        )
-        d_ph = "M " + " L ".join(
-            f"{_f6(x)} {_f6(y_ph(float(v)))}" for x, v in zip(xs, ph)
-        )
+        xs = x_of(curve.grid.points)
+        d_mag = _path_d(xs, y_mag(mag), _BODE_QUANTUM)
+        d_ph = _path_d(xs, y_ph(ph), _BODE_QUANTUM)
         parts.append(
             f'<path class="locus locus-mag locus-{i % 3}" id="bode-mag-{_xml(name)}" d="{d_mag}"/>'
         )

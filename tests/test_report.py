@@ -3,13 +3,28 @@ import math
 import re
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+from margingate import report as report_mod
 from margingate.errors import InconsistentInputs, UnsupportedFormat
-from margingate.freqresp import log_grid
-from margingate.margins import CrossoverPoint, MarginDecomposition, MarginSummary
+from margingate.freqresp import FrequencyResponse, log_grid
+from margingate.margins import (
+    CrossoverPoint,
+    MarginDecomposition,
+    MarginSummary,
+    decompose_margins,
+    summarize_margins,
+)
 from margingate.regions import EncirclementResult
-from margingate.report import SCHEMA, build_report, parse_report, render
+from margingate.report import (
+    SCHEMA,
+    bode_svg_chart,
+    build_report,
+    nyquist_svg_chart,
+    parse_report,
+    render,
+)
 from margingate.speclimit import (
     FLAG_PREEXISTING,
     ComplianceRecord,
@@ -17,7 +32,7 @@ from margingate.speclimit import (
     MarginPolicy,
 )
 
-from conftest import first_order
+from conftest import first_order, three_pole
 from test_speclimit import ROWS_WITHIN_LIMIT, ROWS_EXCEEDING_LIMIT, table_limit_curve, table_z_new
 from margingate.speclimit import check_compliance
 
@@ -57,7 +72,7 @@ def basic_report(compliance_rows=ROWS_WITHIN_LIMIT, limit=None, windings=(0, 0),
         l_old_summary=summary_with_crossover(70.0),
         l_new_summary=summary_with_crossover(60.0),
         decompositions=(
-            MarginDecomposition(120.0, 70.0, 10.0, 60.0, 1.2, 1.4, 1.1666),
+            MarginDecomposition(120.0, "gain", 70.0, 10.0, 60.0, 1.2, 1.4, 1.1666),
         ),
         limit_curve=limit,
         compliance=compliance,
@@ -257,6 +272,115 @@ class TestSvg:
         rep = self.make_with_curves()
         assert render(rep, "nyquist_svg") == render(rep, "nyquist_svg")
         assert render(rep, "bode_svg") == render(rep, "bode_svg")
+
+
+class TestDecompositionKind:
+    def test_phase_crossover_serialised_as_phase(self, grid_2k):
+        # L_old = 2/(1+jf/100)^3: gain crossover near 76.6 Hz, phase
+        # crossover at 100*sqrt(3) = 173.2 Hz; rho = 0 keeps L_new = L_old
+        l_old = three_pole(2.0, 100.0, grid_2k)
+        zero = FrequencyResponse(
+            grid_2k, np.zeros(len(grid_2k), complex), unit="dimensionless"
+        )
+        summary = summarize_margins(l_old, POLICY)
+        rep = build_report(
+            inputs={},
+            l_old_summary=summary,
+            l_new_summary=summary,
+            decompositions=[
+                decompose_margins(l_old, zero, cp.f_hz, cp.kind) for cp in summary.crossovers
+            ],
+            limit_curve=empty_limits(),
+            compliance=(),
+            encirclements={"l_new": no_encirclement()},
+            consistency_error=0.0,
+        )
+        blob = render(rep, "json")
+        import json
+
+        entries = json.loads(blob)["decompositions"]
+        assert [e["kind"] for e in entries] == ["gain", "phase"]
+        assert entries[1]["f_hz"] == pytest.approx(100.0 * math.sqrt(3.0), rel=1e-5)
+        back = parse_report(blob)
+        assert [d.kind for d in back.decompositions] == ["gain", "phase"]
+        assert render(back, "json") == blob
+
+
+def _full_path_d(x, y, quantum):
+    """Undecimated path data: every vertex, same number format."""
+    return "M " + " L ".join(f"{a:.6g} {b:.6g}" for a, b in zip(x, y))
+
+
+def _strip_locus_data(svg: str) -> str:
+    return re.sub(r'(<path class="locus[^"]*"[^>]*?) d="[^"]*"', r"\1", svg)
+
+
+class TestSvgDecimation:
+    """Loci are drawn at half-pixel resolution; nothing else changes."""
+
+    N = 10_000
+
+    def charts(self):
+        g = log_grid(1, 10000, self.N)
+        curves = (("L_old", three_pole(2.0, 100.0, g)), ("L_new", three_pole(1.6, 140.0, g)))
+        summaries = tuple(summarize_margins(c, POLICY) for _, c in curves)
+        return {
+            "nyquist": lambda: nyquist_svg_chart(POLICY, curves, summaries),
+            "bode": lambda: bode_svg_chart(curves, summaries),
+        }, summaries
+
+    def record_paths(self, monkeypatch, render_chart):
+        calls = []
+        real = report_mod._path_d
+
+        def spy(x, y, quantum):
+            d = real(x, y, quantum)
+            calls.append((np.array(x), np.array(y), quantum, d))
+            return d
+
+        monkeypatch.setattr(report_mod, "_path_d", spy)
+        render_chart()
+        return calls
+
+    @pytest.mark.parametrize("chart", ["nyquist", "bode"])
+    def test_same_chart_apart_from_locus_data(self, chart, monkeypatch):
+        charts, summaries = self.charts()
+        decimated = charts[chart]()
+        monkeypatch.setattr(report_mod, "_path_d", _full_path_d)
+        full = charts[chart]()
+        assert _strip_locus_data(decimated) == _strip_locus_data(full)
+        assert len(decimated) * 4 < len(full)
+
+        ET.fromstring(decimated)
+        n_markers = sum(len(s.crossovers) for s in summaries)
+        kinds = {cp.kind for s in summaries for cp in s.crossovers}
+        assert kinds == {"gain", "phase"}
+        assert len(re.findall(r'<circle class="marker-', decimated)) == n_markers
+        if chart == "nyquist":
+            assert len(re.findall(r'<path class="locus locus-\d"', decimated)) == 2
+        else:
+            assert len(re.findall(r'class="locus locus-mag', decimated)) == 2
+            assert len(re.findall(r'class="locus locus-phase', decimated)) == 2
+
+    @pytest.mark.parametrize(
+        "chart, quantum", [("nyquist", 2.6 / 600), ("bode", 0.5)]
+    )
+    def test_kept_vertices_cover_every_half_pixel_cell(self, chart, quantum, monkeypatch):
+        charts, _ = self.charts()
+        calls = self.record_paths(monkeypatch, charts[chart])
+        assert len(calls) == 4  # Nyquist: locus and mirror; Bode: mag and phase
+        for x, y, q, d in calls:
+            assert q == quantum
+            assert x.size == self.N
+            cells = [(math.floor(a / q), math.floor(b / q)) for a, b in zip(x, y)]
+            kept = [0] + [i for i in range(1, self.N) if cells[i] != cells[i - 1]]
+            if kept[-1] != self.N - 1:
+                kept.append(self.N - 1)
+            assert d == _full_path_d(x[kept], y[kept], q)
+            assert d.startswith(f"M {x[0]:.6g} {y[0]:.6g} L ")
+            assert d.endswith(f" L {x[-1]:.6g} {y[-1]:.6g}")
+            assert set(cells) == {cells[i] for i in kept}
+            assert len(kept) < self.N
 
 
 class TestDispatch:

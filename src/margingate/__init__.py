@@ -47,10 +47,12 @@ from .loopgain import (
 from .margins import (
     CrossoverPoint,
     MarginDecomposition,
+    MarginPolicy,
     MarginSummary,
     decompose_margins,
     find_crossovers,
     margin_at,
+    pm_deg,
     summarize_margins,
 )
 from .netsynth import (
@@ -88,7 +90,6 @@ from .report import (
 from .speclimit import (
     ComplianceRecord,
     LimitCurve,
-    MarginPolicy,
     check_compliance,
     impedance_limit,
     limit_curve,

@@ -16,10 +16,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import fixtures as _fixtures
-from .errors import MarginGateError, ResonanceSingular
+from .errors import MarginGateError
 from .freqresp import (
     FrequencyResponse,
     align,
@@ -28,8 +26,8 @@ from .freqresp import (
     write_response,
 )
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
-from .margins import decompose_margins, summarize_margins
-from .netsynth import eval_network, network_from_json, random_case
+from .margins import MarginPolicy, decompose_margins, summarize_margins
+from .netsynth import eval_network, network_from_json, network_from_obj, par, random_case
 from .regions import winding_number
 from .report import (
     FORMATS,
@@ -38,12 +36,11 @@ from .report import (
     nyquist_svg_chart,
     render,
 )
-from .speclimit import MarginPolicy, check_compliance, limit_curve
+from .speclimit import check_compliance, limit_curve
 
 __all__ = ["RunConfig", "run_assessment", "main"]
 
 _EXIT_BY_VERDICT = {"compliant": 0, "caution": 1, "violation": 1}
-_SINGULAR_RTOL = 1e-12
 
 _ASSERTED_PRECONDITIONS = (
     "subsystems are individually stable (no right-half-plane poles); "
@@ -107,25 +104,18 @@ def _read_response(path: Path) -> FrequencyResponse:
 
 def _load_synth_case(path: Path):
     obj = json.loads(Path(path).read_bytes().decode("utf-8"))
-    gspec = obj["grid"]
-    grid = log_grid(
-        float(gspec["start_hz"]), float(gspec["stop_hz"]), int(gspec["points"])
-    )
+    gspec = obj.get("grid") if isinstance(obj, dict) else None
+    try:
+        span = float(gspec["start_hz"]), float(gspec["stop_hz"]), int(gspec["points"])
+    except (KeyError, TypeError):
+        raise ValueError(
+            "case must be an object whose 'grid' has start_hz, stop_hz and points"
+        ) from None
+    grid = log_grid(*span)
     out = []
     for role in ("z_ppm_existing", "z_net_old", "z_ppm_new"):
-        desc = network_from_json(json.dumps(obj[role]).encode("utf-8"))
-        out.append(eval_network(desc, grid, label=role))
+        out.append(eval_network(network_from_obj(obj[role]), grid, label=role))
     return tuple(out)
-
-
-def _par_curves(
-    z_a: FrequencyResponse, z_b: FrequencyResponse, label: str
-) -> FrequencyResponse:
-    s = z_a.samples + z_b.samples
-    tol = _SINGULAR_RTOL * np.maximum(np.abs(z_a.samples), np.abs(z_b.samples))
-    if np.any(np.abs(s) <= tol):
-        raise ResonanceSingular("new plant antiresonates with the network")
-    return z_a.with_samples(z_a.samples * z_b.samples / s, label=label)
 
 
 def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
@@ -157,7 +147,9 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
         ratio = rho(z_net, z_new)
         l_new_lg = update_loop_gain(l_old, ratio)
         l_new = l_new_lg.response
-        z_net_new = _par_curves(z_net, z_new, label="z_net_new")
+        z_net_new = z_net.with_samples(
+            par(z_net.samples, z_new.samples, z_net.grid.points), label="z_net_new"
+        )
         l_new_direct = loop_gain(z_net_new, z_ppm, label="L_new_direct")
         cons_err = consistency_error(l_new_direct.response, l_new)
 

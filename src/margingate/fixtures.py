@@ -25,7 +25,7 @@ from .freqresp import (
     write_response,
 )
 from .loopgain import loop_gain, rho, update_loop_gain
-from .margins import find_crossovers
+from .margins import MarginPolicy, find_crossovers
 from .netsynth import (
     Capacitor,
     Inductor,
@@ -37,7 +37,7 @@ from .netsynth import (
     eval_network,
     scale_network,
 )
-from .speclimit import MarginPolicy, limit_curve
+from .speclimit import limit_curve
 
 __all__ = ["BUNDLED_CASES", "bundled_grid", "bundled_case", "write_bundled_case"]
 

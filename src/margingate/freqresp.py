@@ -69,18 +69,21 @@ def principal_angle_deg(z: complex) -> float:
     return normalize_deg(math.degrees(math.atan2(z.imag, z.real)))
 
 
-def _unwrap_deg(principal: np.ndarray) -> np.ndarray:
-    """Unwrap a principal-phase series (degrees).
+def _phase_steps_deg(principal: np.ndarray) -> np.ndarray:
+    """Steps of a principal-phase series (degrees), wrapped to [-180, 180).
 
-    Each step is chosen within +-180 deg of its predecessor; a step of
-    exactly 180 deg resolves toward the negative side (capacitive-to-
-    inductive transitions wrap downward).
+    A step of exactly 180 deg resolves toward the negative side
+    (capacitive-to-inductive transitions wrap downward).
     """
     d = np.diff(principal)
-    d = d - 360.0 * np.floor((d + 180.0) / 360.0)  # -> [-180, 180)
+    return d - 360.0 * np.floor((d + 180.0) / 360.0)
+
+
+def _unwrap_deg(principal: np.ndarray) -> np.ndarray:
+    """Unwrap a principal-phase series (degrees) by its wrapped steps."""
     out = np.empty_like(principal)
     out[0] = principal[0]
-    out[1:] = principal[0] + np.cumsum(d)
+    out[1:] = principal[0] + np.cumsum(_phase_steps_deg(principal))
     return out
 
 
@@ -461,10 +464,7 @@ def unwrap_phase(resp: FrequencyResponse) -> PhaseSeries:
     """Unwrapped phase of the curve in degrees.
 
     Starts at the principal phase of the first sample; each subsequent
-    value is chosen within +-180 deg of its predecessor.
+    value is chosen within +-180 deg of its predecessor. This is the phase
+    table the curve interpolates with.
     """
-    mag = np.abs(resp.samples)
-    if np.any(mag == 0.0):
-        raise ZeroMagnitudeSample("phase of a zero sample is undefined")
-    principal = np.degrees(np.angle(resp.samples))
-    return PhaseSeries(resp.grid, _unwrap_deg(principal))
+    return PhaseSeries(resp.grid, resp._tables[2])  # raises ZeroMagnitudeSample

@@ -73,20 +73,28 @@ def _merged_meta(a: FrequencyResponse, b: FrequencyResponse) -> dict:
     }
 
 
+def _quotient(
+    num: FrequencyResponse, den: FrequencyResponse, label: str, den_name: str
+) -> FrequencyResponse:
+    """Pointwise num / den as a dimensionless curve with merged metadata."""
+    _require_same_grid(num, den)
+    if np.any(den.samples == 0):
+        raise ZeroDenominator(f"{den_name} has a zero sample")
+    return FrequencyResponse(
+        grid=num.grid,
+        samples=num.samples / den.samples,
+        unit="dimensionless",
+        label=label,
+        **_merged_meta(num, den),
+    )
+
+
 def loop_gain(
     z_net: FrequencyResponse, z_ppm: FrequencyResponse, label: str = ""
 ) -> LoopGain:
     """Minor-loop gain Z_net / Z_ppm (direct construction)."""
-    _require_same_grid(z_net, z_ppm)
-    if np.any(z_ppm.samples == 0):
-        raise ZeroDenominator("PPM impedance has a zero sample")
-    resp = FrequencyResponse(
-        grid=z_net.grid,
-        samples=z_net.samples / z_ppm.samples,
-        unit="dimensionless",
-        label=label or f"{z_net.label or 'Z_net'}/{z_ppm.label or 'Z_ppm'}",
-        **_merged_meta(z_net, z_ppm),
-    )
+    label = label or f"{z_net.label or 'Z_net'}/{z_ppm.label or 'Z_ppm'}"
+    resp = _quotient(z_net, z_ppm, label, "PPM impedance")
     return LoopGain(resp, LoopGainDerivation("direct", (z_net.label, z_ppm.label)))
 
 
@@ -94,16 +102,7 @@ def rho(
     z_net_old: FrequencyResponse, z_new: FrequencyResponse, label: str = "rho"
 ) -> FrequencyResponse:
     """Impedance ratio Z_net,old / Z_new of the newly paralleled plant."""
-    _require_same_grid(z_net_old, z_new)
-    if np.any(z_new.samples == 0):
-        raise ZeroDenominator("new PPM impedance has a zero sample")
-    return FrequencyResponse(
-        grid=z_net_old.grid,
-        samples=z_net_old.samples / z_new.samples,
-        unit="dimensionless",
-        label=label,
-        **_merged_meta(z_net_old, z_new),
-    )
+    return _quotient(z_net_old, z_new, label, "new PPM impedance")
 
 
 def one_plus(ratio: FrequencyResponse, label: str = "1+rho") -> FrequencyResponse:
@@ -111,9 +110,14 @@ def one_plus(ratio: FrequencyResponse, label: str = "1+rho") -> FrequencyRespons
 
     Margin decomposition and the r = |1+rho| diagnostic must interpolate
     1+rho itself (not add 1 to interpolated rho) to stay consistent with
-    the factored loop-gain curve between grid points.
+    the factored loop-gain curve between grid points. Built once per ratio
+    and label and kept on the (immutable) ratio, like its interpolation
+    tables: every decomposition and the limit curve share one curve.
     """
-    return ratio.with_samples(1.0 + ratio.samples, unit="dimensionless", label=label)
+    memo = ratio.__dict__.setdefault("_one_plus", {})
+    if label not in memo:
+        memo[label] = ratio.with_samples(1.0 + ratio.samples, unit="dimensionless", label=label)
+    return memo[label]
 
 
 def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> LoopGain:
@@ -133,13 +137,7 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
         label="F",
         **_merged_meta(l_old, ratio),
     )
-    resp = FrequencyResponse(
-        grid=l_old.grid,
-        samples=l_old.samples * f_samples,
-        unit="dimensionless",
-        label="L_new",
-        **_merged_meta(l_old, ratio),
-    )
+    resp = sens.with_samples(l_old.samples * f_samples, label="L_new")
     return LoopGain(
         resp,
         LoopGainDerivation("factored", (l_old.label, ratio.label)),

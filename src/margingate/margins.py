@@ -9,7 +9,8 @@ decomposed through the pre-connection loop gain:
     PM_new = (180 + angle L_old) - angle(1 + rho)
     GM_new = |1 + rho| / |L_old|
 
-evaluated at the new crossover frequencies.
+evaluated at the new crossover frequencies. The operator's margin policy
+(minimum and caution phase margins, minimum gain margin) lives here too.
 """
 from __future__ import annotations
 
@@ -26,14 +27,15 @@ from .freqresp import (
     value_at,
 )
 from .loopgain import one_plus
-from .speclimit import MarginPolicy
 
 __all__ = [
+    "MarginPolicy",
     "CrossoverPoint",
     "MarginSummary",
     "MarginDecomposition",
     "find_crossovers",
     "margin_at",
+    "pm_deg",
     "decompose_margins",
     "summarize_margins",
 ]
@@ -44,9 +46,40 @@ _MERGE_RTOL = 1e-6        # crossovers closer than this (relative) merge
 _BISECT_MAX_ITER = 200
 
 
-def _angle_from_minus180(z: complex) -> float:
-    """Absolute angular distance (deg) of z's angle from -180, mod 360."""
-    return abs(normalize_deg(principal_angle_deg(z) + 180.0))
+def pm_deg(z: complex) -> float:
+    """Phase margin read off a loop-gain value: 180 deg plus its angle.
+
+    Normalized to (-180, 180]; its magnitude is the angular distance of
+    ``z`` from -180 deg.
+    """
+    return normalize_deg(180.0 + principal_angle_deg(z))
+
+
+@dataclass(frozen=True)
+class MarginPolicy:
+    """Operator margin thresholds.
+
+    Defaults are the offshore requirement: 15 deg minimum phase margin,
+    30 deg caution threshold, 15 dB minimum gain margin.
+    """
+
+    pm_min_deg: float = 15.0
+    pm_cau_deg: float = 30.0
+    gm_min_db: float = 15.0
+
+    def __post_init__(self):
+        if not (0.0 < self.pm_min_deg <= self.pm_cau_deg < 180.0):
+            raise ValueError(
+                "need 0 < pm_min_deg <= pm_cau_deg < 180, got "
+                f"({self.pm_min_deg}, {self.pm_cau_deg})"
+            )
+        if not (self.gm_min_db >= 0.0):
+            raise ValueError(f"gm_min_db must be >= 0, got {self.gm_min_db}")
+
+    @property
+    def gm_circle_radius(self) -> float:
+        """Nyquist-plane radius 10^(-gm_min_db/20) of the GM circle."""
+        return 10.0 ** (-self.gm_min_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -71,7 +104,7 @@ class CrossoverPoint:
             if self.pm_deg is None or not (-180.0 < self.pm_deg <= 180.0):
                 raise KindMismatch("gain crossover needs pm_deg in (-180, 180]")
         elif self.kind == "phase":
-            if _angle_from_minus180(self.l_value) >= PHASE_ANGLE_TOL:
+            if abs(pm_deg(self.l_value)) >= PHASE_ANGLE_TOL:
                 raise KindMismatch("phase crossover value not at -180 deg")
             if self.gm_lin is None or self.gm_db is None:
                 raise KindMismatch("phase crossover needs gm_lin and gm_db")
@@ -117,9 +150,9 @@ def margin_at(l_value: complex, kind: str):
     if kind == "gain":
         if abs(abs(l_value) - 1.0) >= GAIN_MAG_TOL:
             raise KindMismatch("value is not on the unit circle")
-        return normalize_deg(180.0 + principal_angle_deg(l_value))
+        return pm_deg(l_value)
     if kind == "phase":
-        if _angle_from_minus180(l_value) >= PHASE_ANGLE_TOL:
+        if abs(pm_deg(l_value)) >= PHASE_ANGLE_TOL:
             raise KindMismatch("value angle is not -180 deg")
         gm_lin = 1.0 / abs(l_value)
         return gm_lin, 20.0 * math.log10(gm_lin)
@@ -209,16 +242,11 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
     points: list[CrossoverPoint] = []
     for f in _merge_close(_detect_levels(logf, y, levels, g)):
         lv = value_at(l, f)
+        m = margin_at(lv, kind)
         if kind == "gain":
-            pm = normalize_deg(180.0 + principal_angle_deg(lv))
-            points.append(CrossoverPoint("gain", f, lv, pm_deg=pm))
+            points.append(CrossoverPoint("gain", f, lv, pm_deg=m))
         else:
-            gm_lin = 1.0 / abs(lv)
-            points.append(
-                CrossoverPoint(
-                    "phase", f, lv, gm_lin=gm_lin, gm_db=20.0 * math.log10(gm_lin)
-                )
-            )
+            points.append(CrossoverPoint("phase", f, lv, gm_lin=m[0], gm_db=m[1]))
     return points
 
 
@@ -237,7 +265,7 @@ def decompose_margins(
     opr = value_at(one_plus(ratio), f)
     if abs(opr) <= 1e-12:
         raise SingularSensitivity(f"|1+rho| vanishes at {f} Hz")
-    pm_old = normalize_deg(180.0 + principal_angle_deg(l_o))
+    pm_old = pm_deg(l_o)
     ang = principal_angle_deg(opr)
     return MarginDecomposition(
         f_hz=f,

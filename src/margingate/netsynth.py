@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .errors import (
     ResonanceSingular,
     SingularAtFrequency,
 )
-from .freqresp import FrequencyGrid, FrequencyResponse, log_grid
+from .freqresp import FrequencyGrid, FrequencyResponse, _phase_steps_deg, log_grid
 
 __all__ = [
     "NetworkElement",
@@ -181,19 +181,21 @@ def ser(z1, z2):
     return complex(out) if out.ndim == 0 else out
 
 
-def par(z1, z2):
+def par(z1, z2, f=None):
     """Parallel combination Z1*Z2 / (Z1+Z2).
 
     Raises ``ResonanceSingular`` when |Z1+Z2| falls below
-    1e-12 * max(|Z1|, |Z2|) (genuine antiresonance, not rounding).
+    1e-12 * max(|Z1|, |Z2|) (genuine antiresonance, not rounding); given
+    the sample frequencies ``f``, the message names the first bad one.
     Equal operands return Z/2 exactly.
     """
     a = np.asarray(z1, dtype=complex)
     b = np.asarray(z2, dtype=complex)
     s = a + b
-    tol = _SINGULAR_RTOL * np.maximum(np.abs(a), np.abs(b))
-    if np.any(np.abs(s) <= tol):
-        raise ResonanceSingular("parallel branches cancel: |Z1+Z2| ~ 0")
+    bad = np.abs(s) <= _SINGULAR_RTOL * np.maximum(np.abs(a), np.abs(b))
+    if np.any(bad):
+        near = "" if f is None else f" near {np.asarray(f)[np.argmax(bad)]} Hz"
+        raise ResonanceSingular(f"parallel branches cancel: |Z1+Z2| ~ 0{near}")
     out = np.where(a == b, a / 2.0, a * b / s)
     return complex(out) if out.ndim == 0 else out
 
@@ -233,14 +235,10 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray) -> np.ndarray:
         acc = _eval_tree(desc.children[0], f)
         for child in desc.children[1:]:
             v = _eval_tree(child, f)
-            s = acc + v
-            bad = np.abs(s) <= _SINGULAR_RTOL * np.maximum(np.abs(acc), np.abs(v))
-            if np.any(bad):
-                f_bad = f[np.argmax(bad)]
-                raise SingularAtFrequency(
-                    f"parallel branch sum vanishes near {f_bad} Hz"
-                )
-            acc = np.where(acc == v, acc / 2.0, acc * v / s)
+            try:
+                acc = par(acc, v, f)
+            except ResonanceSingular as exc:
+                raise SingularAtFrequency(str(exc)) from None
         return acc
     raise ValueError(f"unknown network element {type(desc).__name__}")
 
@@ -277,59 +275,58 @@ def scale_network(desc: NetworkElement, k: float) -> NetworkElement:
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-def _pairs(roots: tuple[complex, ...]) -> list[list[float]]:
-    return [[r.real, r.imag] for r in roots]
+_TYPES = {
+    "resistor": Resistor,
+    "inductor": Inductor,
+    "capacitor": Capacitor,
+    "thevenin": Thevenin,
+    "rational": Rational,
+    "series": Series,
+    "parallel": Parallel,
+}
+_TAGS = {cls: tag for tag, cls in _TYPES.items()}
+_ROOT_FIELDS = ("zeros_rad_s", "poles_rad_s")  # complex roots as [re, im] pairs
 
 
 def network_to_obj(desc: NetworkElement):
-    if isinstance(desc, Resistor):
-        return {"type": "resistor", "r_ohm": desc.r_ohm}
-    if isinstance(desc, Inductor):
-        return {"type": "inductor", "l_henry": desc.l_henry}
-    if isinstance(desc, Capacitor):
-        return {"type": "capacitor", "c_farad": desc.c_farad}
-    if isinstance(desc, Thevenin):
-        return {
-            "type": "thevenin",
-            "v_ll_volt": desc.v_ll_volt,
-            "s_sc_va": desc.s_sc_va,
-            "xr": desc.xr,
-        }
-    if isinstance(desc, Rational):
-        return {
-            "type": "rational",
-            "gain": desc.gain,
-            "zeros_rad_s": _pairs(desc.zeros_rad_s),
-            "poles_rad_s": _pairs(desc.poles_rad_s),
-        }
-    if isinstance(desc, (Series, Parallel)):
-        return {
-            "type": "series" if isinstance(desc, Series) else "parallel",
-            "children": [network_to_obj(c) for c in desc.children],
-        }
-    raise ValueError(f"unknown network element {type(desc).__name__}")
+    if type(desc) not in _TAGS:
+        raise ValueError(f"unknown network element {type(desc).__name__}")
+    obj = {"type": _TAGS[type(desc)]}
+    for fld in fields(desc):
+        v = getattr(desc, fld.name)
+        if fld.name == "children":
+            v = [network_to_obj(c) for c in v]
+        elif fld.name in _ROOT_FIELDS:
+            v = [[r.real, r.imag] for r in v]
+        obj[fld.name] = v
+    return obj
 
 
 def network_from_obj(obj) -> NetworkElement:
-    kind = obj.get("type")
-    if kind == "resistor":
-        return Resistor(float(obj["r_ohm"]))
-    if kind == "inductor":
-        return Inductor(float(obj["l_henry"]))
-    if kind == "capacitor":
-        return Capacitor(float(obj["c_farad"]))
-    if kind == "thevenin":
-        return Thevenin(float(obj["v_ll_volt"]), float(obj["s_sc_va"]), float(obj["xr"]))
-    if kind == "rational":
-        return Rational(
-            float(obj["gain"]),
-            tuple(complex(re, im) for re, im in obj.get("zeros_rad_s", [])),
-            tuple(complex(re, im) for re, im in obj.get("poles_rad_s", [])),
-        )
-    if kind in ("series", "parallel"):
-        children = tuple(network_from_obj(c) for c in obj["children"])
-        return Series(children) if kind == "series" else Parallel(children)
-    raise ValueError(f"unknown network type {kind!r}")
+    """Element tree from its JSON object.
+
+    Malformed input raises ``ValueError`` naming the element and the key.
+    """
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if not isinstance(kind, str) or kind not in _TYPES:
+        raise ValueError(f"not a known network element: {obj!r}")
+    kwargs = {}
+    for fld in fields(_TYPES[kind]):
+        if fld.name not in obj and fld.default is not MISSING:
+            continue
+        v = obj.get(fld.name)
+        if fld.name == "children":
+            if not isinstance(v, list):
+                raise ValueError(f"{kind} element: 'children' must be a list, got {v!r}")
+            kwargs["children"] = tuple(network_from_obj(c) for c in v)
+            continue
+        try:
+            kwargs[fld.name] = (
+                tuple(complex(re, im) for re, im in v) if fld.name in _ROOT_FIELDS else float(v)
+            )
+        except (TypeError, ValueError):
+            raise ValueError(f"{kind} element: bad or missing {fld.name!r}: {v!r}") from None
+    return _TYPES[kind](**kwargs)
 
 
 def network_to_json(desc: NetworkElement) -> bytes:
@@ -405,13 +402,6 @@ def _rand_ppm_tree(rng) -> NetworkElement:
     return Series(tuple(parts))
 
 
-def _max_phase_step_deg(samples: np.ndarray) -> float:
-    principal = np.degrees(np.angle(samples))
-    d = np.diff(principal)
-    d = d - 360.0 * np.floor((d + 180.0) / 360.0)
-    return float(np.max(np.abs(d))) if d.size else 0.0
-
-
 def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixture:
     f = grid.points
     z_grid = Thevenin(66e3, rng.uniform(4e8, 2e9), rng.uniform(3.0, 12.0))
@@ -443,8 +433,9 @@ def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixt
     if float(np.abs(one_plus).min()) < 2e-2:
         raise ResonanceSingular("1+rho near zero; retry")
     l_old = znet / _eval_tree(z_ppm, f)
-    if _max_phase_step_deg(l_old) > 90.0 or _max_phase_step_deg(one_plus) > 90.0:
-        raise ResonanceSingular("under-sampled phase; retry")
+    for z in (l_old, one_plus):
+        if np.max(np.abs(_phase_steps_deg(np.degrees(np.angle(z))))) > 90.0:
+            raise ResonanceSingular("under-sampled phase; retry")
 
     return CaseFixture(z_ppm, z_net_old, z_new, grid, seed)
 

@@ -19,9 +19,8 @@ from .errors import (
     KindMismatch,
     NotOnUnitCircle,
 )
-from .freqresp import FrequencyResponse, normalize_deg, principal_angle_deg
-from .margins import CrossoverPoint, find_crossovers
-from .speclimit import MarginPolicy
+from .freqresp import FrequencyResponse
+from .margins import CrossoverPoint, MarginPolicy, find_crossovers, pm_deg
 
 __all__ = [
     "RegionVerdict",
@@ -74,7 +73,7 @@ def classify_crossing(l_value: complex, policy: MarginPolicy) -> str:
     """
     if abs(abs(l_value) - 1.0) >= _UNIT_CIRCLE_TOL:
         raise NotOnUnitCircle(f"|L| = {abs(l_value)} is not 1")
-    pm = normalize_deg(180.0 + principal_angle_deg(l_value))
+    pm = pm_deg(l_value)
     if pm < policy.pm_min_deg:
         return "critical"
     if pm < policy.pm_cau_deg:

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InconsistentInputs, UnsupportedFormat
 from .freqresp import FrequencyResponse, unwrap_phase
-from .margins import CrossoverPoint, MarginDecomposition, MarginSummary
+from .margins import CrossoverPoint, MarginDecomposition, MarginPolicy, MarginSummary
 from .regions import EncirclementResult, classify_crossing
-from .speclimit import ComplianceRecord, LimitCurve, MarginPolicy
+from .speclimit import ComplianceRecord, LimitCurve
 
 __all__ = [
     "AssessmentReport",
@@ -137,11 +137,7 @@ def _num_out(x):
 
 
 def _num_in(v):
-    if v is None:
-        return None
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
+    return None if v is None else float(v)
 
 
 def _entry_region(cp: CrossoverPoint, policy: MarginPolicy) -> str:
@@ -176,11 +172,7 @@ def _crossover_from_obj(obj: dict) -> CrossoverPoint:
 
 def _summary_obj(s: MarginSummary) -> dict:
     return {
-        "policy": {
-            "pm_min_deg": s.policy.pm_min_deg,
-            "pm_cau_deg": s.policy.pm_cau_deg,
-            "gm_min_db": s.policy.gm_min_db,
-        },
+        "policy": asdict(s.policy),
         "crossovers": [_crossover_obj(c, s.policy) for c in s.crossovers],
         "worst_pm": None if s.worst_pm is None else _crossover_obj(s.worst_pm, s.policy),
         "worst_gm": None if s.worst_gm is None else _crossover_obj(s.worst_gm, s.policy),
@@ -206,19 +198,7 @@ def _report_to_obj(report: AssessmentReport) -> dict:
         "inputs": report.inputs,
         "l_old": _summary_obj(report.l_old_summary),
         "l_new": _summary_obj(report.l_new_summary),
-        "decompositions": [
-            {
-                "f_hz": d.f_hz,
-                "kind": d.kind,
-                "pm_old_newgc_deg": d.pm_old_newgc_deg,
-                "angle_one_plus_rho_deg": d.angle_one_plus_rho_deg,
-                "pm_new_deg": d.pm_new_deg,
-                "gm_new_lin": d.gm_new_lin,
-                "abs_one_plus_rho": d.abs_one_plus_rho,
-                "l_old_mag": d.l_old_mag,
-            }
-            for d in report.decompositions
-        ],
+        "decompositions": [asdict(d) for d in report.decompositions],
         "limit_curve": {
             "freqs_hz": list(lc.freqs),
             "z_limit_ohm": [_num_out(z) for z in lc.z_limit_ohm],
@@ -269,19 +249,7 @@ def parse_report(data: bytes) -> AssessmentReport:
         inputs=obj["inputs"],
         l_old_summary=_summary_from_obj(obj["l_old"]),
         l_new_summary=_summary_from_obj(obj["l_new"]),
-        decompositions=tuple(
-            MarginDecomposition(
-                f_hz=d["f_hz"],
-                kind=d["kind"],
-                pm_old_newgc_deg=d["pm_old_newgc_deg"],
-                angle_one_plus_rho_deg=d["angle_one_plus_rho_deg"],
-                pm_new_deg=d["pm_new_deg"],
-                gm_new_lin=d["gm_new_lin"],
-                abs_one_plus_rho=d["abs_one_plus_rho"],
-                l_old_mag=d["l_old_mag"],
-            )
-            for d in obj["decompositions"]
-        ),
+        decompositions=tuple(MarginDecomposition(**d) for d in obj["decompositions"]),
         limit_curve=limit,
         compliance=tuple(
             ComplianceRecord(
@@ -312,13 +280,7 @@ def parse_report(data: bytes) -> AssessmentReport:
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
-    if x is None:
-        return "n/a"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return str(x)
-    return str(x)
+    return "n/a" if x is None else str(x)  # str(inf) is already "inf"
 
 
 def _markdown(report: AssessmentReport) -> str:

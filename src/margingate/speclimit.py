@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonpositiveImpedanceMagnitude, OutOfRange
-from .freqresp import FrequencyResponse, normalize_deg, principal_angle_deg, value_at
+from .freqresp import FrequencyResponse, value_at
 from .loopgain import one_plus
+from .margins import MarginPolicy, pm_deg
 
 __all__ = [
     "MarginPolicy",
@@ -52,33 +53,6 @@ def _sin_deg(x: float) -> float:
     if (r - 180.0) in _SIN_DEG_EXACT:
         return -_SIN_DEG_EXACT[r - 180.0]
     return math.sin(math.radians(x))
-
-
-@dataclass(frozen=True)
-class MarginPolicy:
-    """Operator margin thresholds.
-
-    Defaults are the offshore requirement: 15 deg minimum phase margin,
-    30 deg caution threshold, 15 dB minimum gain margin.
-    """
-
-    pm_min_deg: float = 15.0
-    pm_cau_deg: float = 30.0
-    gm_min_db: float = 15.0
-
-    def __post_init__(self):
-        if not (0.0 < self.pm_min_deg <= self.pm_cau_deg < 180.0):
-            raise ValueError(
-                "need 0 < pm_min_deg <= pm_cau_deg < 180, got "
-                f"({self.pm_min_deg}, {self.pm_cau_deg})"
-            )
-        if not (self.gm_min_db >= 0.0):
-            raise ValueError(f"gm_min_db must be >= 0, got {self.gm_min_db}")
-
-    @property
-    def gm_circle_radius(self) -> float:
-        """Nyquist-plane radius 10^(-gm_min_db/20) of the GM circle."""
-        return 10.0 ** (-self.gm_min_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -145,7 +119,7 @@ def pm_old_at(l_old: FrequencyResponse, f: float) -> float:
     |L_old| need not be 1 at ``f``; this is the Bode-plot readout used at
     the new (or operator-specified) crossover frequencies.
     """
-    return normalize_deg(180.0 + principal_angle_deg(value_at(l_old, f)))
+    return pm_deg(value_at(l_old, f))
 
 
 def impedance_limit(

@@ -6,7 +6,7 @@ import pytest
 
 from margingate.cli import RunConfig, build_parser, main, run_assessment
 from margingate.fixtures import BUNDLED_CASES, bundled_case, write_bundled_case
-from margingate.freqresp import log_grid, parse_response
+from margingate.freqresp import log_grid, parse_response, write_response
 from margingate.netsynth import Inductor, Resistor, Series, eval_network, network_to_json
 from margingate.speclimit import MarginPolicy
 
@@ -81,6 +81,62 @@ class TestExitCodes:
         )
         assert code == 2
         assert "exactly one input mode" in capsys.readouterr().err
+
+
+class TestMalformedNetworkJson:
+    """Malformed case and network JSON ends in exit 2 at the parse stage,
+    with a message naming the offending element or key."""
+
+    RESISTOR = {"type": "resistor", "r_ohm": 1.0}
+
+    def run(self, tmp_path, command, obj):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        if command == "check":
+            args = ["check", "--synth", str(path), "--out-dir", str(tmp_path)]
+        else:
+            args = ["synth", "--network", str(path), "--out", str(tmp_path / "z.csv")]
+        return main(args)
+
+    @pytest.mark.parametrize(
+        "command, obj, named",
+        [
+            ("check", [], "'grid'"),
+            ("synth", {"type": "series", "children": [RESISTOR, 5]}, "5"),
+            ("synth", {"type": "parallel", "children": 7}, "'children'"),
+            ("check", {
+                "grid": {"start_hz": 10.0, "stop_hz": 1000.0, "points": 16},
+                "z_ppm_existing": RESISTOR,
+                "z_net_old": {"type": "series", "children": [
+                    RESISTOR, {"type": "resistor", "r_ohm": None}]},
+                "z_ppm_new": RESISTOR,
+            }, "'r_ohm'"),
+        ],
+        ids=["case-not-object", "child-not-object", "children-not-list", "null-value"],
+    )
+    def test_exit_2_names_the_element(self, tmp_path, capsys, command, obj, named):
+        assert self.run(tmp_path, command, obj) == 2
+        err = capsys.readouterr().err
+        assert "[stage=parse]" in err
+        assert named in err
+
+
+class TestCancellingPlant:
+    def test_new_plant_cancelling_the_network_exits_2(self, tmp_path, capsys):
+        # Z_new = -Z_net,old at one row: 1 + rho and Z_net + Z_new both vanish
+        z_ppm, z_net, z_new = bundled_case("compliant-A")
+        samples = z_new.samples.copy()
+        samples[1234] = -z_net.samples[1234]
+        paths = {}
+        for role, curve in (
+            ("z_ppm_existing", z_ppm),
+            ("z_net_old", z_net),
+            ("z_ppm_new", z_new.with_samples(samples)),
+        ):
+            paths[role] = tmp_path / f"{role}.csv"
+            paths[role].write_bytes(write_response(curve))
+        assert main(check_args(paths, tmp_path / "out")) == 2
+        assert "[stage=loopgain]" in capsys.readouterr().err
 
 
 class TestDeterminism:

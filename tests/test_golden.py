@@ -1,19 +1,29 @@
-"""Golden bytes: the CSV writer and the JSON / markdown renderers.
+"""Golden bytes: the CSV writer, the JSON / markdown renderers and the
+network JSON writer.
 
 Each case's three impedance curves go through ``write_response``; the
 written files then drive a full ``check`` in file mode (so the parser is
-on the path too) and the report is rendered as JSON and markdown. Every
+on the path too) and the report is rendered as JSON and markdown. The
+element trees behind the cases go through ``network_to_json``. Every
 output is pinned by its SHA-256 digest. A change that alters any of these
 bytes must say why and update the digest here.
 """
 import hashlib
+import json
+import math
 
 import pytest
 
 from margingate.cli import RunConfig, run_assessment
-from margingate.fixtures import bundled_case
+from margingate.fixtures import _base_networks, bundled_case, bundled_grid
 from margingate.freqresp import write_response
-from margingate.netsynth import random_case
+from margingate.netsynth import (
+    Rational,
+    Series,
+    eval_network,
+    network_to_json,
+    random_case,
+)
 from margingate.report import render
 
 ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
@@ -103,13 +113,115 @@ GOLDEN = {
         "json": "ed0843cba563d63bc917340f3273d5889417ba031a660778a6652a2c1c71f298",
         "markdown": "68456d898b619b690325e6d79c3cc788117c6238fc3accc8293c4d3c105caaf4",
     },
+    "converter": {
+        "z_ppm_existing": "9e510c7818b77a293081835d15bd78b1531d79da65804177bf9b1dafd7ce06bc",
+        "z_net_old": "a6a6be47021e7b101af9be71c70868a610fdf8f9d827a1490e5dc9bce128d17a",
+        "z_ppm_new": "c46624549a031915f68cfb7272f835b8038d75f85a4c24b804f3c15d2d3dc013",
+        "json": "92d95519e30292974aaf4dbb102e52c1137c1c9fccfe624af6814b22a8efad7e",
+        "markdown": "1a4160d7d16836165a9edf006cb071a451265c5ed2f202ce3e41719994b02bac",
+    },
 }
+
+
+# network_to_json of the three element trees behind each case
+NETWORK_GOLDEN = {
+    "bundled": {
+        "z_ppm_existing": "00ccca30c56354a8213530372af013440538ab64e74dd478db85410f65d6d263",
+        "z_net_old": "49f25523f4a3cc1e6165e5781cd174b4c312faf087589a9203cdce596ea19e51",
+        "z_ppm_new": "8dccd2dea8f10c37604ea64b1c06cc5dfcda272e1c8255a5e62d3b58857b635c",
+    },
+    "seed-0": {
+        "z_ppm_existing": "38dcb3a5a933af35f4665003ecb28122a3c6324c6ae187c05b28e227fdeb88f2",
+        "z_net_old": "3c77ed7ab5399d5aa63d2202a3fa52e84d99954c220b7441c61918f2d9ae5021",
+        "z_ppm_new": "640c12b104c239acf50bba75d5d31b321fa78f1f1ea5ca71e8a4236fce75ec6e",
+    },
+    "seed-1": {
+        "z_ppm_existing": "793893b87c33c9575f9e7ded31c892c11e025805172cf5ecabeb8812444591b3",
+        "z_net_old": "c140798b5edfa2dd4ba698e86c3b9a8dac6b7572bf271e184c6ede34a555bbf0",
+        "z_ppm_new": "401449ee13d0bcc0edb62437871280bd95ad0539e757c5119cee53de7ec0878d",
+    },
+    "seed-2": {
+        "z_ppm_existing": "897b6f89de475d167fe811a60daf7956875fd9e454d2eb779e60798d02797606",
+        "z_net_old": "745303350876b7dadcfbe64abfaaef3e2ffc9fc57a7ab560034ea15864696549",
+        "z_ppm_new": "59e6c7cc88e17e7bae8e097fbf9ae0f24cd7807a376f2fefaeabe9ddc255b473",
+    },
+    "seed-3": {
+        "z_ppm_existing": "80f49ad20cf1a380cfd062a8c8b7c96f2629c1afa9f28fc47fac8e2c29e4d40a",
+        "z_net_old": "5b784df01a633516beefd5957bd7b55b4f99e0409a131adfa0f2a4f1943e6917",
+        "z_ppm_new": "59beedbe247b7e799d1cb5664c0c215ccec82163b5aefb8cd1df43a8225cc04e",
+    },
+    "seed-4": {
+        "z_ppm_existing": "a8f42f21559b5058317d95c69385d1b2792c6c63da64e89e0357b05718b9fba9",
+        "z_net_old": "a8ae74b73993a1623e7bc7de710b5edf4116f391819fdff517ab9c3959dc3528",
+        "z_ppm_new": "e9406ad53e89a8056a9b8ac87041d315a614752c7b562ed011a2e3ddf2a9d8c1",
+    },
+    "seed-5": {
+        "z_ppm_existing": "b6787e8b2e24c9f059d0a25b812bd81aab960ad969597fddf8ad0c14ef832c47",
+        "z_net_old": "490fafc640382052c01a8df75fe1b8a9bbcdc132538787a8a72d98610bbebd61",
+        "z_ppm_new": "0f1bf9699ebda981ae7a47fe953dcc33ba4e04b83987b1bc780bcd8b407d4352",
+    },
+    "seed-6": {
+        "z_ppm_existing": "2dc2c6626aec270c8315220e8b616fb90f3139c7ae33a41377c07b1757f4c4dc",
+        "z_net_old": "4b0ce9e7b96ecca8f09d3245a611ce99f35d089bbaa8f54bf127ed03962cc823",
+        "z_ppm_new": "46de0f69bbc2fd18f13c04b91fcc09116abdaef6c8098f68f753739382d560d8",
+    },
+    "seed-7": {
+        "z_ppm_existing": "015c5acf27991871a99c7e712904e721b01baac5a5ce1f551340b2cf9c25b498",
+        "z_net_old": "057df484c39484c5a6bba64fed9b3fa53cf2051c98f3df76913a9b2f4bb9a898",
+        "z_ppm_new": "3dc685edf0967c43d21bd5f46c9ab942b2f8e2170d692434a65e63054107e981",
+    },
+    "seed-8": {
+        "z_ppm_existing": "a24267e777e9d38ed6dbf6e3395e7bc9ab1c124a5442b3aeb7083d3c3688be77",
+        "z_net_old": "9ea48d7901c4362cd12ee32deb1d3adc2e9d03cb8a50a84c3932f71fe72d86a9",
+        "z_ppm_new": "ecd0472bf93b7cbe79a076232f3ad9790486c8a50e56ec70c49f6e8db54ba0f9",
+    },
+    "seed-9": {
+        "z_ppm_existing": "e3a38a1d5ac70eeac99aad4df703d58bb5e2cabd8d3088794a241c11e9910e7e",
+        "z_net_old": "3a002449c2858de12835d25e1f0350133d25cb0fa57016a12cf1e1ec0410249a",
+        "z_ppm_new": "791c5a46c62bdd4d487e16e2486d11f166402114d66a2bdfd911fbd520a65ec3",
+    },
+    "converter": {
+        "z_ppm_existing": "98eff1926498603a72e1c2a89fb1bfb8daab695ca7e8e9fb3ade903f7ba37adf",
+        "z_net_old": "49f25523f4a3cc1e6165e5781cd174b4c312faf087589a9203cdce596ea19e51",
+        "z_ppm_new": "8dccd2dea8f10c37604ea64b1c06cc5dfcda272e1c8255a5e62d3b58857b635c",
+    },
+}
+
+
+def converter_networks():
+    """The bundled networks with a converter-like existing plant.
+
+    A negative-resistance band (stable poles at 200 Hz, damping 0.5) in
+    series with the bundled plant puts the phase of L_new through -180 deg,
+    so the report carries phase crossovers and their decompositions.
+    """
+    z_ppm, z_net, z_new = _base_networks()
+    wc = 2.0 * math.pi * 200.0
+    pole = complex(-0.5 * wc, wc * math.sqrt(0.75))
+    converter = Rational(-1.5 * 9.0e-3 * wc * wc, (0j,), (pole, pole.conjugate()))
+    return Series((z_ppm, converter)), z_net, z_new
+
+
+def case_networks(name: str):
+    if name.startswith("seed-"):
+        seed = int(name[len("seed-"):])
+        case = random_case(seed, 1 + seed % 4, (1.0, 10000.0))
+        return case.z_ppm_existing, case.z_net_old, case.z_ppm_new
+    if name == "converter":
+        return converter_networks()
+    return _base_networks()  # "bundled": compliant-A before any rescaling
 
 
 def case_curves(name: str):
     if name.startswith("seed-"):
         seed = int(name[len("seed-"):])
         return random_case(seed, 1 + seed % 4, (1.0, 10000.0)).responses()
+    if name == "converter":
+        grid = bundled_grid()
+        return tuple(
+            eval_network(desc, grid, label=role)
+            for role, desc in zip(ROLES, converter_networks())
+        )
     return bundled_case(name)
 
 
@@ -117,9 +229,8 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_golden_digests(name, tmp_path):
-    expected = GOLDEN[name]
+def check_report(name: str, tmp_path):
+    """Write the case's curves, run a file-mode check; digests and report."""
     got = {}
     paths = []
     for role, curve in zip(ROLES, case_curves(name)):
@@ -131,4 +242,41 @@ def test_golden_digests(name, tmp_path):
     report, _ = run_assessment(RunConfig(*paths))
     for fmt in ("json", "markdown"):
         got[fmt] = sha256(render(report, fmt))
-    assert got == expected
+    return got, report
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_digests(name, tmp_path):
+    got, _ = check_report(name, tmp_path)
+    assert got == GOLDEN[name]
+
+
+def test_converter_case_reaches_phase_crossovers(tmp_path):
+    # guards the golden case above: it must keep covering the phase path
+    _, report = check_report("converter", tmp_path)
+    obj = json.loads(render(report, "json"))
+    assert any(c["kind"] == "phase" for c in obj["l_new"]["crossovers"])
+    assert any(d["kind"] == "phase" for d in obj["decompositions"])
+
+
+@pytest.mark.parametrize("name", list(NETWORK_GOLDEN))
+def test_network_json_digests(name):
+    got = {
+        role: sha256(network_to_json(desc))
+        for role, desc in zip(ROLES, case_networks(name))
+    }
+    assert got == NETWORK_GOLDEN[name]
+
+
+def test_pinned_networks_include_a_rational():
+    def has_rational(obj) -> bool:
+        return obj["type"] == "rational" or any(
+            has_rational(c) for c in obj.get("children", ())
+        )
+
+    assert any(
+        has_rational(json.loads(network_to_json(desc)))
+        for name in NETWORK_GOLDEN
+        if name != "converter"
+        for desc in case_networks(name)
+    )

@@ -48,6 +48,12 @@ class TestAlgebra:
         with pytest.raises(ResonanceSingular):
             par(1j, -1j)
 
+    def test_par_antiresonance_names_the_frequency(self):
+        z1 = np.array([1.0 + 0j, 2j, 3j])
+        z2 = np.array([1.0 + 0j, -2j, -3j])
+        with pytest.raises(ResonanceSingular, match="near 20.0 Hz"):
+            par(z1, z2, f=np.array([10.0, 20.0, 30.0]))
+
     @given(finite_complex)
     @settings(max_examples=200, deadline=None)
     def test_par_self_is_exact_half(self, z):

@@ -114,6 +114,13 @@ class FrequencyGrid:
     def span(self) -> tuple[float, float]:
         return float(self.points[0]), float(self.points[-1])
 
+    @cached_property
+    def log_points(self) -> np.ndarray:
+        """Natural log of the frequencies, computed once per grid (read-only)."""
+        logf = np.log(self.points)
+        logf.setflags(write=False)
+        return logf
+
     def __eq__(self, other):
         if not isinstance(other, FrequencyGrid):
             return NotImplemented
@@ -203,10 +210,9 @@ class FrequencyResponse:
             raise ZeroMagnitudeSample(
                 "curve has a zero-magnitude sample; log interpolation undefined"
             )
-        logf = np.log(self.grid.points)
         logmag = np.log(mag)
         phase = _unwrap_deg(np.degrees(np.angle(self.samples)))
-        return logf, logmag, phase
+        return self.grid.log_points, logmag, phase
 
 
 @dataclass(frozen=True)
@@ -376,40 +382,26 @@ def value_at(resp: FrequencyResponse, f: float) -> complex:
     linearly in log-frequency (Bode-plot behavior) and recombined. No
     extrapolation: ``f`` outside the grid span raises ``OutOfRange``.
     """
-    g = resp.grid.points
-    if not (g[0] <= f <= g[-1]):
-        raise OutOfRange(f"{f} Hz outside span [{g[0]}, {g[-1]}] Hz")
-    i = int(np.searchsorted(g, f))
-    if i < g.size and g[i] == f:
-        return complex(resp.samples[i])
-    logf, logmag, phase = resp._tables
-    x = math.log(f)
-    m = math.exp(float(np.interp(x, logf, logmag)))
-    p = math.radians(float(np.interp(x, logf, phase)))
-    return complex(m * math.cos(p), m * math.sin(p))
+    return complex(values_at(resp, [f])[0])
 
 
 def values_at(resp: FrequencyResponse, freqs) -> np.ndarray:
-    """Vectorized ``value_at`` for an array of frequencies."""
+    """Vectorized ``value_at``; the first frequency outside the span (or NaN) is named."""
     f = np.asarray(freqs, dtype=float)
     g = resp.grid.points
-    if f.size == 0:
-        return np.zeros(0, dtype=complex)
-    if f.min() < g[0] or f.max() > g[-1]:
-        raise OutOfRange(
-            f"frequencies outside span [{g[0]}, {g[-1]}] Hz"
-        )
-    idx = np.searchsorted(g, f)
-    idx_c = np.minimum(idx, g.size - 1)
-    hit = g[idx_c] == f
+    outside = ~((f >= g[0]) & (f <= g[-1]))
+    if np.any(outside):
+        raise OutOfRange(f"{float(f[outside][0])} Hz outside span [{g[0]}, {g[-1]}] Hz")
+    idx = np.searchsorted(g, f)  # < g.size: every f is in the span
+    hit = g[idx] == f
     if np.all(hit):
-        return resp.samples[idx_c].astype(complex)
+        return resp.samples[idx].astype(complex)
     logf, logmag, phase = resp._tables
     x = np.log(f)
     m = np.exp(np.interp(x, logf, logmag))
     p = np.radians(np.interp(x, logf, phase))
     out = m * np.cos(p) + 1j * m * np.sin(p)
-    out[hit] = resp.samples[idx_c[hit]]
+    out[hit] = resp.samples[idx[hit]]
     return out
 
 

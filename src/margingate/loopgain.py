@@ -105,19 +105,19 @@ def rho(
     return _quotient(z_net_old, z_new, label, "new PPM impedance")
 
 
-def one_plus(ratio: FrequencyResponse, label: str = "1+rho") -> FrequencyResponse:
+def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
     """The curve 1 + rho, interpolated as a curve in its own right.
 
     Margin decomposition and the r = |1+rho| diagnostic must interpolate
     1+rho itself (not add 1 to interpolated rho) to stay consistent with
     the factored loop-gain curve between grid points. Built once per ratio
-    and label and kept on the (immutable) ratio, like its interpolation
-    tables: every decomposition and the limit curve share one curve.
+    and kept on the (immutable) ratio, like its interpolation tables: the
+    loop-gain update, every decomposition and the limit curve share it.
     """
-    memo = ratio.__dict__.setdefault("_one_plus", {})
-    if label not in memo:
-        memo[label] = ratio.with_samples(1.0 + ratio.samples, unit="dimensionless", label=label)
-    return memo[label]
+    memo = ratio.__dict__
+    if "_one_plus" not in memo:
+        memo["_one_plus"] = ratio.with_samples(1.0 + ratio.samples, unit="dimensionless", label="1+rho")
+    return memo["_one_plus"]
 
 
 def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> LoopGain:
@@ -126,7 +126,7 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
     Raises ``SingularSensitivity`` where |1+rho| falls below 1e-12.
     """
     _require_same_grid(l_old, ratio)
-    denom = 1.0 + ratio.samples
+    denom = one_plus(ratio).samples
     if float(np.min(np.abs(denom))) <= _SENSITIVITY_ATOL:
         raise SingularSensitivity("|1+rho| vanishes on the grid")
     f_samples = 1.0 / denom

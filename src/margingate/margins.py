@@ -25,6 +25,7 @@ from .freqresp import (
     normalize_deg,
     principal_angle_deg,
     value_at,
+    values_at,
 )
 from .loopgain import one_plus
 
@@ -43,7 +44,6 @@ __all__ = [
 GAIN_MAG_TOL = 1e-9       # | |L| - 1 | at a refined gain crossover
 PHASE_ANGLE_TOL = 1e-6    # deg from -180 at a refined phase crossover
 _MERGE_RTOL = 1e-6        # crossovers closer than this (relative) merge
-_BISECT_MAX_ITER = 200
 
 
 def pm_deg(z: complex) -> float:
@@ -159,36 +159,9 @@ def margin_at(l_value: complex, kind: str):
     raise ValueError(f"kind must be gain or phase, got {kind!r}")
 
 
-def _bisect_level(
-    u_lo: float, u_hi: float, y_lo: float, y_hi: float, level: float
-) -> float:
-    """Root of the linear interpolant y(u) = level inside [u_lo, u_hi].
-
-    Bisection on the interpolant; robust to the kinks of piecewise-linear
-    data and converges far below the 1e-9 relative target.
-    """
-    a, b = u_lo, u_hi
-    slope = (y_hi - y_lo) / (b - a)
-
-    def val(u: float) -> float:
-        return y_lo + (u - a) * slope - level
-
-    lo, hi = a, b
-    f_lo = val(lo)
-    if f_lo == 0.0:
-        return lo
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        f_mid = val(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _level_root(u_lo, u_hi, y_lo, y_hi, c):
+    """Where the line through (u_lo, y_lo) and (u_hi, y_hi) meets level c."""
+    return u_lo + (c - y_lo) * (u_hi - u_lo) / (y_hi - y_lo)
 
 
 def _detect_levels(
@@ -197,12 +170,12 @@ def _detect_levels(
     roots: list[float] = []
     for c in levels:
         r = y - c
-        for i in np.flatnonzero(r == 0.0):
-            roots.append(float(grid_pts[i]))
+        roots.extend(grid_pts[r == 0.0].tolist())
         s = np.sign(r)  # sign products cannot underflow like raw products
-        for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
-            u = _bisect_level(logf[i], logf[i + 1], y[i], y[i + 1], c)
-            roots.append(math.exp(u))
+        i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+        u = _level_root(logf[i], logf[i + 1], y[i], y[i + 1], c)
+        # a rounded root must stay in its bracket, hence inside the span
+        roots.extend(np.clip(np.exp(u), grid_pts[i], grid_pts[i + 1]).tolist())
     return roots
 
 
@@ -221,8 +194,8 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
 
     Gain kind: sign changes of log|L|. Phase kind: crossings of the
     unwrapped phase through -180 + k*360 for any integer k (high-order
-    loops wrap several times). Brackets on the sample grid are refined by
-    bisection on the log-frequency interpolant; near-duplicates within
+    loops wrap several times). Each bracket on the sample grid is solved in
+    closed form on the log-frequency interpolant; near-duplicates within
     1e-6 relative frequency are merged.
     """
     if kind not in ("gain", "phase"):
@@ -239,9 +212,9 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
         levels = [-180.0 + 360.0 * k for k in range(k_min, k_max + 1)]
         y = phase
 
+    freqs = _merge_close(_detect_levels(logf, y, levels, g))
     points: list[CrossoverPoint] = []
-    for f in _merge_close(_detect_levels(logf, y, levels, g)):
-        lv = value_at(l, f)
+    for f, lv in zip(freqs, values_at(l, freqs).tolist()):
         m = margin_at(lv, kind)
         if kind == "gain":
             points.append(CrossoverPoint("gain", f, lv, pm_deg=m))

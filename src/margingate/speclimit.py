@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveImpedanceMagnitude, OutOfRange
-from .freqresp import FrequencyResponse, value_at
+import numpy as np
+
+from .errors import NonpositiveImpedanceMagnitude
+from .freqresp import FrequencyResponse, value_at, values_at
 from .loopgain import one_plus
 from .margins import MarginPolicy, pm_deg
 
@@ -163,24 +165,22 @@ def limit_curve(
     is not guaranteed in that regime.
     """
     fs = sorted(set(float(f) for f in freqs))
-    opr = one_plus(ratio) if ratio is not None else None
+    pm_olds = [pm_deg(z) for z in values_at(l_old, fs).tolist()]
+    znet_mags = np.abs(values_at(z_net_old, fs)).tolist()
+    if ratio is None:
+        r_diags: list[float | None] = [None] * len(fs)
+    else:
+        r_diags = np.abs(values_at(one_plus(ratio), fs)).tolist()
 
     z_limits: list[float | None] = []
     dpms: list[float] = []
-    znet_mags: list[float] = []
-    r_diags: list[float | None] = []
     flag_sets: list[frozenset[str]] = []
-    for f in fs:
-        pm_old = pm_old_at(l_old, f)
-        znet_mag = abs(value_at(z_net_old, f))
+    for pm_old, znet_mag, r in zip(pm_olds, znet_mags, r_diags):
         z_lim, dpm, flags = impedance_limit(znet_mag, pm_old, policy)
-        r = abs(value_at(opr, f)) if opr is not None else None
         if r is not None and r < 1.0:
             flags = flags | {FLAG_R_CAVEAT}
         z_limits.append(z_lim)
         dpms.append(dpm)
-        znet_mags.append(znet_mag)
-        r_diags.append(r)
         flag_sets.append(flags)
 
     return LimitCurve(
@@ -202,14 +202,9 @@ def check_compliance(
     compliant. Frequencies flagged as pre-existing violations yield a
     violation with no limit value.
     """
-    g = z_new.grid.points
-    for f in limits.freqs:
-        if not (g[0] <= f <= g[-1]):
-            raise OutOfRange(f"limit frequency {f} Hz outside new-plant span")
-
+    z_mags = np.abs(values_at(z_new, limits.freqs)).tolist()
     records: list[ComplianceRecord] = []
-    for f, z_lim, flags in zip(limits.freqs, limits.z_limit_ohm, limits.flags):
-        z_mag = abs(value_at(z_new, f))
+    for f, z_mag, z_lim, flags in zip(limits.freqs, z_mags, limits.z_limit_ohm, limits.flags):
         if FLAG_PREEXISTING in flags or z_lim is None:
             records.append(ComplianceRecord(f, z_mag, None, "violation"))
         else:

@@ -23,6 +23,7 @@ from margingate.report import render
 from margingate.speclimit import MarginPolicy, check_compliance, impedance_limit
 
 from conftest import first_order, three_pole
+from test_golden import case_curves
 from test_report import basic_report
 from test_speclimit import ROWS_WITHIN_LIMIT, ROWS_EXCEEDING_LIMIT, table_limit_curve, table_z_new
 
@@ -68,21 +69,25 @@ def test_criterion_1_loop_gain_update_identity():
 
 def test_criterion_2_margin_decomposition_identity():
     with criterion(2, "decomposition matches direct margins at every new crossover"):
-        n_checked = 0
-        for seed in range(N_FIXTURES):
-            _, _, _, l_old, ratio = fixture_curves(seed)
+        cases = {f"seed {seed}": fixture_curves(seed)[3:] for seed in range(N_FIXTURES)}
+        # the random fixtures are passive and never cross -180 deg; the
+        # converter-like golden case puts the gain-margin identity to work
+        z_ppm, z_net, z_new = case_curves("converter")
+        cases["converter"] = (loop_gain(z_net, z_ppm).response, rho(z_net, z_new))
+        n_checked = {"gain": 0, "phase": 0}
+        for name, (l_old, ratio) in cases.items():
             l_new = update_loop_gain(l_old, ratio).response
             for kind in ("gain", "phase"):
                 for cp in find_crossovers(l_new, kind):
                     d = decompose_margins(l_old, ratio, cp.f_hz, kind)
                     if kind == "gain":
                         dev = abs(normalize_deg(d.pm_new_deg - cp.pm_deg))
-                        assert dev < 1e-9, f"seed {seed} f {cp.f_hz}: dPM {dev}"
+                        assert dev < 1e-9, f"{name} f {cp.f_hz}: dPM {dev}"
                     else:
                         rel = abs(d.gm_new_lin - cp.gm_lin) / cp.gm_lin
-                        assert rel < 1e-12, f"seed {seed} f {cp.f_hz}: dGM {rel}"
-                    n_checked += 1
-        assert n_checked > 0
+                        assert rel < 1e-12, f"{name} f {cp.f_hz}: dGM {rel}"
+                    n_checked[kind] += 1
+        assert n_checked["gain"] > 0 and n_checked["phase"] > 0
         print(f"  {n_checked} crossovers checked")
 
 

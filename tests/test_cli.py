@@ -75,6 +75,12 @@ class TestExitCodes:
         assert code == 2
         assert "unknown formats" in capsys.readouterr().err
 
+    def test_nan_critical_frequency_exit_2(self, compliant_dir, tmp_path, capsys):
+        code = main(check_args(compliant_dir, tmp_path, "--critical-freqs", "100,nan"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[stage=limit]" in err and "nan Hz outside span" in err
+
     def test_conflicting_modes_exit_2(self, compliant_dir, tmp_path, capsys):
         code = main(
             check_args(compliant_dir, tmp_path, "--synth", str(tmp_path / "case.json"))

@@ -176,6 +176,15 @@ class TestValueAt:
         with pytest.raises(OutOfRange):
             value_at(r, 100.001)
 
+    def test_nan_frequency_out_of_range_by_name(self):
+        r = resp([10.0, 100.0, 1000.0], [1.0, 1.0, 1.0])
+        with pytest.raises(OutOfRange, match=r"^nan Hz outside span \[10\.0, 1000\.0\] Hz$"):
+            values_at(r, [100.0, math.nan])
+        with pytest.raises(OutOfRange, match=r"^5\.0 Hz outside span"):
+            values_at(r, [100.0, 5.0, 2000.0])
+        with pytest.raises(OutOfRange, match="^nan Hz"):
+            value_at(r, math.nan)
+
     def test_phase_interpolated_unwrapped(self):
         # quarter-turn per decade; interpolation must follow the unwrapped path
         angles = [0.0, -120.0, -240.0]

@@ -1,0 +1,208 @@
+"""The crossover root and the curve evaluator against the code they replaced.
+
+``bisect_level`` (a bisection on the interpolant) and ``scalar_value_at``
+(a scalar copy of the interpolation) are kept verbatim as references. The
+tolerances follow from float64 rounding alone (eps = 2**-52) and were set
+before the closed form and the array evaluator were written:
+
+* A root u of the line through (u_lo, y_lo) and (u_hi, y_hi) at level c
+  is known to 4 eps (max(|u_lo|, |u_hi|) + max(|y_lo|, |y_hi|, |c|) (u_hi -
+  u_lo) / |y_hi - y_lo|): the first term rounds u itself, the second is
+  the rounding of y near the root carried to u through the slope.
+* Both evaluators return the stored sample on a grid point; between
+  points they round exp, cos and sin, so they agree within 4 eps relative.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from margingate.errors import OutOfRange
+from margingate.freqresp import FrequencyResponse, value_at, values_at
+from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
+from margingate.margins import _detect_levels, _level_root
+
+from test_golden import GOLDEN, case_curves
+
+EPS = np.finfo(float).eps
+_BISECT_MAX_ITER = 200
+
+
+def bisect_level(
+    u_lo: float, u_hi: float, y_lo: float, y_hi: float, level: float
+) -> float:
+    """Root of the linear interpolant y(u) = level inside [u_lo, u_hi].
+
+    Bisection on the interpolant; robust to the kinks of piecewise-linear
+    data and converges far below the 1e-9 relative target.
+    """
+    a, b = u_lo, u_hi
+    slope = (y_hi - y_lo) / (b - a)
+
+    def val(u: float) -> float:
+        return y_lo + (u - a) * slope - level
+
+    lo, hi = a, b
+    f_lo = val(lo)
+    if f_lo == 0.0:
+        return lo
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        f_mid = val(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def scalar_value_at(resp: FrequencyResponse, f: float) -> complex:
+    """Evaluate the curve at ``f`` Hz.
+
+    Returns the stored sample bit-for-bit when ``f`` is a grid point.
+    Between points, log-magnitude and unwrapped phase are interpolated
+    linearly in log-frequency (Bode-plot behavior) and recombined. No
+    extrapolation: ``f`` outside the grid span raises ``OutOfRange``.
+    """
+    g = resp.grid.points
+    if not (g[0] <= f <= g[-1]):
+        raise OutOfRange(f"{f} Hz outside span [{g[0]}, {g[-1]}] Hz")
+    i = int(np.searchsorted(g, f))
+    if i < g.size and g[i] == f:
+        return complex(resp.samples[i])
+    logf, logmag, phase = resp._tables
+    x = math.log(f)
+    m = math.exp(float(np.interp(x, logf, logmag)))
+    p = math.radians(float(np.interp(x, logf, phase)))
+    return complex(m * math.cos(p), m * math.sin(p))
+
+
+def root_tolerance(u_lo, u_hi, y_lo, y_hi, c) -> float:
+    scale = max(abs(y_lo), abs(y_hi), abs(c)) * (u_hi - u_lo) / abs(y_hi - y_lo)
+    return 4.0 * EPS * (max(abs(u_lo), abs(u_hi)) + scale)
+
+
+def check_bracket(*bracket):
+    u_lo, u_hi, y_lo, y_hi, c = map(float, bracket)
+    u = float(_level_root(u_lo, u_hi, y_lo, y_hi, c))
+    ref = bisect_level(u_lo, u_hi, y_lo, y_hi, c)
+    assert abs(u - ref) <= root_tolerance(u_lo, u_hi, y_lo, y_hi, c), (
+        u_lo, u_hi, y_lo, y_hi, c, u, ref
+    )
+
+
+def check_roots_in_brackets(logf, y, levels, g) -> int:
+    """Every detected root lies in a bracket of its level; returns the count."""
+    roots = np.asarray(_detect_levels(logf, y, levels, g))
+    expected = 0
+    for c in levels:
+        r = y - c
+        s = np.sign(r)
+        expected += int(np.count_nonzero(r == 0.0))
+        expected += int(np.count_nonzero(s[:-1] * s[1:] < 0.0))
+    assert roots.size == expected
+    i = np.clip(np.searchsorted(g, roots) - 1, 0, g.size - 2)
+    assert np.all((g[i] <= roots) & (roots <= g[i + 1]))
+    return expected
+
+
+# -- crossover roots -----------------------------------------------------------
+
+_F = st.floats(min_value=1e-3, max_value=1e6)  # grid frequencies in Hz
+_Y = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def brackets(draw):
+    """(g, y, c): two grid frequencies, and y strictly on both sides of c."""
+    g = np.array(sorted(draw(st.lists(_F, min_size=2, max_size=2, unique=True))))
+    assume(np.log(g[0]) < np.log(g[1]))
+    lo, c, hi = sorted(draw(st.lists(_Y, min_size=3, max_size=3, unique=True)))
+    return g, np.array([lo, hi] if draw(st.booleans()) else [hi, lo]), c
+
+
+@given(brackets())
+@settings(max_examples=500, deadline=None)
+def test_root_matches_bisection_inside_its_bracket(bracket):
+    g, y, c = bracket
+    logf = np.log(g)
+    check_bracket(logf[0], logf[1], y[0], y[1], c)
+    assert check_roots_in_brackets(logf, y, [c], g) == 1
+
+
+def test_grid_points_on_the_level_are_exact_roots():
+    g = np.array([1.0, 10.0, 100.0, 1000.0])
+    y = np.array([-1.0, 0.0, 2.0, -2.0])
+    roots = sorted(_detect_levels(np.log(g), y, [0.0], g))
+    assert roots[0] == 10.0
+    assert len(roots) == 2 and 100.0 < roots[1] < 1000.0
+
+
+def fixture_loop_gains(name):
+    z_ppm, z_net, z_new = case_curves(name)
+    l_old = loop_gain(z_net, z_ppm).response
+    ratio = rho(z_net, z_new)
+    return l_old, update_loop_gain(l_old, ratio).response, ratio
+
+
+def curve_levels(curve):
+    """Every (y, levels) pair the crossover search solves on a curve."""
+    logf, logmag, phase = curve._tables
+    k_min = math.ceil((float(phase.min()) + 180.0) / 360.0)
+    k_max = math.floor((float(phase.max()) + 180.0) / 360.0)
+    phase_levels = [-180.0 + 360.0 * k for k in range(k_min, k_max + 1)]
+    return logf, ((logmag, [0.0]), (phase, phase_levels))
+
+
+# the golden cases (random_case seeds 0-9 among them) and 50 more seeds
+@pytest.mark.parametrize("name", list(GOLDEN) + [f"seed-{s}" for s in range(10, 60)])
+def test_fixture_brackets_match_bisection(name):
+    n = 0
+    for curve in fixture_loop_gains(name)[:2]:
+        logf, pairs = curve_levels(curve)
+        g = curve.grid.points
+        for y, levels in pairs:
+            n += check_roots_in_brackets(logf, y, levels, g)
+            for c in levels:
+                s = np.sign(y - c)
+                for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
+                    check_bracket(logf[i], logf[i + 1], y[i], y[i + 1], c)
+    assert n > 0
+
+
+# -- curve evaluation ----------------------------------------------------------
+
+def fixture_curves(name):
+    l_old, l_new, ratio = fixture_loop_gains(name)
+    return (*case_curves(name), l_old, l_new, one_plus(ratio))
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_value_at_matches_scalar_reference(name):
+    rng = np.random.default_rng(7)
+    for curve in fixture_curves(name):
+        g = curve.grid.points
+        for f in g[rng.choice(g.size, 50, replace=False)].tolist() + [g[0], g[-1]]:
+            assert value_at(curve, f) == scalar_value_at(curve, f)
+        probes = rng.uniform(g[0], g[-1], 200)
+        probes = probes[~np.isin(probes, g)]
+        for f in probes.tolist():
+            ref = scalar_value_at(curve, f)
+            assert abs(value_at(curve, f) - ref) <= 4.0 * EPS * abs(ref), f
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_values_at_is_value_at_per_point(name):
+    rng = np.random.default_rng(11)
+    for curve in fixture_curves(name):
+        g = curve.grid.points
+        fs = np.concatenate((rng.uniform(g[0], g[-1], 300), g[:: max(1, g.size // 50)]))
+        vec = values_at(curve, fs)
+        assert vec.tolist() == [value_at(curve, f) for f in fs.tolist()]
+

@@ -41,6 +41,7 @@ from .speclimit import check_compliance, limit_curve
 __all__ = ["RunConfig", "run_assessment", "main"]
 
 _EXIT_BY_VERDICT = {"compliant": 0, "caution": 1, "violation": 1}
+_ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 
 _ASSERTED_PRECONDITIONS = (
     "subsystems are individually stable (no right-half-plane poles); "
@@ -113,7 +114,7 @@ def _load_synth_case(path: Path):
         ) from None
     grid = log_grid(*span)
     out = []
-    for role in ("z_ppm_existing", "z_net_old", "z_ppm_new"):
+    for role in _ROLES:
         out.append(eval_network(network_from_obj(obj[role]), grid, label=role))
     return tuple(out)
 
@@ -128,15 +129,12 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
         if cfg.synth_case is not None:
             z_ppm, z_net, z_new = _load_synth_case(cfg.synth_case)
         else:
-            z_ppm = _read_response(cfg.z_ppm_existing)
-            z_net = _read_response(cfg.z_net_old)
-            z_new = _read_response(cfg.z_ppm_new)
-            if not z_ppm.label:
-                z_ppm = z_ppm.with_samples(z_ppm.samples, label="z_ppm_existing")
-            if not z_net.label:
-                z_net = z_net.with_samples(z_net.samples, label="z_net_old")
-            if not z_new.label:
-                z_new = z_new.with_samples(z_new.samples, label="z_ppm_new")
+            paths = (cfg.z_ppm_existing, cfg.z_net_old, cfg.z_ppm_new)
+            curves = [_read_response(path) for path in paths]
+            z_ppm, z_net, z_new = (
+                c if c.label else c.with_samples(c.samples, label=role)
+                for c, role in zip(curves, _ROLES)
+            )
 
     with _stage("align"):
         z_ppm, z_net, z_new = align([z_ppm, z_net, z_new])
@@ -473,20 +471,15 @@ def _cmd_synth(args) -> int:
     if args.case:
         with _stage("parse"):
             curves = _load_synth_case(Path(args.case))
-        with _stage("io"):
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for resp in curves:
-                path = out_dir / f"{resp.label}.csv"
-                path.write_bytes(write_response(resp))
-                print(f"wrote {path}")
-        return 0
-    # --seed: random fixture
-    with _stage("synth"):
-        case = random_case(args.seed, args.n_strings, span)
+        write_stage = "io"
+    else:  # --seed: random fixture
+        with _stage("synth"):
+            curves = random_case(args.seed, args.n_strings, span).responses()
+        write_stage = "synth"
+    with _stage(write_stage):
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for resp in case.responses():
+        for resp in curves:
             path = out_dir / f"{resp.label}.csv"
             path.write_bytes(write_response(resp))
             print(f"wrote {path}")

@@ -386,8 +386,11 @@ def value_at(resp: FrequencyResponse, f: float) -> complex:
 
 
 def values_at(resp: FrequencyResponse, freqs) -> np.ndarray:
-    """Vectorized ``value_at``; the first frequency outside the span (or NaN) is named."""
-    f = np.asarray(freqs, dtype=float)
+    """Vectorized ``value_at``; the first frequency outside the span (or NaN) is named.
+
+    A scalar frequency is taken as a one-element sequence.
+    """
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
     g = resp.grid.points
     outside = ~((f >= g[0]) & (f <= g[-1]))
     if np.any(outside):

@@ -30,6 +30,7 @@ from .freqresp import (
 from .loopgain import one_plus
 
 __all__ = [
+    "REGIONS",
     "MarginPolicy",
     "CrossoverPoint",
     "MarginSummary",
@@ -44,6 +45,8 @@ __all__ = [
 GAIN_MAG_TOL = 1e-9       # | |L| - 1 | at a refined gain crossover
 PHASE_ANGLE_TOL = 1e-6    # deg from -180 at a refined phase crossover
 _MERGE_RTOL = 1e-6        # crossovers closer than this (relative) merge
+
+REGIONS = ("compliant", "caution", "critical")  # by increasing severity
 
 
 def pm_deg(z: complex) -> float:
@@ -80,6 +83,27 @@ class MarginPolicy:
     def gm_circle_radius(self) -> float:
         """Nyquist-plane radius 10^(-gm_min_db/20) of the GM circle."""
         return 10.0 ** (-self.gm_min_db / 20.0)
+
+    def pm_region(self, pm: float) -> str:
+        """Region of a phase margin: critical below the minimum, caution
+        below the caution threshold, else compliant.
+
+        Boundary semantics: PM equal to the minimum is caution (not
+        critical); PM equal to the caution threshold is compliant.
+        """
+        if pm < self.pm_min_deg:
+            return "critical"
+        if pm < self.pm_cau_deg:
+            return "caution"
+        return "compliant"
+
+    def region(self, cp: CrossoverPoint) -> str:
+        """Region of a crossover: its phase margin for the gain kind; for
+        the phase kind, critical below the gain-margin floor, else
+        compliant."""
+        if cp.kind == "gain":
+            return self.pm_region(cp.pm_deg)
+        return "critical" if cp.gm_db < self.gm_min_db else "compliant"
 
 
 @dataclass(frozen=True)
@@ -255,10 +279,11 @@ def decompose_margins(
 def summarize_margins(l: FrequencyResponse, policy: MarginPolicy) -> MarginSummary:
     """Detect all crossovers, pick worst cases, and apply the policy.
 
-    Verdict: ``violation`` if the worst phase margin is below the minimum
-    or any gain margin is below the dB floor; ``caution`` if the worst
-    phase margin sits below the caution threshold; else ``compliant``.
-    A curve with no gain crossover cannot produce a PM violation.
+    Verdict: the most severe ``MarginPolicy.region`` of the crossovers,
+    with critical reported as ``violation``: a phase margin below the
+    minimum or any gain margin below the dB floor is a violation, a phase
+    margin below the caution threshold a caution. A curve with no
+    crossover is compliant.
     """
     gains = find_crossovers(l, "gain")
     phases = find_crossovers(l, "phase")
@@ -267,15 +292,9 @@ def summarize_margins(l: FrequencyResponse, policy: MarginPolicy) -> MarginSumma
     worst_pm = min(gains, key=lambda c: c.pm_deg, default=None)
     worst_gm = max(phases, key=lambda c: abs(c.l_value), default=None)
 
-    violation = (worst_pm is not None and worst_pm.pm_deg < policy.pm_min_deg) or any(
-        c.gm_db < policy.gm_min_db for c in phases
-    )
-    if violation:
-        verdict = "violation"
-    elif worst_pm is not None and worst_pm.pm_deg < policy.pm_cau_deg:
-        verdict = "caution"
-    else:
-        verdict = "compliant"
+    regions = [policy.region(c) for c in crossovers]
+    worst = max(regions, key=REGIONS.index, default="compliant")
+    verdict = "violation" if worst == "critical" else worst
 
     return MarginSummary(
         crossovers=crossovers,

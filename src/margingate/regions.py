@@ -4,7 +4,8 @@ Critical and caution angle wedges about the negative real axis classify
 unit-circle crossings by phase margin; a circle of radius 10^(-GM_dB/20)
 visualizes the gain-margin requirement; encirclements of -1+0j are
 counted on the closed contour formed by the sampled locus, its conjugate
-mirror and straight closure segments.
+mirror and straight closure segments; the mirror's share is taken by
+conjugate symmetry rather than built.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from .errors import (
     NotOnUnitCircle,
 )
 from .freqresp import FrequencyResponse
-from .margins import CrossoverPoint, MarginPolicy, find_crossovers, pm_deg
+from .margins import REGIONS, CrossoverPoint, MarginPolicy, find_crossovers, pm_deg
 
 __all__ = [
     "RegionVerdict",
@@ -46,7 +47,7 @@ class RegionVerdict:
     region: str
 
     def __post_init__(self):
-        if self.region not in ("critical", "caution", "compliant"):
+        if self.region not in REGIONS:
             raise ValueError(f"bad region {self.region!r}")
 
 
@@ -66,19 +67,11 @@ class EncirclementResult:
 
 
 def classify_crossing(l_value: complex, policy: MarginPolicy) -> str:
-    """Region of a unit-circle crossing: critical, caution or compliant.
-
-    Boundary semantics: PM equal to the minimum is caution (not
-    critical); PM equal to the caution threshold is compliant.
-    """
+    """Region of a unit-circle crossing: ``MarginPolicy.pm_region`` of its
+    phase margin."""
     if abs(abs(l_value) - 1.0) >= _UNIT_CIRCLE_TOL:
         raise NotOnUnitCircle(f"|L| = {abs(l_value)} is not 1")
-    pm = pm_deg(l_value)
-    if pm < policy.pm_min_deg:
-        return "critical"
-    if pm < policy.pm_cau_deg:
-        return "caution"
-    return "compliant"
+    return policy.pm_region(pm_deg(l_value))
 
 
 def gm_circle_check(
@@ -103,37 +96,35 @@ def _segment_min_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance from the origin to each segment [a_i, b_i]."""
     d = b - a
     l2 = np.abs(d) ** 2
-    t = np.zeros(a.shape)
-    nz = l2 > 0.0
-    t[nz] = np.clip(-np.real(a[nz] * np.conj(d[nz])) / l2[nz], 0.0, 1.0)
-    return np.abs(a + t * d)
+    t = np.divide(-np.real(a * np.conj(d)), l2, out=np.zeros(a.shape), where=l2 > 0.0)
+    return np.abs(a + np.clip(t, 0.0, 1.0) * d)
 
 
 def winding_number(l: FrequencyResponse) -> EncirclementResult:
     """Count encirclements of -1+0j by the loop-gain locus.
 
-    Sums principal angle increments of L+1 along positive frequencies,
-    mirrors the locus by conjugate symmetry for negative frequencies and
-    closes the contour with straight segments at both ends. The angle sum
-    must resolve to an integer number of turns within 0.01, else
-    ``AmbiguousWinding``.
+    The contour is the sampled locus for positive frequencies, its
+    conjugate mirror for negative frequencies and straight closure
+    segments at both ends. The mirror is not built: by conjugate symmetry
+    each mirrored step repeats the angle of a positive step and each
+    mirrored segment is a positive one traversed backwards, so only the N
+    positive samples are walked. The angle sum must resolve to an integer
+    number of turns within 0.01, else ``AmbiguousWinding``.
     """
     z = l.samples + 1.0
     if float(np.min(np.abs(z))) <= _CRITICAL_ATOL:
         raise CriticalPointOnLocus("a locus sample coincides with -1+0j")
 
     g = l.grid.points
-    n = g.size
-    # traversal: omega from -f_max up to -f_min, across zero, f_min to f_max
-    verts = np.concatenate([np.conj(z[::-1]), z])
-    steps = np.degrees(np.angle(verts[1:] * np.conj(verts[:-1])))
-    closing = math.degrees(
-        math.atan2(
-            (verts[0] * np.conj(verts[-1])).imag,
-            (verts[0] * np.conj(verts[-1])).real,
-        )
-    )
-    total = float(np.sum(steps)) + closing
+    # step 0 crosses zero frequency (conj(z0) -> z0); step k >= 1 spans
+    # [g[k-1], g[k]] and is traversed twice, once mirrored
+    turn = np.empty(z.size, dtype=complex)
+    turn[0] = z[0] * z[0]
+    np.multiply(z[1:], np.conj(z[:-1]), out=turn[1:])
+    steps = np.degrees(np.angle(turn))
+    high = np.conj(z[-1]) * np.conj(z[-1])  # closure z_N -> conj(z_N)
+    closing = math.degrees(math.atan2(high.imag, high.real))
+    total = float(steps[0] + 2.0 * np.sum(steps[1:])) + closing
 
     turns = -total / 360.0
     winding = round(turns)
@@ -143,29 +134,27 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
             f"angle sum {total:.3f} deg is not an integer number of turns"
         )
 
-    # step index -> frequency interval of the traversal
-    def interval(j: int) -> tuple[float, float]:
-        if j < n - 1:  # mirrored branch, |omega| decreasing
-            return float(g[n - 2 - j]), float(g[n - 1 - j])
-        if j == n - 1:  # zero-frequency closure
-            return 0.0, float(g[0])
-        return float(g[j - n]), float(g[j - n + 1])  # positive branch
-
-    warn: set[tuple[float, float]] = set()
-    for j in np.flatnonzero(np.abs(steps) > _STEP_WARN_DEG):
-        warn.add(interval(int(j)))
+    edges = np.concatenate(([0.0], g))
+    warn = {
+        (float(edges[j]), float(edges[j + 1]))
+        for j in np.flatnonzero(np.abs(steps) > _STEP_WARN_DEG)
+    }
     if abs(closing) > _STEP_WARN_DEG:
         warn.add((float(g[-1]), math.inf))
 
-    # closure segments near the critical point
-    seg_lo = _segment_min_dist(verts[n - 1 : n], verts[n : n + 1])
-    if float(seg_lo[0]) < _CLOSURE_WARN_DIST:
+    # closure segments conj(z0) -> z0 and z_N -> conj(z_N)
+    ends = np.array([np.conj(z[0]), z[-1]])
+    closures = _segment_min_dist(ends, np.conj(ends))
+    if float(closures[0]) < _CLOSURE_WARN_DIST:
         warn.add((0.0, float(g[0])))
-    seg_hi = _segment_min_dist(verts[-1:], verts[:1])
-    if float(seg_hi[0]) < _CLOSURE_WARN_DIST:
+    if float(closures[1]) < _CLOSURE_WARN_DIST:
         warn.add((float(g[-1]), math.inf))
 
-    min_dist = float(np.min(_segment_min_dist(verts, np.roll(verts, -1))))
+    min_dist = min(
+        float(np.min(_segment_min_dist(z[:-1], z[1:]))),
+        float(np.min(_segment_min_dist(z[1:], z[:-1]))),  # the mirrored pass
+        float(np.min(closures)),
+    )
 
     return EncirclementResult(
         winding=int(winding),

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InconsistentInputs, UnsupportedFormat
 from .freqresp import FrequencyResponse, unwrap_phase
 from .margins import CrossoverPoint, MarginDecomposition, MarginPolicy, MarginSummary
-from .regions import EncirclementResult, classify_crossing
+from .regions import EncirclementResult
 from .speclimit import ComplianceRecord, LimitCurve
 
 __all__ = [
@@ -140,12 +140,6 @@ def _num_in(v):
     return None if v is None else float(v)
 
 
-def _entry_region(cp: CrossoverPoint, policy: MarginPolicy) -> str:
-    if cp.kind == "gain":
-        return classify_crossing(cp.l_value, policy)
-    return "critical" if cp.gm_db < policy.gm_min_db else "compliant"
-
-
 def _crossover_obj(cp: CrossoverPoint, policy: MarginPolicy) -> dict:
     obj = {
         "f_hz": cp.f_hz,
@@ -157,7 +151,7 @@ def _crossover_obj(cp: CrossoverPoint, policy: MarginPolicy) -> dict:
     else:
         obj["gm_lin"] = cp.gm_lin
         obj["gm_db"] = cp.gm_db
-    obj["region"] = _entry_region(cp, policy)
+    obj["region"] = policy.region(cp)
     return obj
 
 
@@ -312,7 +306,7 @@ def _markdown(report: AssessmentReport) -> str:
                     if cp.kind == "gain"
                     else f"GM {_fmt(cp.gm_db)} dB"
                 )
-                region = _entry_region(cp, summary.policy)
+                region = summary.policy.region(cp)
                 lines.append(f"| {_fmt(cp.f_hz)} | {cp.kind} | {margin} | {region} |")
         lines.append("")
 

@@ -185,6 +185,13 @@ class TestValueAt:
         with pytest.raises(OutOfRange, match="^nan Hz"):
             value_at(r, math.nan)
 
+    @pytest.mark.parametrize("f", [10.0, 5.5])  # on the grid, between points
+    def test_values_at_scalar_is_one_element_sequence(self, f):
+        r = resp([1.0, 3.0, 10.0, 30.0, 100.0], [1 + 1j, 2 - 3j, 0.5j, -1.0, 2.0])
+        out = values_at(r, f)
+        assert out.shape == (1,)
+        assert out.tolist() == [value_at(r, f)]
+
     def test_phase_interpolated_unwrapped(self):
         # quarter-turn per decade; interpolation must follow the unwrapped path
         angles = [0.0, -120.0, -240.0]

@@ -217,6 +217,14 @@ class TestSummarize:
         assert s2.worst_pm.pm_deg == pytest.approx(20.0, abs=0.01)
         assert s2.verdict == "caution"
 
+    @pytest.mark.parametrize(
+        "gm_db,region", [(14.0, "critical"), (15.0, "compliant"), (16.0, "compliant")]
+    )
+    def test_phase_crossover_region_against_gm_floor(self, gm_db, region):
+        gm_lin = 10.0 ** (gm_db / 20.0)
+        cp = CrossoverPoint("phase", 100.0, -1.0 / gm_lin + 0j, gm_lin=gm_lin, gm_db=gm_db)
+        assert POLICY.region(cp) == region
+
     def test_scaling_invariance(self, grid_2k):
         # multiplying z_net and z_ppm by the same curve leaves margins alone
         g = grid_2k

@@ -1,9 +1,13 @@
-"""The crossover root and the curve evaluator against the code they replaced.
+"""The crossover root, the curve evaluator and the winding count against
+the code they replaced.
 
-``bisect_level`` (a bisection on the interpolant) and ``scalar_value_at``
-(a scalar copy of the interpolation) are kept verbatim as references. The
-tolerances follow from float64 rounding alone (eps = 2**-52) and were set
-before the closed form and the array evaluator were written:
+``bisect_level`` (a bisection on the interpolant), ``scalar_value_at``
+(a scalar copy of the interpolation) and ``mirrored_winding_number`` (the
+count on an explicitly mirrored contour, with its segment-distance helper)
+are kept verbatim as references. The winding count must match its
+reference exactly, the whole result included. The other tolerances follow
+from float64 rounding alone (eps = 2**-52) and were set before the closed
+form and the array evaluator were written:
 
 * A root u of the line through (u_lo, y_lo) and (u_hi, y_hi) at level c
   is known to 4 eps (max(|u_lo|, |u_hi|) + max(|y_lo|, |y_hi|, |c|) (u_hi -
@@ -19,11 +23,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from margingate.errors import OutOfRange
-from margingate.freqresp import FrequencyResponse, value_at, values_at
+from margingate.errors import AmbiguousWinding, CriticalPointOnLocus, OutOfRange
+from margingate.freqresp import FrequencyResponse, log_grid, value_at, values_at
 from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
 from margingate.margins import _detect_levels, _level_root
+from margingate.regions import (
+    _CLOSURE_WARN_DIST,
+    _CRITICAL_ATOL,
+    _STEP_WARN_DEG,
+    _WINDING_RESIDUAL,
+    EncirclementResult,
+    winding_number,
+)
 
+from conftest import three_pole
 from test_golden import GOLDEN, case_curves
 
 EPS = np.finfo(float).eps
@@ -206,3 +219,112 @@ def test_values_at_is_value_at_per_point(name):
         vec = values_at(curve, fs)
         assert vec.tolist() == [value_at(curve, f) for f in fs.tolist()]
 
+
+
+# -- winding count -------------------------------------------------------------
+
+def _segment_min_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from the origin to each segment [a_i, b_i]."""
+    d = b - a
+    l2 = np.abs(d) ** 2
+    t = np.zeros(a.shape)
+    nz = l2 > 0.0
+    t[nz] = np.clip(-np.real(a[nz] * np.conj(d[nz])) / l2[nz], 0.0, 1.0)
+    return np.abs(a + t * d)
+
+
+def mirrored_winding_number(l: FrequencyResponse) -> EncirclementResult:
+    """Count encirclements of -1+0j by the loop-gain locus.
+
+    Sums principal angle increments of L+1 along positive frequencies,
+    mirrors the locus by conjugate symmetry for negative frequencies and
+    closes the contour with straight segments at both ends. The angle sum
+    must resolve to an integer number of turns within 0.01, else
+    ``AmbiguousWinding``.
+    """
+    z = l.samples + 1.0
+    if float(np.min(np.abs(z))) <= _CRITICAL_ATOL:
+        raise CriticalPointOnLocus("a locus sample coincides with -1+0j")
+
+    g = l.grid.points
+    n = g.size
+    # traversal: omega from -f_max up to -f_min, across zero, f_min to f_max
+    verts = np.concatenate([np.conj(z[::-1]), z])
+    steps = np.degrees(np.angle(verts[1:] * np.conj(verts[:-1])))
+    closing = math.degrees(
+        math.atan2(
+            (verts[0] * np.conj(verts[-1])).imag,
+            (verts[0] * np.conj(verts[-1])).real,
+        )
+    )
+    total = float(np.sum(steps)) + closing
+
+    turns = -total / 360.0
+    winding = round(turns)
+    residual = abs(turns - winding)
+    if residual >= _WINDING_RESIDUAL:
+        raise AmbiguousWinding(
+            f"angle sum {total:.3f} deg is not an integer number of turns"
+        )
+
+    # step index -> frequency interval of the traversal
+    def interval(j: int) -> tuple[float, float]:
+        if j < n - 1:  # mirrored branch, |omega| decreasing
+            return float(g[n - 2 - j]), float(g[n - 1 - j])
+        if j == n - 1:  # zero-frequency closure
+            return 0.0, float(g[0])
+        return float(g[j - n]), float(g[j - n + 1])  # positive branch
+
+    warn: set[tuple[float, float]] = set()
+    for j in np.flatnonzero(np.abs(steps) > _STEP_WARN_DEG):
+        warn.add(interval(int(j)))
+    if abs(closing) > _STEP_WARN_DEG:
+        warn.add((float(g[-1]), math.inf))
+
+    # closure segments near the critical point
+    seg_lo = _segment_min_dist(verts[n - 1 : n], verts[n : n + 1])
+    if float(seg_lo[0]) < _CLOSURE_WARN_DIST:
+        warn.add((0.0, float(g[0])))
+    seg_hi = _segment_min_dist(verts[-1:], verts[:1])
+    if float(seg_hi[0]) < _CLOSURE_WARN_DIST:
+        warn.add((float(g[-1]), math.inf))
+
+    min_dist = float(np.min(_segment_min_dist(verts, np.roll(verts, -1))))
+
+    return EncirclementResult(
+        winding=int(winding),
+        min_distance_to_critical_point=min_dist,
+        resolution_warnings=tuple(sorted(warn)),
+    )
+
+
+def winding_outcome(count, l):
+    """The result of a winding count, or the type of the exception it raised."""
+    try:
+        return count(l)
+    except (AmbiguousWinding, CriticalPointOnLocus) as exc:
+        return type(exc)
+
+
+def winding_loci():
+    """L_old and L_new of the golden cases and 50 more seeds, two three-pole
+    loci (one that encircles twice, one sampled too coarsely) and a constant
+    locus, whose segments all have zero length."""
+    for name in list(GOLDEN) + [f"seed-{s}" for s in range(10, 60)]:
+        yield from fixture_loop_gains(name)[:2]
+    grid = log_grid(1.0, 10000.0, 2000)
+    yield three_pole(10.0, 100.0, grid)
+    yield three_pole(10.0, 100.0, log_grid(1.0, 10000.0, 10))
+    yield FrequencyResponse(grid, np.full(len(grid), 0.5 + 0j), unit="dimensionless")
+
+
+def test_winding_matches_mirrored_reference():
+    outcomes = []
+    for l in winding_loci():
+        out = winding_outcome(winding_number, l)
+        assert out == winding_outcome(mirrored_winding_number, l), l.label
+        outcomes.append(out)
+    results = [o for o in outcomes if isinstance(o, EncirclementResult)]
+    # the equality must cover the nonzero-winding and warning paths
+    assert any(r.winding != 0 for r in results)
+    assert any(r.resolution_warnings for r in results)

@@ -51,7 +51,6 @@ from .margins import (
     MarginSummary,
     decompose_margins,
     find_crossovers,
-    margin_at,
     pm_deg,
     summarize_margins,
 )
@@ -71,14 +70,10 @@ from .netsynth import (
     par,
     random_case,
     scale_network,
-    ser,
 )
 from .regions import (
     EncirclementResult,
-    RegionVerdict,
     classify_crossing,
-    critical_intersection,
-    gm_circle_check,
     winding_number,
 )
 from .report import (

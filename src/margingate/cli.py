@@ -36,7 +36,7 @@ from .report import (
     nyquist_svg_chart,
     render,
 )
-from .speclimit import check_compliance, limit_curve
+from .speclimit import FLAG_PREEXISTING, check_compliance, limit_curve
 
 __all__ = ["RunConfig", "run_assessment", "main"]
 
@@ -238,10 +238,13 @@ def _print_verdict(report: AssessmentReport) -> None:
     if verdict == "violation":
         offenders = [rec for rec in report.compliance if rec.verdict == "violation"]
         for rec in offenders:
+            if rec.z_limit_ohm is None:
+                why = f", no headroom ({FLAG_PREEXISTING})"
+            else:
+                why = f" exceeds limit {rec.z_limit_ohm} ohm"
             print(
                 _style(
-                    f"violation at {rec.f_hz} Hz: |Z_new| = {rec.z_new_mag_ohm} ohm "
-                    f"exceeds limit {rec.z_limit_ohm} ohm",
+                    f"violation at {rec.f_hz} Hz: |Z_new| = {rec.z_new_mag_ohm} ohm{why}",
                     "31",
                     sys.stderr,
                 ),
@@ -492,7 +495,7 @@ def _cmd_nyquist(args) -> int:
         for path in args.loop_gain:
             resp = _read_response(Path(path))
             curves.append((resp.label or Path(path).stem, resp))
-    with _stage("regions"):
+    with _stage("margins"):
         policy = _policy_from(args)
         summaries = [summarize_margins(resp, policy) for _, resp in curves]
     with _stage("io"):

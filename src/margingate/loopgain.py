@@ -1,10 +1,9 @@
 """Minor-loop gain construction and update algebra.
 
 The loop gain is the ratio of network-side impedance to PPM impedance.
-Adding a plant in parallel updates it through the impedance ratio rho and
-the sensitivity factor F = 1/(1+rho):  L_new = L_old * F. Both the direct
-quotient and the factored update are first-class so they can be
-cross-checked against each other.
+Adding a plant in parallel updates it through the impedance ratio rho:
+L_new = L_old / (1 + rho). Both the direct quotient and the factored
+update are first-class so they can be cross-checked against each other.
 """
 from __future__ import annotations
 
@@ -49,14 +48,10 @@ class LoopGainDerivation:
 
 @dataclass(frozen=True)
 class LoopGain:
-    """A dimensionless loop-gain curve plus its derivation record.
-
-    Factored curves also expose the sensitivity factor F = 1/(1+rho).
-    """
+    """A dimensionless loop-gain curve plus its derivation record."""
 
     response: FrequencyResponse
     derivation: LoopGainDerivation
-    sensitivity: FrequencyResponse | None = None
 
 
 def _require_same_grid(a: FrequencyResponse, b: FrequencyResponse) -> None:
@@ -121,7 +116,7 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
 
 
 def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> LoopGain:
-    """Updated loop gain L_old / (1 + rho), with the sensitivity factor.
+    """Updated loop gain L_old * (1 / (1 + rho)).
 
     Raises ``SingularSensitivity`` where |1+rho| falls below 1e-12.
     """
@@ -129,20 +124,14 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
     denom = one_plus(ratio).samples
     if float(np.min(np.abs(denom))) <= _SENSITIVITY_ATOL:
         raise SingularSensitivity("|1+rho| vanishes on the grid")
-    f_samples = 1.0 / denom
-    sens = FrequencyResponse(
+    resp = FrequencyResponse(
         grid=l_old.grid,
-        samples=f_samples,
+        samples=l_old.samples * (1.0 / denom),
         unit="dimensionless",
-        label="F",
+        label="L_new",
         **_merged_meta(l_old, ratio),
     )
-    resp = sens.with_samples(l_old.samples * f_samples, label="L_new")
-    return LoopGain(
-        resp,
-        LoopGainDerivation("factored", (l_old.label, ratio.label)),
-        sensitivity=sens,
-    )
+    return LoopGain(resp, LoopGainDerivation("factored", (l_old.label, ratio.label)))
 
 
 def consistency_error(

@@ -36,7 +36,6 @@ __all__ = [
     "MarginSummary",
     "MarginDecomposition",
     "find_crossovers",
-    "margin_at",
     "pm_deg",
     "decompose_margins",
     "summarize_margins",
@@ -164,25 +163,6 @@ class MarginDecomposition:
     l_old_mag: float
 
 
-def margin_at(l_value: complex, kind: str):
-    """Margin from an interpolated loop-gain value at a crossover.
-
-    Gain kind returns the phase margin in degrees (normalized to
-    (-180, 180]); phase kind returns ``(gm_lin, gm_db)``. The value must
-    satisfy the invariants of its kind, else ``KindMismatch``.
-    """
-    if kind == "gain":
-        if abs(abs(l_value) - 1.0) >= GAIN_MAG_TOL:
-            raise KindMismatch("value is not on the unit circle")
-        return pm_deg(l_value)
-    if kind == "phase":
-        if abs(pm_deg(l_value)) >= PHASE_ANGLE_TOL:
-            raise KindMismatch("value angle is not -180 deg")
-        gm_lin = 1.0 / abs(l_value)
-        return gm_lin, 20.0 * math.log10(gm_lin)
-    raise ValueError(f"kind must be gain or phase, got {kind!r}")
-
-
 def _level_root(u_lo, u_hi, y_lo, y_hi, c):
     """Where the line through (u_lo, y_lo) and (u_hi, y_hi) meets level c."""
     return u_lo + (c - y_lo) * (u_hi - u_lo) / (y_hi - y_lo)
@@ -220,7 +200,9 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
     unwrapped phase through -180 + k*360 for any integer k (high-order
     loops wrap several times). Each bracket on the sample grid is solved in
     closed form on the log-frequency interpolant; near-duplicates within
-    1e-6 relative frequency are merged.
+    1e-6 relative frequency are merged. The margin is read off the
+    interpolated value: PM = ``pm_deg(L)``, GM = 1/|L|; ``CrossoverPoint``
+    checks that the value lies on the unit circle or at -180 deg.
     """
     if kind not in ("gain", "phase"):
         raise ValueError(f"kind must be gain or phase, got {kind!r}")
@@ -239,11 +221,12 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
     freqs = _merge_close(_detect_levels(logf, y, levels, g))
     points: list[CrossoverPoint] = []
     for f, lv in zip(freqs, values_at(l, freqs).tolist()):
-        m = margin_at(lv, kind)
         if kind == "gain":
-            points.append(CrossoverPoint("gain", f, lv, pm_deg=m))
+            points.append(CrossoverPoint("gain", f, lv, pm_deg=pm_deg(lv)))
         else:
-            points.append(CrossoverPoint("phase", f, lv, gm_lin=m[0], gm_db=m[1]))
+            gm_lin = 1.0 / abs(lv)
+            gm_db = 20.0 * math.log10(gm_lin)
+            points.append(CrossoverPoint("phase", f, lv, gm_lin=gm_lin, gm_db=gm_db))
     return points
 
 

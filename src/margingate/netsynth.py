@@ -31,7 +31,6 @@ __all__ = [
     "CaseFixture",
     "eval_network",
     "par",
-    "ser",
     "random_case",
     "scale_network",
     "network_to_obj",
@@ -172,14 +171,6 @@ class Parallel(NetworkElement):
 # ---------------------------------------------------------------------------
 # algebra
 # ---------------------------------------------------------------------------
-
-def ser(z1, z2):
-    """Series combination Z1 + Z2."""
-    a = np.asarray(z1, dtype=complex)
-    b = np.asarray(z2, dtype=complex)
-    out = a + b
-    return complex(out) if out.ndim == 0 else out
-
 
 def par(z1, z2, f=None):
     """Parallel combination Z1*Z2 / (Z1+Z2).

@@ -1,11 +1,11 @@
-"""Nyquist-plane stability geometry.
+"""Nyquist-plane winding numbers and the crossing classifier.
 
-Critical and caution angle wedges about the negative real axis classify
-unit-circle crossings by phase margin; a circle of radius 10^(-GM_dB/20)
-visualizes the gain-margin requirement; encirclements of -1+0j are
-counted on the closed contour formed by the sampled locus, its conjugate
-mirror and straight closure segments; the mirror's share is taken by
-conjugate symmetry rather than built.
+Encirclements of -1+0j are counted on the closed contour formed by the
+sampled locus, its conjugate mirror and straight closure segments; the
+mirror's share is taken by conjugate symmetry rather than built. The
+critical and caution wedges and the gain-margin floor are one rule,
+``MarginPolicy.region``; ``classify_crossing`` applies its phase-margin
+part to a unit-circle value.
 """
 from __future__ import annotations
 
@@ -14,22 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousWinding,
-    CriticalPointOnLocus,
-    KindMismatch,
-    NotOnUnitCircle,
-)
+from .errors import AmbiguousWinding, CriticalPointOnLocus, NotOnUnitCircle
 from .freqresp import FrequencyResponse
-from .margins import REGIONS, CrossoverPoint, MarginPolicy, find_crossovers, pm_deg
+from .margins import MarginPolicy, pm_deg
 
 __all__ = [
-    "RegionVerdict",
     "EncirclementResult",
     "classify_crossing",
-    "gm_circle_check",
     "winding_number",
-    "critical_intersection",
 ]
 
 _UNIT_CIRCLE_TOL = 1e-6
@@ -37,18 +29,6 @@ _CRITICAL_ATOL = 1e-12
 _WINDING_RESIDUAL = 0.01
 _STEP_WARN_DEG = 90.0
 _CLOSURE_WARN_DIST = 0.1
-
-
-@dataclass(frozen=True)
-class RegionVerdict:
-    """Classification of one unit-circle crossing."""
-
-    crossover: CrossoverPoint
-    region: str
-
-    def __post_init__(self):
-        if self.region not in REGIONS:
-            raise ValueError(f"bad region {self.region!r}")
 
 
 @dataclass(frozen=True)
@@ -72,24 +52,6 @@ def classify_crossing(l_value: complex, policy: MarginPolicy) -> str:
     if abs(abs(l_value) - 1.0) >= _UNIT_CIRCLE_TOL:
         raise NotOnUnitCircle(f"|L| = {abs(l_value)} is not 1")
     return policy.pm_region(pm_deg(l_value))
-
-
-def gm_circle_check(
-    phase_crossovers: list[CrossoverPoint], policy: MarginPolicy
-) -> list[tuple[CrossoverPoint, bool]]:
-    """Check negative-real-axis crossings against the GM circle.
-
-    The circle is centered at the origin with radius 10^(-gm_min_db/20);
-    a crossing of magnitude outside that radius violates the gain-margin
-    requirement.
-    """
-    radius = policy.gm_circle_radius
-    out: list[tuple[CrossoverPoint, bool]] = []
-    for cp in phase_crossovers:
-        if cp.kind != "phase":
-            raise KindMismatch(f"expected phase crossovers, got {cp.kind!r}")
-        out.append((cp, abs(cp.l_value) > radius))
-    return out
 
 
 def _segment_min_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -161,20 +123,3 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
         min_distance_to_critical_point=min_dist,
         resolution_warnings=tuple(sorted(warn)),
     )
-
-
-def critical_intersection(
-    l: FrequencyResponse, policy: MarginPolicy
-) -> tuple[bool, list[RegionVerdict]]:
-    """Does the locus cross the unit circle inside the critical wedge?
-
-    Detects all gain crossovers and classifies each; returns True with
-    the critical offenders listed when any crossing violates the minimum
-    phase margin.
-    """
-    offenders = []
-    for cp in find_crossovers(l, "gain"):
-        region = classify_crossing(cp.l_value, policy)
-        if region == "critical":
-            offenders.append(RegionVerdict(cp, region))
-    return bool(offenders), offenders

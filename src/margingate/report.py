@@ -35,13 +35,6 @@ __all__ = [
 SCHEMA = "margin-gate/1"
 FORMATS = ("json", "markdown", "nyquist_svg", "bode_svg")
 
-_RANK = {"compliant": 0, "caution": 1, "violation": 2, "error": 3}
-
-
-def _worst(*verdicts: str) -> str:
-    return max(verdicts, key=lambda v: _RANK[v])
-
-
 @dataclass(frozen=True)
 class AssessmentReport:
     """Deterministic aggregate of one assessment run.
@@ -62,8 +55,6 @@ class AssessmentReport:
     curves: tuple[tuple[str, FrequencyResponse], ...] = ()
 
     def __post_init__(self):
-        if self.overall_verdict not in _RANK:
-            raise ValueError(f"bad overall verdict {self.overall_verdict!r}")
         expected = _expected_verdict(
             self.l_new_summary, self.compliance, self.encirclements
         )
@@ -74,12 +65,13 @@ class AssessmentReport:
 
 
 def _expected_verdict(l_new_summary, compliance, encirclements) -> str:
-    verdict = l_new_summary.verdict
+    """Violation on any compliance violation or nonzero winding, else the
+    L_new margin verdict."""
     if any(rec.verdict == "violation" for rec in compliance):
-        verdict = _worst(verdict, "violation")
+        return "violation"
     if any(res.winding != 0 for res in encirclements.values()):
-        verdict = _worst(verdict, "violation")
-    return verdict
+        return "violation"
+    return l_new_summary.verdict
 
 
 def build_report(

@@ -2,11 +2,12 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from margingate.cli import RunConfig, build_parser, main, run_assessment
 from margingate.fixtures import BUNDLED_CASES, bundled_case, write_bundled_case
-from margingate.freqresp import log_grid, parse_response, write_response
+from margingate.freqresp import FrequencyResponse, log_grid, parse_response, write_response
 from margingate.netsynth import Inductor, Resistor, Series, eval_network, network_to_json
 from margingate.speclimit import MarginPolicy
 
@@ -69,6 +70,16 @@ class TestExitCodes:
         main(check_args(paths, tmp_path / "out"))
         err = capsys.readouterr().err
         assert "violation" in err and "exceeds limit" in err
+
+    def test_preexisting_violation_names_missing_headroom(
+        self, compliant_dir, tmp_path, capsys
+    ):
+        # a 150 deg minimum is above the existing PM: no headroom, so no limit
+        extra = ("--pm-min-deg", "150", "--pm-cau-deg", "170")
+        assert main(check_args(compliant_dir, tmp_path, *extra)) == 1
+        err = capsys.readouterr().err
+        assert "no headroom (preexisting_violation)" in err
+        assert "None" not in err
 
     def test_unknown_format_exit_2(self, compliant_dir, tmp_path, capsys):
         code = main(check_args(compliant_dir, tmp_path, "--format", "pdf"))
@@ -313,6 +324,20 @@ class TestSubcommands:
         code = main(["nyquist", "--loop-gain", str(lg_file), "--out", str(out)])
         assert code == 0
         ET.fromstring(out.read_bytes())
+
+    @pytest.mark.parametrize("command", ["margins", "nyquist"])
+    def test_zero_sample_fails_at_margins_stage(self, tmp_path, capsys, command):
+        samples = np.full(8, 0.5 + 0j)
+        samples[3] = 0.0
+        lg_file = tmp_path / "lg.csv"
+        lg_file.write_bytes(write_response(
+            FrequencyResponse(log_grid(10.0, 1000.0, 8), samples, unit="dimensionless")
+        ))
+        args = [command, "--loop-gain", str(lg_file)]
+        if command == "nyquist":
+            args += ["--out", str(tmp_path / "ny.svg")]
+        assert main(args) == 2
+        assert "[stage=margins]" in capsys.readouterr().err
 
     def test_synth_case_mode(self, tmp_path):
         case = {

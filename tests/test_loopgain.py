@@ -85,12 +85,12 @@ class TestUpdate:
         ratio = np.abs(upd.response.samples) / np.abs(l_old.samples)
         assert np.max(ratio) <= 1.001e-9
 
-    def test_sensitivity_exposed(self, grid):
+    def test_update_times_one_plus_rho_is_l_old(self, grid):
         l_old = FrequencyResponse(grid, np.ones(64, complex), unit="dimensionless")
         r = FrequencyResponse(grid, np.full(64, 0.5 + 0.5j), unit="dimensionless")
         upd = update_loop_gain(l_old, r)
-        product = upd.sensitivity.samples * (1.0 + r.samples)
-        assert np.max(np.abs(product - 1.0)) < 1e-12
+        product = upd.response.samples * (1.0 + r.samples)
+        assert np.max(np.abs(product - l_old.samples)) < 1e-12
 
     def test_singular_sensitivity(self, grid):
         l_old = FrequencyResponse(grid, np.ones(64, complex), unit="dimensionless")

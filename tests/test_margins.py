@@ -11,7 +11,6 @@ from margingate.margins import (
     CrossoverPoint,
     decompose_margins,
     find_crossovers,
-    margin_at,
     summarize_margins,
 )
 from margingate.netsynth import random_case
@@ -93,24 +92,37 @@ class TestFindCrossovers:
 
 
 class TestMarginAt:
-    def test_pm_from_angle(self):
-        assert margin_at(unit_angle(-135.0), "gain") == pytest.approx(45.0, abs=1e-12)
+    """Margins that ``find_crossovers`` reads off the crossover value."""
 
-    def test_pm_marginal(self):
-        assert margin_at(-1.0 + 0j, "gain") == pytest.approx(0.0, abs=1e-12)
+    @staticmethod
+    def gain_crossing(value: complex, grid) -> FrequencyResponse:
+        # |L| = 100/f crosses 1 at 100 Hz, where L equals ``value``
+        return FrequencyResponse(grid, value * 100.0 / grid.points, unit="dimensionless")
 
-    def test_gm_half(self):
-        gm_lin, gm_db = margin_at(-0.5 + 0j, "phase")
-        assert gm_lin == pytest.approx(2.0, rel=1e-15)
-        assert gm_db == pytest.approx(6.0206, abs=1e-4)
+    def test_pm_from_angle(self, grid_2k):
+        (cp,) = find_crossovers(self.gain_crossing(unit_angle(-135.0), grid_2k), "gain")
+        assert cp.f_hz == pytest.approx(100.0, rel=1e-9)
+        assert cp.pm_deg == pytest.approx(45.0, abs=1e-9)
 
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatch):
-            margin_at(0.5 + 0j, "gain")  # not on unit circle
-        with pytest.raises(KindMismatch):
-            margin_at(unit_angle(-90.0), "phase")  # not at -180
+    def test_pm_marginal(self, grid_2k):
+        (cp,) = find_crossovers(self.gain_crossing(-1.0 + 0j, grid_2k), "gain")
+        assert cp.pm_deg == pytest.approx(0.0, abs=1e-9)
+
+    def test_gm_half(self, grid_2k):
+        # |L| = 0.5 and a phase of -90*log10(f) deg: -180 deg at 100 Hz
+        f = grid_2k.points
+        l = FrequencyResponse(
+            grid_2k, 0.5 * np.exp(-1j * np.radians(90.0 * np.log10(f))), unit="dimensionless"
+        )
+        (cp,) = find_crossovers(l, "phase")
+        assert cp.f_hz == pytest.approx(100.0, rel=1e-9)
+        assert cp.gm_lin == pytest.approx(2.0, rel=1e-12)
+        assert cp.gm_db == pytest.approx(6.0206, abs=1e-4)
+
+    def test_kind_mismatch(self, constant_half):
+        # the value invariants of each kind: TestCrossoverPoint
         with pytest.raises(ValueError):
-            margin_at(1 + 0j, "both")
+            find_crossovers(constant_half, "both")
 
 
 class TestCrossoverPoint:

@@ -21,7 +21,6 @@ from margingate.netsynth import (
     par,
     random_case,
     scale_network,
-    ser,
 )
 
 finite_complex = st.builds(
@@ -32,11 +31,6 @@ finite_complex = st.builds(
 
 
 class TestAlgebra:
-    def test_ser(self):
-        assert ser(1, 1) == 2
-        assert ser(3 + 4j, 0) == 3 + 4j
-        assert ser(1 + 2j, 3 - 2j) == 4 + 0j
-
     def test_par_equal_halves(self):
         assert par(1 + 0j, 1 + 0j) == 0.5 + 0j
 
@@ -146,7 +140,7 @@ class TestEval:
         zb = eval_network(b, g).samples
         zs = eval_network(Series((a, b)), g).samples
         zp = eval_network(Parallel((a, b)), g).samples
-        assert np.allclose(zs, ser(za, zb), rtol=1e-14)
+        assert np.allclose(zs, za + zb, rtol=1e-14)
         assert np.allclose(zp, par(za, zb), rtol=1e-14)
 
     def test_passivity(self):

@@ -6,15 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margingate.errors import CriticalPointOnLocus, KindMismatch, NotOnUnitCircle
+from margingate.errors import CriticalPointOnLocus, NotOnUnitCircle
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid
-from margingate.margins import CrossoverPoint
-from margingate.regions import (
-    classify_crossing,
-    critical_intersection,
-    gm_circle_check,
-    winding_number,
-)
+from margingate.margins import CrossoverPoint, summarize_margins
+from margingate.regions import classify_crossing, winding_number
 from margingate.speclimit import MarginPolicy
 
 from conftest import first_order, three_pole
@@ -76,23 +71,15 @@ class TestGmCircle:
     def test_radius_and_verdicts(self):
         radius = 10.0 ** (-15.0 / 20.0)  # oracle for the 15 dB policy
         assert radius == pytest.approx(0.177828, abs=1e-6)
+        assert POLICY.gm_circle_radius == pytest.approx(radius, rel=1e-15)
         cp_bad = CrossoverPoint(
             "phase", 100.0, -0.4 + 0j, gm_lin=2.5, gm_db=20 * math.log10(2.5)
         )
         cp_ok = CrossoverPoint(
             "phase", 200.0, -0.1 + 0j, gm_lin=10.0, gm_db=20.0
         )
-        out = gm_circle_check([cp_bad, cp_ok], POLICY)
-        assert out[0][1] is True   # 0.4 outside the circle
-        assert out[1][1] is False  # 0.1 inside
-
-    def test_empty(self):
-        assert gm_circle_check([], POLICY) == []
-
-    def test_kind_mismatch(self):
-        cp = CrossoverPoint("gain", 10.0, unit_angle(-120.0), pm_deg=60.0)
-        with pytest.raises(KindMismatch):
-            gm_circle_check([cp], POLICY)
+        assert POLICY.region(cp_bad) == "critical"   # 0.4 outside the circle
+        assert POLICY.region(cp_ok) == "compliant"   # 0.1 inside
 
 
 class TestWinding:
@@ -154,14 +141,22 @@ class TestWinding:
 
 
 class TestCriticalIntersection:
+    """Gain crossovers inside the critical wedge, through the gate's
+    ``summarize_margins`` and ``MarginPolicy.region``."""
+
+    @staticmethod
+    def critical(l):
+        s = summarize_margins(l, POLICY)
+        return s, [c for c in s.crossovers if POLICY.region(c) == "critical"]
+
     def test_first_order_clean(self, grid_2k):
-        violates, offenders = critical_intersection(first_order(2.0, 100.0, grid_2k), POLICY)
-        assert violates is False
+        s, offenders = self.critical(first_order(2.0, 100.0, grid_2k))
+        assert s.verdict == "compliant"
         assert offenders == []
 
     def test_constant_no_crossings(self, constant_half):
-        violates, offenders = critical_intersection(constant_half, POLICY)
-        assert violates is False
+        s, offenders = self.critical(constant_half)
+        assert s.verdict == "compliant"
         assert offenders == []
 
     def test_crossing_in_wedge(self, grid_2k):
@@ -170,8 +165,9 @@ class TestCriticalIntersection:
         l = FrequencyResponse(
             g, rot * 2.0 / (1 + 1j * g.points / 100.0), unit="dimensionless"
         )
-        violates, offenders = critical_intersection(l, POLICY)
-        assert violates is True
-        assert len(offenders) == 1
-        assert offenders[0].region == "critical"
-        assert offenders[0].crossover.pm_deg == pytest.approx(10.0, abs=0.01)
+        s, offenders = self.critical(l)
+        assert s.verdict == "violation"
+        gains = [c for c in s.crossovers if c.kind == "gain"]
+        assert len(gains) == 1
+        assert gains[0] in offenders
+        assert gains[0].pm_deg == pytest.approx(10.0, abs=0.01)

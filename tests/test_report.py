@@ -216,9 +216,10 @@ class TestJson:
         import json
 
         obj = json.loads(render(basic_report(), "json"))
-        obj["overall_verdict"] = "violation"
-        with pytest.raises(InconsistentInputs):
-            parse_report(json.dumps(obj).encode())
+        for bogus in ("violation", "error"):
+            obj["overall_verdict"] = bogus
+            with pytest.raises(InconsistentInputs):
+                parse_report(json.dumps(obj).encode())
 
 
 class TestMarkdown:

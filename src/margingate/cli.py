@@ -282,10 +282,6 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="minimum gain margin in dB (default 15)")
 
 
-def _policy_from(args) -> MarginPolicy:
-    return MarginPolicy(args.pm_min_deg, args.pm_cau_deg, args.gm_min_db)
-
-
 def _parse_freq_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
@@ -367,7 +363,7 @@ def _cmd_check(args) -> int:
         z_net_old=Path(args.z_net_old) if args.z_net_old else None,
         z_ppm_new=Path(args.z_ppm_new) if args.z_ppm_new else None,
         synth_case=Path(args.synth) if args.synth else None,
-        policy=_policy_from(args),
+        policy=args.policy,
         critical_freqs=(
             _parse_freq_list(args.critical_freqs) if args.critical_freqs else None
         ),
@@ -398,7 +394,7 @@ def _cmd_margins(args) -> int:
     with _stage("parse"):
         l = _read_response(Path(args.loop_gain))
     with _stage("margins"):
-        summary = summarize_margins(l, _policy_from(args))
+        summary = summarize_margins(l, args.policy)
     print("| f (Hz) | kind | margin |")
     print("| --- | --- | --- |")
     for cp in summary.crossovers:
@@ -418,12 +414,12 @@ def _cmd_limit(args) -> int:
         elif args.detect_from:
             l_probe = _read_response(Path(args.detect_from))
             freqs = tuple(
-                cp.f_hz for cp in summarize_margins(l_probe, _policy_from(args)).crossovers
+                cp.f_hz for cp in summarize_margins(l_probe, args.policy).crossovers
                 if cp.kind == "gain"
             )
         else:
             raise ValueError("need --critical-freqs or --detect-from")
-        limits = limit_curve(l_old, z_net, freqs, _policy_from(args))
+        limits = limit_curve(l_old, z_net, freqs, args.policy)
 
     lines = []
     code = 0
@@ -496,11 +492,10 @@ def _cmd_nyquist(args) -> int:
             resp = _read_response(Path(path))
             curves.append((resp.label or Path(path).stem, resp))
     with _stage("margins"):
-        policy = _policy_from(args)
-        summaries = [summarize_margins(resp, policy) for _, resp in curves]
+        summaries = [summarize_margins(resp, args.policy) for _, resp in curves]
     with _stage("io"):
         Path(args.out).write_text(
-            nyquist_svg_chart(policy, curves, summaries), encoding="utf-8"
+            nyquist_svg_chart(args.policy, curves, summaries), encoding="utf-8"
         )
     print(f"wrote {args.out}")
     return 0
@@ -519,6 +514,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "pm_min_deg" in args:  # a bad policy fails as config, before any stage
+            args.policy = MarginPolicy(args.pm_min_deg, args.pm_cau_deg, args.gm_min_db)
         return _COMMANDS[args.cmd](args)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)

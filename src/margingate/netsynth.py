@@ -178,29 +178,43 @@ def par(z1, z2, f=None):
     Raises ``ResonanceSingular`` when |Z1+Z2| falls below
     1e-12 * max(|Z1|, |Z2|) (genuine antiresonance, not rounding); given
     the sample frequencies ``f``, the message names the first bad one.
-    Equal operands return Z/2 exactly.
+    Equal operands return Z/2 exactly. The operands are never written to.
     """
     a = np.asarray(z1, dtype=complex)
     b = np.asarray(z2, dtype=complex)
     s = a + b
-    bad = np.abs(s) <= _SINGULAR_RTOL * np.maximum(np.abs(a), np.abs(b))
+    # |s| goes into the |b| buffer: each fresh temporary costs page faults
+    ref = np.abs(a, out=np.empty(np.shape(s)))
+    mag = np.abs(b, out=np.empty(np.shape(s)))
+    np.maximum(ref, mag, out=ref)
+    ref *= _SINGULAR_RTOL
+    bad = np.abs(s, out=mag) <= ref
     if np.any(bad):
-        near = "" if f is None else f" near {np.asarray(f)[np.argmax(bad)]} Hz"
+        near = "" if f is None else f" near {np.ravel(f)[np.argmax(bad)]} Hz"
         raise ResonanceSingular(f"parallel branches cancel: |Z1+Z2| ~ 0{near}")
-    out = np.where(a == b, a / 2.0, a * b / s)
+    out = np.multiply(a, b, out=np.empty(np.shape(s), dtype=complex))
+    out /= s
+    np.divide(a, 2.0, out=out, where=a == b)
     return complex(out) if out.ndim == 0 else out
 
 
-def _eval_tree(desc: NetworkElement, f: np.ndarray) -> np.ndarray:
-    w = 2.0 * math.pi * f
+def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Samples of ``desc`` at ``f`` (``w = 2*pi*f``), always a fresh array.
+
+    L and C leaves keep the bits of numpy's complex j*w*L = 0 + j*fl(w*L)
+    and 1/(j*w*C) = +0 - j/fl(w*C) without the complex arithmetic.
+    """
     if isinstance(desc, Resistor):
         return np.full(f.size, desc.r_ohm, dtype=complex)
-    if isinstance(desc, Inductor):
-        return 1j * w * desc.l_henry
+    if isinstance(desc, (Inductor, Thevenin)):
+        out = np.full(f.size, getattr(desc, "r_ohm", 0.0), dtype=complex)
+        np.multiply(w, desc.l_henry, out=out.imag)
+        return out
     if isinstance(desc, Capacitor):
-        return 1.0 / (1j * w * desc.c_farad)
-    if isinstance(desc, Thevenin):
-        return desc.r_ohm + 1j * w * desc.l_henry
+        out = np.zeros(f.size, dtype=complex)
+        np.multiply(w, desc.c_farad, out=out.imag)
+        np.divide(-1.0, out.imag, out=out.imag)
+        return out
     if isinstance(desc, Rational):
         s = 1j * w
         for p in desc.poles_rad_s:
@@ -216,16 +230,17 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray) -> np.ndarray:
         den = np.ones(f.size, dtype=complex)
         for p in desc.poles_rad_s:
             den *= s - p
-        return num / den
+        num /= den
+        return num
     if isinstance(desc, Series):
-        acc = _eval_tree(desc.children[0], f)
+        acc = _eval_tree(desc.children[0], f, w)
         for child in desc.children[1:]:
-            acc = acc + _eval_tree(child, f)
+            acc += _eval_tree(child, f, w)
         return acc
     if isinstance(desc, Parallel):
-        acc = _eval_tree(desc.children[0], f)
+        acc = _eval_tree(desc.children[0], f, w)
         for child in desc.children[1:]:
-            v = _eval_tree(child, f)
+            v = _eval_tree(child, f, w)
             try:
                 acc = par(acc, v, f)
             except ResonanceSingular as exc:
@@ -238,7 +253,8 @@ def eval_network(
     desc: NetworkElement, grid: FrequencyGrid, label: str = ""
 ) -> FrequencyResponse:
     """Evaluate an element tree to an impedance curve on the grid."""
-    samples = _eval_tree(desc, grid.points)
+    f = grid.points
+    samples = _eval_tree(desc, f, 2.0 * math.pi * f)
     return FrequencyResponse(grid=grid, samples=samples, unit="ohm", label=label)
 
 
@@ -343,8 +359,10 @@ class CaseFixture:
     seed: int
 
     def __post_init__(self):
+        f = self.grid.points
+        w = 2.0 * math.pi * f
         for desc in (self.z_ppm_existing, self.z_net_old, self.z_ppm_new):
-            _eval_tree(desc, self.grid.points)  # must evaluate without error
+            _eval_tree(desc, f, w)  # must evaluate without error
 
     def responses(self) -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
         return (
@@ -395,13 +413,14 @@ def _rand_ppm_tree(rng) -> NetworkElement:
 
 def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixture:
     f = grid.points
+    w = 2.0 * math.pi * f
     z_grid = Thevenin(66e3, rng.uniform(4e8, 2e9), rng.uniform(3.0, 12.0))
     strings = tuple(_rand_string_branch(rng) for _ in range(n_strings))
     z_net_old = Parallel((z_grid,) + strings)
-    znet = _eval_tree(z_net_old, f)
+    znet = _eval_tree(z_net_old, f, w)
 
     ppm_raw = _rand_ppm_tree(rng)
-    zppm_raw = _eval_tree(ppm_raw, f)
+    zppm_raw = _eval_tree(ppm_raw, f, w)
     l_raw = np.abs(znet) / np.abs(zppm_raw)
     # center |L_old| geometrically around 1 so a gain crossover exists
     k_ppm = math.sqrt(float(l_raw.max()) * float(l_raw.min()))
@@ -410,20 +429,20 @@ def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixt
     z_ppm = scale_network(ppm_raw, k_ppm)
 
     new_raw = _rand_ppm_tree(rng)
-    znew_raw = _eval_tree(new_raw, f)
+    znew_raw = _eval_tree(new_raw, f, w)
     rho_raw = np.abs(znet) / np.abs(znew_raw)
     k_new = math.exp(float(np.mean(np.log(rho_raw)))) * rng.uniform(0.3, 3.0)
     z_new = scale_network(new_raw, 1.0 / k_new)
 
     # conditioning guards: bounded rho, no near-cancellation of 1+rho,
     # well-sampled phases (keeps factored/direct identities in float range)
-    rho = znet / _eval_tree(z_new, f)
+    rho = znet / _eval_tree(z_new, f, w)
     if float(np.abs(rho).min()) < 2e-3 or float(np.abs(rho).max()) > 2e2:
         raise ResonanceSingular("ill-conditioned rho; retry")
     one_plus = 1.0 + rho
     if float(np.abs(one_plus).min()) < 2e-2:
         raise ResonanceSingular("1+rho near zero; retry")
-    l_old = znet / _eval_tree(z_ppm, f)
+    l_old = znet / _eval_tree(z_ppm, f, w)
     for z in (l_old, one_plus):
         if np.max(np.abs(_phase_steps_deg(np.degrees(np.angle(z))))) > 90.0:
             raise ResonanceSingular("under-sampled phase; retry")

@@ -92,6 +92,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "[stage=limit]" in err and "nan Hz outside span" in err
 
+    @pytest.mark.parametrize("command", ["check", "margins", "limit", "nyquist"])
+    def test_bad_policy_fails_at_config_stage(self, compliant_dir, tmp_path, capsys, command):
+        lg_file = tmp_path / "lg.csv"
+        assert main(["loopgain", "--z-net", str(compliant_dir["z_net_old"]),
+                     "--z-ppm", str(compliant_dir["z_ppm_existing"]),
+                     "--out", str(lg_file)]) == 0
+        args = {
+            "check": check_args(compliant_dir, tmp_path),
+            "margins": ["margins", "--loop-gain", str(lg_file)],
+            "limit": ["limit", "--l-old", str(lg_file),
+                      "--z-net-old", str(compliant_dir["z_net_old"]),
+                      "--detect-from", str(lg_file)],
+            "nyquist": ["nyquist", "--loop-gain", str(lg_file),
+                        "--out", str(tmp_path / "ny.svg")],
+        }[command]
+        capsys.readouterr()
+        assert main(args + ["--pm-min-deg", "40", "--pm-cau-deg", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [stage=config] need 0 < pm_min_deg <= pm_cau_deg"), err
+
     def test_conflicting_modes_exit_2(self, compliant_dir, tmp_path, capsys):
         code = main(
             check_args(compliant_dir, tmp_path, "--synth", str(tmp_path / "case.json"))

@@ -47,6 +47,36 @@ class TestAlgebra:
         z2 = np.array([1.0 + 0j, -2j, -3j])
         with pytest.raises(ResonanceSingular, match="near 20.0 Hz"):
             par(z1, z2, f=np.array([10.0, 20.0, 30.0]))
+        with pytest.raises(ResonanceSingular, match="near 50.0 Hz"):
+            par(1 + 0j, -1 + 0j, 50.0)  # scalar operands and frequency
+
+    @pytest.mark.parametrize(
+        "z1, z2",
+        [
+            (np.array([1.0 + 2j, 3j, 0.5 - 1j]), np.array([1.0 + 2j, 1.0 + 0j, 0.5 - 1j])),
+            (np.array(2.0 - 1j), np.array(0.5 + 4j)),
+            (np.array(2.0 - 1j), np.array(2.0 - 1j)),
+        ],
+        ids=["1-d", "0-d", "0-d-equal"],
+    )
+    def test_par_never_writes_its_operands(self, z1, z2):
+        before = z1.copy(), z2.copy()
+        for z in (z1, z2):
+            z.setflags(write=False)  # an in-place write would raise
+        par(z1, z2)
+        par(z2, z1, f=np.full(z1.shape, 50.0))
+        assert z1.tobytes() == before[0].tobytes()
+        assert z2.tobytes() == before[1].tobytes()
+
+    def test_par_mixed_mask_halves_only_equal_operands(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=64) + 1j * rng.normal(size=64)
+        b = rng.normal(size=64) + 1j * rng.normal(size=64)
+        eq = rng.random(64) < 0.5
+        b[eq] = a[eq]
+        out = par(a, b)
+        assert out[eq].tobytes() == (a[eq] / 2.0).tobytes()
+        assert out[~eq].tobytes() == (a[~eq] * b[~eq] / (a[~eq] + b[~eq])).tobytes()
 
     @given(finite_complex)
     @settings(max_examples=200, deadline=None)
@@ -142,6 +172,17 @@ class TestEval:
         zp = eval_network(Parallel((a, b)), g).samples
         assert np.allclose(zs, za + zb, rtol=1e-14)
         assert np.allclose(zp, par(za, zb), rtol=1e-14)
+
+    def test_evaluations_return_fresh_arrays(self):
+        # Series sums into its first child's array, so no evaluation may
+        # hand out an array that another one still holds
+        g = log_grid(5, 2000, 64)
+        leaf = Series((Resistor(2.0), Inductor(3e-3)))
+        tree = Series((leaf, Parallel((leaf, Capacitor(20e-6))), Thevenin(66e3, 1e9, 8.0)))
+        first, second = eval_network(tree, g), eval_network(tree, g)
+        assert first.samples.tobytes() == second.samples.tobytes()
+        assert not np.shares_memory(first.samples, second.samples)
+        assert eval_network(leaf, g).samples.tobytes() == eval_network(leaf, g).samples.tobytes()
 
     def test_passivity(self):
         g = log_grid(1, 5000, 500)

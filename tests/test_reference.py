@@ -1,13 +1,18 @@
-"""The crossover root, the curve evaluator and the winding count against
-the code they replaced.
+"""The crossover root, the curve evaluator, the winding count and the
+network evaluator against the code they replaced.
 
 ``bisect_level`` (a bisection on the interpolant), ``scalar_value_at``
-(a scalar copy of the interpolation) and ``mirrored_winding_number`` (the
+(a scalar copy of the interpolation), ``mirrored_winding_number`` (the
 count on an explicitly mirrored contour, with its segment-distance helper)
-are kept verbatim as references. The winding count must match its
-reference exactly, the whole result included. The other tolerances follow
-from float64 rounding alone (eps = 2**-52) and were set before the closed
-form and the array evaluator were written:
+and ``reference_par`` with ``reference_eval_tree`` (the network evaluator
+that built a fresh array at every node) are kept verbatim as references.
+The winding count must match its reference exactly, the whole result
+included. The network evaluator must match its reference byte for byte
+and raise the same error with the same message. That rests on numpy's
+complex arithmetic: a product or quotient whose operand has a zero real
+or imaginary part rounds exactly like the real operation it reduces to.
+The other tolerances follow from float64 rounding alone (eps = 2**-52)
+and were set before the closed form and the array evaluator were written:
 
 * A root u of the line through (u_lo, y_lo) and (u_hi, y_hi) at level c
   is known to 4 eps (max(|u_lo|, |u_hi|) + max(|y_lo|, |y_hi|, |c|) (u_hi -
@@ -23,10 +28,29 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from margingate.errors import AmbiguousWinding, CriticalPointOnLocus, OutOfRange
+from margingate.errors import (
+    AmbiguousWinding,
+    CriticalPointOnLocus,
+    OutOfRange,
+    ResonanceSingular,
+    SingularAtFrequency,
+)
 from margingate.freqresp import FrequencyResponse, log_grid, value_at, values_at
 from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
 from margingate.margins import _detect_levels, _level_root
+from margingate.netsynth import (
+    Capacitor,
+    Inductor,
+    NetworkElement,
+    Parallel,
+    Rational,
+    Resistor,
+    Series,
+    Thevenin,
+    eval_network,
+    par,
+    random_case,
+)
 from margingate.regions import (
     _CLOSURE_WARN_DIST,
     _CRITICAL_ATOL,
@@ -328,3 +352,185 @@ def test_winding_matches_mirrored_reference():
     # the equality must cover the nonzero-winding and warning paths
     assert any(r.winding != 0 for r in results)
     assert any(r.resolution_warnings for r in results)
+
+
+# -- network evaluation --------------------------------------------------------
+
+_SINGULAR_RTOL = 1e-12
+
+
+def reference_par(z1, z2, f=None):
+    """Parallel combination Z1*Z2 / (Z1+Z2).
+
+    Raises ``ResonanceSingular`` when |Z1+Z2| falls below
+    1e-12 * max(|Z1|, |Z2|) (genuine antiresonance, not rounding); given
+    the sample frequencies ``f``, the message names the first bad one.
+    Equal operands return Z/2 exactly.
+    """
+    a = np.asarray(z1, dtype=complex)
+    b = np.asarray(z2, dtype=complex)
+    s = a + b
+    bad = np.abs(s) <= _SINGULAR_RTOL * np.maximum(np.abs(a), np.abs(b))
+    if np.any(bad):
+        near = "" if f is None else f" near {np.asarray(f)[np.argmax(bad)]} Hz"
+        raise ResonanceSingular(f"parallel branches cancel: |Z1+Z2| ~ 0{near}")
+    out = np.where(a == b, a / 2.0, a * b / s)
+    return complex(out) if out.ndim == 0 else out
+
+
+def reference_eval_tree(desc: NetworkElement, f: np.ndarray) -> np.ndarray:
+    w = 2.0 * math.pi * f
+    if isinstance(desc, Resistor):
+        return np.full(f.size, desc.r_ohm, dtype=complex)
+    if isinstance(desc, Inductor):
+        return 1j * w * desc.l_henry
+    if isinstance(desc, Capacitor):
+        return 1.0 / (1j * w * desc.c_farad)
+    if isinstance(desc, Thevenin):
+        return desc.r_ohm + 1j * w * desc.l_henry
+    if isinstance(desc, Rational):
+        s = 1j * w
+        for p in desc.poles_rad_s:
+            close = np.abs(s - p) <= _SINGULAR_RTOL * np.maximum(np.abs(s), abs(p))
+            if np.any(close):
+                f_bad = f[np.argmax(close)]
+                raise SingularAtFrequency(
+                    f"rational pole {p} on the evaluated axis near {f_bad} Hz"
+                )
+        num = np.full(f.size, desc.gain, dtype=complex)
+        for z in desc.zeros_rad_s:
+            num *= s - z
+        den = np.ones(f.size, dtype=complex)
+        for p in desc.poles_rad_s:
+            den *= s - p
+        return num / den
+    if isinstance(desc, Series):
+        acc = reference_eval_tree(desc.children[0], f)
+        for child in desc.children[1:]:
+            acc = acc + reference_eval_tree(child, f)
+        return acc
+    if isinstance(desc, Parallel):
+        acc = reference_eval_tree(desc.children[0], f)
+        for child in desc.children[1:]:
+            v = reference_eval_tree(child, f)
+            try:
+                acc = reference_par(acc, v, f)
+            except ResonanceSingular as exc:
+                raise SingularAtFrequency(str(exc)) from None
+        return acc
+    raise ValueError(f"unknown network element {type(desc).__name__}")
+
+
+def eval_outcome(evaluate):
+    """The bytes an evaluation returns, or the type and message it raised."""
+    try:
+        return evaluate().tobytes()
+    except (ResonanceSingular, SingularAtFrequency) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_evaluation(desc, grid):
+    got = eval_outcome(lambda: eval_network(desc, grid).samples)
+    assert got == eval_outcome(lambda: reference_eval_tree(desc, grid.points))
+    return got
+
+
+_GRIDS = (log_grid(1.0, 10000.0, 2000), log_grid(10.0, 5000.0, 777), log_grid(0.1, 1e6, 64))
+_BIQUAD = Rational(
+    3.0, (complex(-300.0, 2000.0), complex(-300.0, -2000.0)),
+    (complex(-500.0, 4000.0), complex(-500.0, -4000.0)),
+)
+_LEAVES = (
+    Resistor(2.5),
+    Inductor(3e-3),
+    Capacitor(47e-6),
+    Thevenin(66e3, 1e9, 8.0),
+    _BIQUAD,
+    Rational(-40.0, (0j,), (complex(-900.0, 1200.0), complex(-900.0, -1200.0))),
+)
+
+
+def mixed_trees():
+    """Every element type, Parallel inside Series and Series inside Parallel,
+    three levels deep."""
+    r, l, c, th, bq, conv = _LEAVES
+    tank = Parallel((Series((r, l)), c))
+    yield Series((th, tank, bq))
+    yield Parallel((Series((r, l, c)), Series((conv, Inductor(1e-3))), th))
+    yield Series((Parallel((tank, Series((Resistor(0.4), c)))), conv, l))
+    yield Parallel((Series((Parallel((l, c, r)), bq)), Series((th, tank)), Capacitor(5e-6)))
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=len)
+def test_mixed_trees_match_reference(grid):
+    for desc in mixed_trees():
+        assert isinstance(assert_same_evaluation(desc, grid), bytes)
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=len)
+def test_duplicated_children_take_the_half_branch(grid):
+    # Parallel((x, x)) sends equal operands to every element of par
+    trees = _LEAVES + tuple(mixed_trees())
+    for desc in trees:
+        got = assert_same_evaluation(Parallel((desc, desc)), grid)
+        z = reference_eval_tree(desc, grid.points)
+        assert got == (z / 2.0).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(10, 60))
+def test_random_case_trees_match_reference(seed):
+    case = random_case(seed, 1 + seed % 4, (1.0, 10000.0))
+    for desc in (case.z_ppm_existing, case.z_net_old, case.z_ppm_new):
+        for grid in (case.grid, _GRIDS[1]):
+            assert_same_evaluation(desc, grid)
+
+
+def offshore_tree(rng, n_strings):
+    """A grid Thevenin branch in parallel with lightly damped series R-L-C
+    strings (Q 8-30, resonances 60-3000 Hz), as in the large benchmark case."""
+    strings = []
+    for _ in range(n_strings):
+        f0 = math.exp(rng.uniform(math.log(60.0), math.log(3000.0)))
+        l_h = rng.uniform(1.0, 8.0) * 1e-3
+        q = rng.uniform(8.0, 30.0)
+        strings.append(Series((
+            Resistor(2.0 * math.pi * f0 * l_h / q),
+            Inductor(l_h),
+            Capacitor(1.0 / ((2.0 * math.pi * f0) ** 2 * l_h)),
+        )))
+    grid_branch = Thevenin(66e3, rng.uniform(4e8, 2e9), rng.uniform(3.0, 12.0))
+    return Parallel((grid_branch,) + tuple(strings))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_offshore_tree_matches_reference(seed):
+    desc = offshore_tree(np.random.default_rng(seed), 24)
+    grid = log_grid(10.0, 5000.0, 5000)
+    assert isinstance(assert_same_evaluation(desc, grid), bytes)
+
+
+def test_singular_trees_raise_like_reference():
+    grid = _GRIDS[0]
+    f0 = float(grid.points[700])
+    w0 = 2.0 * math.pi * f0
+    pole_on_axis = Series((Resistor(1.0), Rational(1.0, (), (complex(0, w0), complex(0, -w0)))))
+    cancelling = Series((Inductor(1e-3), Parallel((Resistor(1.0), Rational(-1.0)))))
+    tank = Parallel((Inductor(1e-3), Capacitor(1.0 / (w0**2 * 1e-3))))
+    for desc, kind in (
+        (pole_on_axis, "rational pole"),
+        (cancelling, "parallel branches cancel"),
+        (tank, f"near {f0} Hz"),
+    ):
+        got = assert_same_evaluation(desc, grid)
+        assert got[0] is SingularAtFrequency and kind in got[1], got
+
+
+def test_par_matches_reference_on_arrays_and_scalars():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=500) + 1j * rng.normal(size=500)
+    b = rng.normal(size=500) + 1j * rng.normal(size=500)
+    b[::7] = a[::7]
+    for x, y in ((a, b), (b, a), (a, a), (a[:1], b[:1])):
+        assert par(x, y).tobytes() == reference_par(x, y).tobytes()
+    for x, y in ((1 + 2j, 3 - 1j), (2j, 2j), (0.5, 1e12 + 0j)):
+        assert par(x, y) == reference_par(x, y)

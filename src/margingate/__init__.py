@@ -26,7 +26,6 @@ from .errors import (
 from .freqresp import (
     FrequencyGrid,
     FrequencyResponse,
-    PhaseSeries,
     align,
     log_grid,
     parse_response,

@@ -28,7 +28,6 @@ from .errors import (
 __all__ = [
     "FrequencyGrid",
     "FrequencyResponse",
-    "PhaseSeries",
     "log_grid",
     "parse_response",
     "write_response",
@@ -204,7 +203,8 @@ class FrequencyResponse:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Interpolation tables: (log f, log |Z|, unwrapped phase deg)."""
+        """Interpolation tables: (log f, log |Z|, unwrapped phase deg); the
+        phase table is read-only, since ``unwrap_phase`` hands it out."""
         mag = np.abs(self.samples)
         if np.any(mag == 0.0):
             raise ZeroMagnitudeSample(
@@ -212,28 +212,8 @@ class FrequencyResponse:
             )
         logmag = np.log(mag)
         phase = _unwrap_deg(np.degrees(np.angle(self.samples)))
+        phase.setflags(write=False)
         return self.grid.log_points, logmag, phase
-
-
-@dataclass(frozen=True)
-class PhaseSeries:
-    """Unwrapped phase in degrees over a frequency grid."""
-
-    grid: FrequencyGrid
-    degrees: np.ndarray
-
-    def __post_init__(self):
-        deg = np.asarray(self.degrees, dtype=float)
-        if deg.ndim != 1 or deg.size != len(self.grid):
-            raise NonFiniteValue("phase length must equal grid length")
-        if not np.all(np.isfinite(deg)):
-            raise NonFiniteValue("phase contains non-finite values")
-        # ties at exactly 180 deg resolve to a -180 step, hence <=
-        if np.any(np.abs(np.diff(deg)) > 180.0):
-            raise ValueError("phase series is not unwrapped (step > 180 deg)")
-        deg = deg.copy()
-        deg.setflags(write=False)
-        object.__setattr__(self, "degrees", deg)
 
 
 # ---------------------------------------------------------------------------
@@ -455,11 +435,12 @@ def align(responses: list[FrequencyResponse]) -> list[FrequencyResponse]:
     return out
 
 
-def unwrap_phase(resp: FrequencyResponse) -> PhaseSeries:
-    """Unwrapped phase of the curve in degrees.
+def unwrap_phase(resp: FrequencyResponse) -> np.ndarray:
+    """Unwrapped phase of the curve in degrees, as a read-only array.
 
     Starts at the principal phase of the first sample; each subsequent
-    value is chosen within +-180 deg of its predecessor. This is the phase
-    table the curve interpolates with.
+    value is chosen within +-180 deg of its predecessor by
+    ``_phase_steps_deg``. This is the phase table the curve interpolates
+    with.
     """
-    return PhaseSeries(resp.grid, resp._tables[2])  # raises ZeroMagnitudeSample
+    return resp._tables[2]  # raises ZeroMagnitudeSample

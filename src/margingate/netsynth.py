@@ -358,12 +358,6 @@ class CaseFixture:
     grid: FrequencyGrid
     seed: int
 
-    def __post_init__(self):
-        f = self.grid.points
-        w = 2.0 * math.pi * f
-        for desc in (self.z_ppm_existing, self.z_net_old, self.z_ppm_new):
-            _eval_tree(desc, f, w)  # must evaluate without error
-
     def responses(self) -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
         return (
             eval_network(self.z_ppm_existing, self.grid, label="Z_ppm_existing"),

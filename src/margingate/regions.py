@@ -2,7 +2,9 @@
 
 Encirclements of -1+0j are counted on the closed contour formed by the
 sampled locus, its conjugate mirror and straight closure segments; the
-mirror's share is taken by conjugate symmetry rather than built. The
+mirror's share is taken by conjugate symmetry rather than built. Angle
+steps follow the one phase-step rule, ``freqresp._phase_steps_deg``: a
+step of exactly 180 deg (a segment through -1) wraps to -180. The
 critical and caution wedges and the gain-margin floor are one rule,
 ``MarginPolicy.region``; ``classify_crossing`` applies its phase-margin
 part to a unit-circle value.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousWinding, CriticalPointOnLocus, NotOnUnitCircle
-from .freqresp import FrequencyResponse
+from .freqresp import FrequencyResponse, _phase_steps_deg
 from .margins import MarginPolicy, pm_deg
 
 __all__ = [
@@ -36,9 +38,10 @@ class EncirclementResult:
     """Winding of the closed loop-gain contour around -1+0j.
 
     Positive winding counts clockwise encirclements. Warnings list
-    frequency intervals (Hz) where a single angle step exceeded 90 deg or
-    a closure segment passed near the critical point; ``math.inf`` marks
-    the high-frequency closure.
+    frequency intervals (Hz) where a single angle step exceeded 90 deg, a
+    segment was longer than its distance from the critical point, or a
+    closure segment passed near it; ``math.inf`` marks the high-frequency
+    closure.
     """
 
     winding: int
@@ -54,12 +57,13 @@ def classify_crossing(l_value: complex, policy: MarginPolicy) -> str:
     return policy.pm_region(pm_deg(l_value))
 
 
-def _segment_min_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from the origin to each segment [a_i, b_i]."""
+def _segment_min_dist(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from the origin to each segment [a_i, b_i], and its squared
+    length."""
     d = b - a
     l2 = np.abs(d) ** 2
     t = np.divide(-np.real(a * np.conj(d)), l2, out=np.zeros(a.shape), where=l2 > 0.0)
-    return np.abs(a + np.clip(t, 0.0, 1.0) * d)
+    return np.abs(a + np.clip(t, 0.0, 1.0) * d), l2
 
 
 def winding_number(l: FrequencyResponse) -> EncirclementResult:
@@ -77,49 +81,40 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
     if float(np.min(np.abs(z))) <= _CRITICAL_ATOL:
         raise CriticalPointOnLocus("a locus sample coincides with -1+0j")
 
-    g = l.grid.points
-    # step 0 crosses zero frequency (conj(z0) -> z0); step k >= 1 spans
-    # [g[k-1], g[k]] and is traversed twice, once mirrored
-    turn = np.empty(z.size, dtype=complex)
-    turn[0] = z[0] * z[0]
-    np.multiply(z[1:], np.conj(z[:-1]), out=turn[1:])
-    steps = np.degrees(np.angle(turn))
-    high = np.conj(z[-1]) * np.conj(z[-1])  # closure z_N -> conj(z_N)
-    closing = math.degrees(math.atan2(high.imag, high.real))
-    total = float(steps[0] + 2.0 * np.sum(steps[1:])) + closing
+    theta = np.degrees(np.angle(z))
+    # angles along conj(z0) -> z0 ... zN -> conj(zN): step 0 crosses zero
+    # frequency, step N closes at high frequency, and each step between
+    # spans one grid interval and is traversed twice, once mirrored
+    steps = _phase_steps_deg(np.concatenate(([-theta[0]], theta, [-theta[-1]])))
+    total = float(np.sum(steps) + np.sum(steps[1:-1]))
 
     turns = -total / 360.0
     winding = round(turns)
-    residual = abs(turns - winding)
-    if residual >= _WINDING_RESIDUAL:
+    if abs(turns - winding) >= _WINDING_RESIDUAL:
         raise AmbiguousWinding(
             f"angle sum {total:.3f} deg is not an integer number of turns"
         )
 
-    edges = np.concatenate(([0.0], g))
-    warn = {
-        (float(edges[j]), float(edges[j + 1]))
-        for j in np.flatnonzero(np.abs(steps) > _STEP_WARN_DEG)
-    }
-    if abs(closing) > _STEP_WARN_DEG:
-        warn.add((float(g[-1]), math.inf))
-
     # closure segments conj(z0) -> z0 and z_N -> conj(z_N)
     ends = np.array([np.conj(z[0]), z[-1]])
-    closures = _segment_min_dist(ends, np.conj(ends))
-    if float(closures[0]) < _CLOSURE_WARN_DIST:
-        warn.add((0.0, float(g[0])))
-    if float(closures[1]) < _CLOSURE_WARN_DIST:
-        warn.add((float(g[-1]), math.inf))
+    closures, _ = _segment_min_dist(ends, np.conj(ends))
+    # the mirrored pass goes first, so its temporaries never coexist with
+    # the forward arrays the sampling guard keeps
+    mirrored = float(np.min(_segment_min_dist(z[1:], z[:-1])[0]))
+    forward, l2 = _segment_min_dist(z[:-1], z[1:])
+    min_dist = min(float(np.min(forward)), mirrored, float(np.min(closures)))
 
-    min_dist = min(
-        float(np.min(_segment_min_dist(z[:-1], z[1:]))),
-        float(np.min(_segment_min_dist(z[1:], z[:-1]))),  # the mirrored pass
-        float(np.min(closures)),
-    )
+    # a segment longer than its distance from -1 may have gone round -1
+    # between its samples, whatever its angle step
+    warn = np.abs(steps) > _STEP_WARN_DEG
+    warn[1:-1] |= l2 > forward**2
+    warn[[0, -1]] |= closures < _CLOSURE_WARN_DIST
+    edges = np.concatenate(([0.0], l.grid.points, [math.inf]))
 
     return EncirclementResult(
         winding=int(winding),
         min_distance_to_critical_point=min_dist,
-        resolution_warnings=tuple(sorted(warn)),
+        resolution_warnings=tuple(
+            (float(edges[j]), float(edges[j + 1])) for j in np.flatnonzero(warn)
+        ),
     )

@@ -508,7 +508,11 @@ def _bode_svg(report: AssessmentReport) -> str:
 
 
 def bode_svg_chart(curves, summaries=()) -> str:
-    """Two-panel Bode chart (dB magnitude, unwrapped phase) with markers."""
+    """Two-panel Bode chart (dB magnitude, unwrapped phase) with markers.
+
+    Summaries pair with curves by position: a phase-crossover marker sits
+    on the -180 + k*360 deg level its curve crosses (-180 with no curve).
+    """
     width, height = 720, 560
     margin_l, margin_r, margin_t, gap = 64, 16, 24, 44
     panel_h = (height - margin_t - gap - 48) / 2
@@ -525,7 +529,7 @@ def bode_svg_chart(curves, summaries=()) -> str:
     mags, phases = [], []
     for _, c in curves:
         mags.append(20.0 * np.log10(np.abs(c.samples)))
-        phases.append(unwrap_phase(c).degrees)
+        phases.append(unwrap_phase(c))
     if mags:
         m_lo = min(float(m.min()) for m in mags) - 5.0
         m_hi = max(float(m.max()) for m in mags) + 5.0
@@ -633,7 +637,7 @@ def bode_svg_chart(curves, summaries=()) -> str:
             f'text-anchor="end" style="fill: currentColor;" class="locus-{i % 3}">{_xml(name)}</text>'
         )
 
-    for summary in summaries:
+    for i, summary in enumerate(summaries):
         for cp in summary.crossovers:
             if not (f_lo <= cp.f_hz <= f_hi):
                 continue
@@ -644,6 +648,9 @@ def bode_svg_chart(curves, summaries=()) -> str:
                 )
             else:
                 level = -180.0
+                if i < len(curves):
+                    p = np.interp(math.log(cp.f_hz), curves[i][1].grid.log_points, phases[i])
+                    level += 360.0 * round((float(p) + 180.0) / 360.0)
                 parts.append(
                     f'<circle class="marker-phase" cx="{_f6(x)}" '
                     f'cy="{_f6(y_ph(max(p_lo, min(p_hi, level))))}" r="4"/>'

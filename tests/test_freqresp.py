@@ -17,7 +17,6 @@ from margingate.errors import (
 from margingate.freqresp import (
     FrequencyGrid,
     FrequencyResponse,
-    PhaseSeries,
     align,
     log_grid,
     normalize_deg,
@@ -280,12 +279,12 @@ class TestUnwrap:
     def test_constant_phase(self):
         r = resp([1.0, 2.0, 4.0], 2.0 * np.exp(-1j * np.radians(30.0)) * np.ones(3))
         ps = unwrap_phase(r)
-        assert np.allclose(ps.degrees, -30.0, atol=1e-12)
+        assert np.allclose(ps, -30.0, atol=1e-12)
 
     def test_minimal_step_rule(self):
         r = resp([1.0, 2.0], np.exp(1j * np.radians([-179.0, 179.0])))
         ps = unwrap_phase(r)
-        assert ps.degrees == pytest.approx([-179.0, -181.0], abs=1e-12)
+        assert ps == pytest.approx([-179.0, -181.0], abs=1e-12)
 
     def test_three_pole_closed_form(self):
         g = log_grid(1, 10000, 4000)
@@ -294,10 +293,10 @@ class TestUnwrap:
         )
         ps = unwrap_phase(r)
         expected = -3.0 * np.degrees(np.arctan(g.points / 100.0))
-        assert np.max(np.abs(ps.degrees - expected)) < 1e-9
-        assert np.all(np.diff(ps.degrees) < 0)  # monotonically decreasing
-        assert ps.degrees[0] == pytest.approx(0.0, abs=2.0)
-        assert ps.degrees[-1] == pytest.approx(-270.0, abs=2.0)
+        assert np.max(np.abs(ps - expected)) < 1e-9
+        assert np.all(np.diff(ps) < 0)  # monotonically decreasing
+        assert ps[0] == pytest.approx(0.0, abs=2.0)
+        assert ps[-1] == pytest.approx(-270.0, abs=2.0)
 
     def test_zero_magnitude_rejected(self):
         r = resp([1.0, 2.0], [0j, 1 + 0j])
@@ -311,12 +310,16 @@ class TestUnwrap:
         r = FrequencyResponse(g, z, unit="dimensionless")
         ps = unwrap_phase(r)
         principal = np.degrees(np.angle(z))
-        delta = np.abs((ps.degrees - principal + 180.0) % 360.0 - 180.0)
+        delta = np.abs((ps - principal + 180.0) % 360.0 - 180.0)
         assert np.max(delta) < 1e-9
 
-    def test_phase_series_validates_steps(self):
-        with pytest.raises(ValueError):
-            PhaseSeries(FrequencyGrid([1.0, 2.0]), [0.0, 200.0])
+    def test_returns_the_read_only_interpolation_table(self):
+        r = resp([1.0, 2.0, 4.0], np.exp(1j * np.radians([170.0, -170.0, -150.0])))
+        ps = unwrap_phase(r)
+        assert ps is r._tables[2]
+        assert ps == pytest.approx([170.0, 190.0, 210.0], abs=1e-12)
+        with pytest.raises(ValueError):  # the interpolation cannot be corrupted
+            ps[0] = 0.0
 
 
 class TestNormalize:

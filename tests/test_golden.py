@@ -11,7 +11,9 @@ bytes must say why and update the digest here.
 import hashlib
 import json
 import math
+import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from margingate.cli import RunConfig, run_assessment
@@ -27,6 +29,7 @@ from margingate.netsynth import (
 from margingate.report import render
 
 ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
+SVG = "{http://www.w3.org/2000/svg}"
 
 GOLDEN = {
     "compliant-A": {
@@ -257,6 +260,34 @@ def test_converter_case_reaches_phase_crossovers(tmp_path):
     obj = json.loads(render(report, "json"))
     assert any(c["kind"] == "phase" for c in obj["l_new"]["crossovers"])
     assert any(d["kind"] == "phase" for d in obj["decompositions"])
+
+
+def test_bode_phase_markers_sit_on_the_level_their_curve_crosses(tmp_path):
+    # the converter's unwrapped phase crosses +180 deg, not -180 deg
+    _, report = check_report("converter", tmp_path)
+    root = ET.fromstring(render(report, "bode_svg"))
+    texts = list(root.iter(f"{SVG}text"))
+    top = next(float(t.get("y")) for t in texts if t.text == "phase (deg)")
+    ticks = sorted(
+        (float(t.get("y")) - 4.0, float(t.text))
+        for t in texts
+        if t.get("text-anchor") == "end" and float(t.get("y")) > top
+    )
+    (y0, v0), (y1, v1) = ticks[0], ticks[-1]
+    drawn = [
+        v0 + (float(c.get("cy")) - y0) * (v1 - v0) / (y1 - y0)
+        for c in root.iter(f"{SVG}circle")
+        if c.get("class") == "marker-phase"
+    ]
+    levels = []
+    for (_, curve), summary in zip(report.curves, (report.l_old_summary, report.l_new_summary)):
+        phase = np.degrees(np.unwrap(np.angle(curve.samples)))
+        for cp in summary.crossovers:
+            if cp.kind == "phase":
+                p = np.interp(math.log(cp.f_hz), np.log(curve.grid.points), phase)
+                levels.append(-180.0 + 360.0 * round((p + 180.0) / 360.0))
+    assert 180.0 in levels
+    assert drawn == pytest.approx(levels, abs=0.05)
 
 
 @pytest.mark.parametrize("name", list(NETWORK_GOLDEN))

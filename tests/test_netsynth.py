@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from margingate import netsynth
 from margingate.errors import ResonanceSingular, SingularAtFrequency
 from margingate.freqresp import FrequencyGrid, log_grid
 from margingate.netsynth import (
     Capacitor,
+    CaseFixture,
     Inductor,
     Parallel,
     Rational,
@@ -223,6 +225,32 @@ class TestRandomCase:
             random_case(1, 0, (1.0, 100.0))
         with pytest.raises(ValueError):
             random_case(1, 1, (100.0, 1.0))
+
+    def test_each_final_tree_is_evaluated_once(self, monkeypatch):
+        # _build_case evaluates all three final trees for its guards, and
+        # the fixture does not evaluate them again
+        real, depth, top = netsynth._eval_tree, [0], [0]
+
+        def counting(desc, f, w):
+            top[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return real(desc, f, w)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(netsynth, "_eval_tree", counting)
+        for s in range(1, 21):
+            random_case(s, 1 + s % 4, (1.0, 10000.0))
+        assert top[0] == 118
+
+    def test_singular_fixture_raises_from_responses(self):
+        f0 = 100.0
+        l_h = 1e-3
+        tank = Parallel((Inductor(l_h), Capacitor(1.0 / ((2 * math.pi * f0) ** 2 * l_h))))
+        case = CaseFixture(Resistor(1.0), tank, Resistor(1.0), FrequencyGrid([50.0, f0, 200.0]), 0)
+        with pytest.raises(SingularAtFrequency):
+            case.responses()
 
     def test_grid_is_2000_log_points(self):
         case = random_case(5, 2, (2.0, 8000.0))

@@ -93,6 +93,7 @@ class TestWinding:
         assert routh_rhp_count((1.0, 3.0, 3.0, 11.0)) == 2
         res = winding_number(three_pole(10.0, 100.0, grid_2k))
         assert res.winding == 2
+        assert res.resolution_warnings == ()
 
     def test_three_pole_gain_3_stable(self, grid_2k):
         assert routh_rhp_count((1.0, 3.0, 3.0, 4.0)) == 0
@@ -138,6 +139,21 @@ class TestWinding:
         l = three_pole(10.0, 100.0, g)
         res = winding_number(l)
         assert res.resolution_warnings  # warned, not silently wrong
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3)])
+    def test_sampling_guard_flags_a_silent_wrong_winding(self, n, k):
+        # 4 or 6 samples miss both turns (winding 0, Routh count 2) with
+        # every step under 90 deg; segment k of 1 + L is longer than its
+        # distance from the origin, so the locus may have gone round -1 there
+        g = log_grid(1, 10000, n)
+        l = three_pole(10.0, 100.0, g)
+        z = 1.0 + l.samples
+        assert np.all(np.abs(np.angle(z[1:] * np.conj(z[:-1]), deg=True)) < 90.0)
+        seg = z[k - 1] + np.linspace(0.0, 1.0, 10001) * (z[k] - z[k - 1])
+        assert abs(z[k] - z[k - 1]) > np.min(np.abs(seg))
+        res = winding_number(l)
+        assert res.winding == 0
+        assert res.resolution_warnings == ((g.points[k - 1], g.points[k]),)
 
 
 class TestCriticalIntersection:

@@ -114,9 +114,16 @@ class FrequencyGrid:
         return float(self.points[0]), float(self.points[-1])
 
     @cached_property
+    def _log_table(self) -> np.ndarray:
+        """Natural log of the frequencies, computed once per grid. Writeable,
+        because ``np.interp`` copies a read-only table in full on every call;
+        it is never handed out."""
+        return np.log(self.points)
+
+    @cached_property
     def log_points(self) -> np.ndarray:
-        """Natural log of the frequencies, computed once per grid (read-only)."""
-        logf = np.log(self.points)
+        """Natural log of the frequencies (a read-only copy)."""
+        logf = self._log_table.copy()
         logf.setflags(write=False)
         return logf
 
@@ -203,8 +210,12 @@ class FrequencyResponse:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Interpolation tables: (log f, log |Z|, unwrapped phase deg); the
-        phase table is read-only, since ``unwrap_phase`` hands it out."""
+        """Interpolation tables: (log f, log |Z|, unwrapped phase deg).
+
+        Writeable, because ``np.interp`` copies a read-only table in full on
+        every call; the tables are never handed out, so no caller can change
+        the interpolation.
+        """
         mag = np.abs(self.samples)
         if np.any(mag == 0.0):
             raise ZeroMagnitudeSample(
@@ -212,8 +223,7 @@ class FrequencyResponse:
             )
         logmag = np.log(mag)
         phase = _unwrap_deg(np.degrees(np.angle(self.samples)))
-        phase.setflags(write=False)
-        return self.grid.log_points, logmag, phase
+        return self.grid._log_table, logmag, phase
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +450,9 @@ def unwrap_phase(resp: FrequencyResponse) -> np.ndarray:
 
     Starts at the principal phase of the first sample; each subsequent
     value is chosen within +-180 deg of its predecessor by
-    ``_phase_steps_deg``. This is the phase table the curve interpolates
-    with.
+    ``_phase_steps_deg``. This is a copy of the phase table the curve
+    interpolates with.
     """
-    return resp._tables[2]  # raises ZeroMagnitudeSample
+    phase = resp._tables[2].copy()  # raises ZeroMagnitudeSample
+    phase.setflags(write=False)
+    return phase

@@ -41,6 +41,7 @@ __all__ = [
 
 _NOMINAL_HZ = 50.0  # Thevenin X/R split is anchored at nominal grid frequency
 _SINGULAR_RTOL = 1e-12
+_BLOCK_POINTS = 16384  # frequencies per block in eval_network (256 KiB of complex)
 
 
 class NetworkElement:
@@ -194,26 +195,48 @@ def par(z1, z2, f=None):
         raise ResonanceSingular(f"parallel branches cancel: |Z1+Z2| ~ 0{near}")
     out = np.multiply(a, b, out=np.empty(np.shape(s), dtype=complex))
     out /= s
-    np.divide(a, 2.0, out=out, where=a == b)
+    same = a == b
+    if np.any(same):
+        np.divide(a, 2.0, out=out, where=same)
     return complex(out) if out.ndim == 0 else out
+
+
+_LEAVES = (Resistor, Inductor, Capacitor, Thevenin)
+
+
+def _leaf_imag(desc: NetworkElement, w: np.ndarray) -> np.ndarray:
+    """Imaginary part of an R, L, C or Thevenin leaf, a fresh array; its
+    real part is ``getattr(desc, "r_ohm", 0.0)``.
+
+    These are the bits of numpy's complex j*w*L = 0 + j*fl(w*L) and
+    1/(j*w*C) = +0 - j/fl(w*C), without the complex arithmetic.
+    """
+    if isinstance(desc, Resistor):
+        return np.zeros(w.size)
+    if isinstance(desc, Capacitor):
+        return -1.0 / (w * desc.c_farad)
+    return w * desc.l_henry
 
 
 def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Samples of ``desc`` at ``f`` (``w = 2*pi*f``), always a fresh array.
 
-    L and C leaves keep the bits of numpy's complex j*w*L = 0 + j*fl(w*L)
-    and 1/(j*w*C) = +0 - j/fl(w*C) without the complex arithmetic.
+    A leaf, or a Series of leaves only, sums its real parts and its
+    imaginary parts separately in child order: numpy's complex addition is
+    componentwise, so this keeps the bits of the complex sum.
     """
-    if isinstance(desc, Resistor):
-        return np.full(f.size, desc.r_ohm, dtype=complex)
-    if isinstance(desc, (Inductor, Thevenin)):
-        out = np.full(f.size, getattr(desc, "r_ohm", 0.0), dtype=complex)
-        np.multiply(w, desc.l_henry, out=out.imag)
-        return out
-    if isinstance(desc, Capacitor):
-        out = np.zeros(f.size, dtype=complex)
-        np.multiply(w, desc.c_farad, out=out.imag)
-        np.divide(-1.0, out.imag, out=out.imag)
+    if isinstance(desc, _LEAVES) or (
+        isinstance(desc, Series) and all(isinstance(k, _LEAVES) for k in desc.children)
+    ):
+        kids = desc.children if isinstance(desc, Series) else (desc,)
+        re = float(getattr(kids[0], "r_ohm", 0.0))
+        im = _leaf_imag(kids[0], w)
+        for k in kids[1:]:
+            re += float(getattr(k, "r_ohm", 0.0))
+            im += _leaf_imag(k, w)
+        out = np.empty(f.size, dtype=complex)
+        out.real = re
+        out.imag = im
         return out
     if isinstance(desc, Rational):
         s = 1j * w
@@ -252,9 +275,24 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray
 def eval_network(
     desc: NetworkElement, grid: FrequencyGrid, label: str = ""
 ) -> FrequencyResponse:
-    """Evaluate an element tree to an impedance curve on the grid."""
+    """Evaluate an element tree to an impedance curve on the grid.
+
+    The tree is evaluated one block of ``_BLOCK_POINTS`` frequencies at a
+    time, so every temporary is a cache-sized block, and each block is
+    written into one output array; the bits are those of a whole-grid
+    evaluation. Blocks meet faults in frequency order, so a singular tree
+    is evaluated again on the whole grid, which raises for the first
+    faulty node in evaluation order at its first bad frequency.
+    """
     f = grid.points
-    samples = _eval_tree(desc, f, 2.0 * math.pi * f)
+    w = 2.0 * math.pi * f
+    samples = np.empty(f.size, dtype=complex)
+    try:
+        for start in range(0, f.size, _BLOCK_POINTS):
+            block = slice(start, start + _BLOCK_POINTS)
+            samples[block] = _eval_tree(desc, f[block], w[block])
+    except SingularAtFrequency:
+        samples = _eval_tree(desc, f, w)
     return FrequencyResponse(grid=grid, samples=samples, unit="ohm", label=label)
 
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InconsistentInputs, UnsupportedFormat
-from .freqresp import FrequencyResponse, unwrap_phase
+from .freqresp import FrequencyResponse
 from .margins import CrossoverPoint, MarginDecomposition, MarginPolicy, MarginSummary
 from .regions import EncirclementResult
 from .speclimit import ComplianceRecord, LimitCurve
@@ -529,7 +529,7 @@ def bode_svg_chart(curves, summaries=()) -> str:
     mags, phases = [], []
     for _, c in curves:
         mags.append(20.0 * np.log10(np.abs(c.samples)))
-        phases.append(unwrap_phase(c))
+        phases.append(c._tables[2])
     if mags:
         m_lo = min(float(m.min()) for m in mags) - 5.0
         m_hi = max(float(m.max()) for m in mags) + 5.0
@@ -649,7 +649,7 @@ def bode_svg_chart(curves, summaries=()) -> str:
             else:
                 level = -180.0
                 if i < len(curves):
-                    p = np.interp(math.log(cp.f_hz), curves[i][1].grid.log_points, phases[i])
+                    p = np.interp(math.log(cp.f_hz), curves[i][1]._tables[0], phases[i])
                     level += 360.0 * round((float(p) + 180.0) / 360.0)
                 parts.append(
                     f'<circle class="marker-phase" cx="{_f6(x)}" '

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ class TestValueAt:
         ang = math.degrees(math.atan2(v.imag, v.real))
         assert abs(normalize_deg(ang - 180.0)) < 1e-9
 
+    def test_values_at_does_not_copy_the_tables(self):
+        # np.interp copies a read-only table in full on every call
+        g = log_grid(1.0, 1e4, 100_000)
+        r = FrequencyResponse(g, 1.0 / (1.0 + 1j * g.points / 100.0))
+        values_at(r, [3.3])  # builds the tables
+        tracemalloc.start()
+        try:
+            values_at(r, [3.3, 777.7])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
     def test_vectorized_matches_scalar(self):
         g = log_grid(1, 1000, 50)
         r = FrequencyResponse(g, (1 + 0.3j) ** np.arange(50), unit="dimensionless")
@@ -316,10 +330,19 @@ class TestUnwrap:
     def test_returns_the_read_only_interpolation_table(self):
         r = resp([1.0, 2.0, 4.0], np.exp(1j * np.radians([170.0, -170.0, -150.0])))
         ps = unwrap_phase(r)
-        assert ps is r._tables[2]
         assert ps == pytest.approx([170.0, 190.0, 210.0], abs=1e-12)
         with pytest.raises(ValueError):  # the interpolation cannot be corrupted
             ps[0] = 0.0
+        before = values_at(r, [1.5, 3.0]).tobytes()
+        for arr in (ps, r.grid.log_points, r.grid.points, r.samples):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        # the log and phase handles are copies: even made writeable, they
+        # do not reach the interpolation tables
+        for arr in (ps, r.grid.log_points):
+            arr.setflags(write=True)
+            arr[:] = 0.0
+        assert values_at(r, [1.5, 3.0]).tobytes() == before
 
 
 class TestNormalize:

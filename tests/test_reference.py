@@ -54,6 +54,7 @@ from margingate.netsynth import (
     Resistor,
     Series,
     Thevenin,
+    _BLOCK_POINTS,
     eval_network,
     par,
     random_case,
@@ -571,12 +572,73 @@ def test_singular_trees_raise_like_reference():
         assert got[0] is SingularAtFrequency and kind in got[1], got
 
 
+# eval_network works one block of _BLOCK_POINTS frequencies at a time
+_B = _BLOCK_POINTS
+_BLOCK_GRIDS = tuple(log_grid(1.0, 10000.0, n) for n in (_B - 1, _B, _B + 1, 2 * _B + 1))
+
+
+def tank_at(f0):
+    w0 = 2.0 * math.pi * f0
+    return Parallel((Inductor(1e-3), Capacitor(1.0 / (w0**2 * 1e-3))))
+
+
+def pole_at(f0):
+    w0 = 2.0 * math.pi * f0
+    return Rational(1.0, (), (complex(0, w0), complex(0, -w0)))
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS, ids=len)
+def test_trees_match_reference_across_block_edges(grid):
+    r, l, c, th = _LEAVES[:4]
+    leaf_series = (
+        Series((r, Resistor(0.7))),  # imaginary part +0.0
+        Series((c, r, l)),
+        Series((l, c, Capacitor(5e-6), r)),
+        Series((r, th, c)),
+        Series((th, l)),
+    )
+    trees = leaf_series + tuple(mixed_trees()) + (offshore_tree(np.random.default_rng(5), 24),)
+    for desc in trees:
+        assert isinstance(assert_same_evaluation(desc, grid), bytes)
+
+
+def test_offshore_tree_matches_reference_at_100000_points():
+    desc = offshore_tree(np.random.default_rng(11), 24)
+    grid = log_grid(10.0, 5000.0, 100_000)
+    assert isinstance(assert_same_evaluation(desc, grid), bytes)
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS[2:], ids=len)
+def test_fault_in_the_last_block_raises_like_reference(grid):
+    f0 = float(grid.points[-1])
+    for desc, kind in (
+        (Series((Resistor(1.0), pole_at(f0))), "rational pole"),
+        (Series((Resistor(1.0), tank_at(f0))), f"near {f0} Hz"),
+    ):
+        got = assert_same_evaluation(desc, grid)
+        assert got[0] is SingularAtFrequency and kind in got[1] and str(f0) in got[1], got
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS[2:], ids=len)
+def test_faults_in_two_blocks_raise_for_the_first_node(grid):
+    # blocks meet the early fault first; evaluation order meets the late one first
+    f_early, f_late = float(grid.points[3]), float(grid.points[-1])
+    for desc in (
+        Series((tank_at(f_late), tank_at(f_early))),
+        Series((pole_at(f_late), tank_at(f_early))),
+        Parallel((Series((Resistor(1.0), tank_at(f_late))), pole_at(f_early))),
+    ):
+        got = assert_same_evaluation(desc, grid)
+        assert got[0] is SingularAtFrequency and str(f_late) in got[1], got
+
+
 def test_par_matches_reference_on_arrays_and_scalars():
     rng = np.random.default_rng(3)
     a = rng.normal(size=500) + 1j * rng.normal(size=500)
     b = rng.normal(size=500) + 1j * rng.normal(size=500)
     b[::7] = a[::7]
-    for x, y in ((a, b), (b, a), (a, a), (a[:1], b[:1])):
+    c = rng.normal(size=500) + 1j * rng.normal(size=500)  # no pair equals a's
+    for x, y in ((a, b), (b, a), (a, a), (a[:1], b[:1]), (a, c), (c[:1], a[:1])):
         assert par(x, y).tobytes() == reference_par(x, y).tobytes()
     for x, y in ((1 + 2j, 3 - 1j), (2j, 2j), (0.5, 1e12 + 0j)):
         assert par(x, y) == reference_par(x, y)

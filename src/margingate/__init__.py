@@ -36,7 +36,6 @@ from .freqresp import (
 )
 from .loopgain import (
     LoopGain,
-    LoopGainDerivation,
     consistency_error,
     loop_gain,
     one_plus,

@@ -386,7 +386,7 @@ def _cmd_loopgain(args) -> int:
         lg = loop_gain(z_net, z_ppm, label="L")
     with _stage("io"):
         Path(args.out).write_bytes(write_response(lg.response))
-    print(f"wrote {args.out} ({lg.derivation.method} construction)")
+    print(f"wrote {args.out} (direct construction)")
     return 0
 
 

@@ -82,11 +82,7 @@ def _tableii_scale() -> float:
     Fixed-point iteration: with a large scale the new plant barely moves
     the loop gain, so the first new gain crossover converges quickly.
     """
-    grid = bundled_grid()
-    z_ppm_d, z_net_d, z_new_d = _base_networks()
-    z_ppm = eval_network(z_ppm_d, grid, label="Z_ppm_existing")
-    z_net = eval_network(z_net_d, grid, label="Z_net_old")
-    z_new_base = eval_network(z_new_d, grid, label="Z_ppm_new")
+    z_ppm, z_net, z_new_base = bundled_case("compliant-A")
     l_old = loop_gain(z_net, z_ppm, label="L_old").response
     policy = MarginPolicy()
 

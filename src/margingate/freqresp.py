@@ -120,13 +120,6 @@ class FrequencyGrid:
         it is never handed out."""
         return np.log(self.points)
 
-    @cached_property
-    def log_points(self) -> np.ndarray:
-        """Natural log of the frequencies (a read-only copy)."""
-        logf = self._log_table.copy()
-        logf.setflags(write=False)
-        return logf
-
     def __eq__(self, other):
         if not isinstance(other, FrequencyGrid):
             return NotImplemented

@@ -15,7 +15,6 @@ from .errors import GridMismatch, SingularSensitivity, ZeroDenominator
 from .freqresp import FrequencyResponse
 
 __all__ = [
-    "LoopGainDerivation",
     "LoopGain",
     "loop_gain",
     "rho",
@@ -29,29 +28,10 @@ _REL_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
-class LoopGainDerivation:
-    """How a loop-gain curve was produced.
-
-    ``direct`` means a pointwise impedance quotient; ``factored`` means the
-    update through 1/(1+rho). ``inputs`` records the labels of the source
-    curves.
-    """
-
-    method: str
-    inputs: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.method not in ("direct", "factored"):
-            raise ValueError(f"method must be direct or factored, got {self.method!r}")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-
-
-@dataclass(frozen=True)
 class LoopGain:
-    """A dimensionless loop-gain curve plus its derivation record."""
+    """A dimensionless loop-gain curve."""
 
     response: FrequencyResponse
-    derivation: LoopGainDerivation
 
 
 def _require_same_grid(a: FrequencyResponse, b: FrequencyResponse) -> None:
@@ -90,7 +70,7 @@ def loop_gain(
     """Minor-loop gain Z_net / Z_ppm (direct construction)."""
     label = label or f"{z_net.label or 'Z_net'}/{z_ppm.label or 'Z_ppm'}"
     resp = _quotient(z_net, z_ppm, label, "PPM impedance")
-    return LoopGain(resp, LoopGainDerivation("direct", (z_net.label, z_ppm.label)))
+    return LoopGain(resp)
 
 
 def rho(
@@ -131,7 +111,7 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
         label="L_new",
         **_merged_meta(l_old, ratio),
     )
-    return LoopGain(resp, LoopGainDerivation("factored", (l_old.label, ratio.label)))
+    return LoopGain(resp)
 
 
 def consistency_error(

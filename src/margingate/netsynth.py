@@ -55,28 +55,28 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+class _Lumped(NetworkElement):
+    """An R, L, C or Thevenin leaf: every field is a positive finite
+    number, and its impedance has a closed form (``_leaf_imag``)."""
+
+    def __post_init__(self):
+        for fld in fields(self):
+            _check_positive(fld.name, getattr(self, fld.name))
+
+
 @dataclass(frozen=True)
-class Resistor(NetworkElement):
+class Resistor(_Lumped):
     r_ohm: float
 
-    def __post_init__(self):
-        _check_positive("r_ohm", self.r_ohm)
-
 
 @dataclass(frozen=True)
-class Inductor(NetworkElement):
+class Inductor(_Lumped):
     l_henry: float
 
-    def __post_init__(self):
-        _check_positive("l_henry", self.l_henry)
-
 
 @dataclass(frozen=True)
-class Capacitor(NetworkElement):
+class Capacitor(_Lumped):
     c_farad: float
-
-    def __post_init__(self):
-        _check_positive("c_farad", self.c_farad)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class Rational(NetworkElement):
 
 
 @dataclass(frozen=True)
-class Thevenin(NetworkElement):
+class Thevenin(_Lumped):
     """Grid equivalent sized from short-circuit power.
 
     |Z| = V^2 / S_sc, split into a series R-L so that X/R at 50 Hz equals
@@ -127,11 +127,6 @@ class Thevenin(NetworkElement):
     v_ll_volt: float
     s_sc_va: float
     xr: float
-
-    def __post_init__(self):
-        _check_positive("v_ll_volt", self.v_ll_volt)
-        _check_positive("s_sc_va", self.s_sc_va)
-        _check_positive("xr", self.xr)
 
     @property
     def r_ohm(self) -> float:
@@ -143,30 +138,45 @@ class Thevenin(NetworkElement):
         return self.r_ohm * self.xr / (2.0 * math.pi * _NOMINAL_HZ)
 
 
-def _check_children(children) -> tuple[NetworkElement, ...]:
-    kids = tuple(children)
-    if len(kids) < 2:
-        raise ValueError("series/parallel need at least two children")
-    for k in kids:
-        if not isinstance(k, NetworkElement):
-            raise ValueError(f"child is not a NetworkElement: {k!r}")
-    return kids
-
-
 @dataclass(frozen=True)
-class Series(NetworkElement):
+class _Branches(NetworkElement):
+    """Two or more child elements, stored as a tuple."""
+
     children: tuple[NetworkElement, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "children", _check_children(self.children))
+        kids = tuple(self.children)
+        if len(kids) < 2:
+            raise ValueError("series/parallel need at least two children")
+        for k in kids:
+            if not isinstance(k, NetworkElement):
+                raise ValueError(f"child is not a NetworkElement: {k!r}")
+        object.__setattr__(self, "children", kids)
 
 
 @dataclass(frozen=True)
-class Parallel(NetworkElement):
-    children: tuple[NetworkElement, ...]
+class Series(_Branches):
+    """Children in series: their impedances add."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", _check_children(self.children))
+
+@dataclass(frozen=True)
+class Parallel(_Branches):
+    """Children in parallel: their impedances combine through ``par``."""
+
+
+# the element table: an element's JSON type tag is its class name in lower case
+_TYPES = {
+    cls.__name__.lower(): cls
+    for cls in (Resistor, Inductor, Capacitor, Thevenin, Rational, Series, Parallel)
+}
+_TAGS = {cls: tag for tag, cls in _TYPES.items()}
+
+
+def _tag(desc: NetworkElement) -> str:
+    """The element's JSON type tag; raises for an element not in ``_TYPES``."""
+    if type(desc) not in _TAGS:
+        raise ValueError(f"unknown network element {type(desc).__name__}")
+    return _TAGS[type(desc)]
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +211,6 @@ def par(z1, z2, f=None):
     return complex(out) if out.ndim == 0 else out
 
 
-_LEAVES = (Resistor, Inductor, Capacitor, Thevenin)
-
-
 def _leaf_imag(desc: NetworkElement, w: np.ndarray) -> np.ndarray:
     """Imaginary part of an R, L, C or Thevenin leaf, a fresh array; its
     real part is ``getattr(desc, "r_ohm", 0.0)``.
@@ -221,14 +228,13 @@ def _leaf_imag(desc: NetworkElement, w: np.ndarray) -> np.ndarray:
 def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Samples of ``desc`` at ``f`` (``w = 2*pi*f``), always a fresh array.
 
-    A leaf, or a Series of leaves only, sums its real parts and its
-    imaginary parts separately in child order: numpy's complex addition is
-    componentwise, so this keeps the bits of the complex sum.
+    A lumped leaf, or a Series of lumped leaves only, sums its real parts
+    and its imaginary parts separately in child order: numpy's complex
+    addition is componentwise, so this keeps the bits of the complex sum.
     """
-    if isinstance(desc, _LEAVES) or (
-        isinstance(desc, Series) and all(isinstance(k, _LEAVES) for k in desc.children)
-    ):
-        kids = desc.children if isinstance(desc, Series) else (desc,)
+    kind = _tag(desc)
+    kids = desc.children if kind == "series" else (desc,)
+    if all(isinstance(k, _Lumped) for k in kids):
         re = float(getattr(kids[0], "r_ohm", 0.0))
         im = _leaf_imag(kids[0], w)
         for k in kids[1:]:
@@ -238,7 +244,7 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray
         out.real = re
         out.imag = im
         return out
-    if isinstance(desc, Rational):
+    if kind == "rational":
         s = 1j * w
         for p in desc.poles_rad_s:
             close = np.abs(s - p) <= _SINGULAR_RTOL * np.maximum(np.abs(s), abs(p))
@@ -255,21 +261,17 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray
             den *= s - p
         num /= den
         return num
-    if isinstance(desc, Series):
-        acc = _eval_tree(desc.children[0], f, w)
-        for child in desc.children[1:]:
-            acc += _eval_tree(child, f, w)
-        return acc
-    if isinstance(desc, Parallel):
-        acc = _eval_tree(desc.children[0], f, w)
-        for child in desc.children[1:]:
-            v = _eval_tree(child, f, w)
+    acc = _eval_tree(desc.children[0], f, w)
+    for child in desc.children[1:]:
+        v = _eval_tree(child, f, w)
+        if kind == "series":
+            acc += v
+        else:
             try:
                 acc = par(acc, v, f)
             except ResonanceSingular as exc:
                 raise SingularAtFrequency(str(exc)) from None
-        return acc
-    raise ValueError(f"unknown network element {type(desc).__name__}")
+    return acc
 
 
 def eval_network(
@@ -296,47 +298,34 @@ def eval_network(
     return FrequencyResponse(grid=grid, samples=samples, unit="ohm", label=label)
 
 
+# scale_network's rule per field; the fields not named keep their value
+_SCALED = {
+    "r_ohm": lambda v, k: v * k,
+    "l_henry": lambda v, k: v * k,
+    "c_farad": lambda v, k: v / k,
+    "v_ll_volt": lambda v, k: v * math.sqrt(k),  # |Z| = V^2 / S_sc
+    "gain": lambda v, k: v * k,
+    "children": lambda v, k: tuple(scale_network(c, k) for c in v),
+}
+
+
 def scale_network(desc: NetworkElement, k: float) -> NetworkElement:
     """Scale the impedance of a tree by k > 0 (R,L *= k; C /= k)."""
     _check_positive("scale factor", k)
-    if isinstance(desc, Resistor):
-        return Resistor(desc.r_ohm * k)
-    if isinstance(desc, Inductor):
-        return Inductor(desc.l_henry * k)
-    if isinstance(desc, Capacitor):
-        return Capacitor(desc.c_farad / k)
-    if isinstance(desc, Thevenin):
-        return Thevenin(desc.v_ll_volt * math.sqrt(k), desc.s_sc_va, desc.xr)
-    if isinstance(desc, Rational):
-        return Rational(desc.gain * k, desc.zeros_rad_s, desc.poles_rad_s)
-    if isinstance(desc, Series):
-        return Series(tuple(scale_network(c, k) for c in desc.children))
-    if isinstance(desc, Parallel):
-        return Parallel(tuple(scale_network(c, k) for c in desc.children))
-    raise ValueError(f"unknown network element {type(desc).__name__}")
+    cls = _TYPES[_tag(desc)]
+    values = {fld.name: getattr(desc, fld.name) for fld in fields(cls)}
+    return cls(**{n: _SCALED[n](v, k) if n in _SCALED else v for n, v in values.items()})
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_TYPES = {
-    "resistor": Resistor,
-    "inductor": Inductor,
-    "capacitor": Capacitor,
-    "thevenin": Thevenin,
-    "rational": Rational,
-    "series": Series,
-    "parallel": Parallel,
-}
-_TAGS = {cls: tag for tag, cls in _TYPES.items()}
 _ROOT_FIELDS = ("zeros_rad_s", "poles_rad_s")  # complex roots as [re, im] pairs
 
 
 def network_to_obj(desc: NetworkElement):
-    if type(desc) not in _TAGS:
-        raise ValueError(f"unknown network element {type(desc).__name__}")
-    obj = {"type": _TAGS[type(desc)]}
+    obj = {"type": _tag(desc)}
     for fld in fields(desc):
         v = getattr(desc, fld.name)
         if fld.name == "children":
@@ -444,15 +433,13 @@ def _rand_ppm_tree(rng) -> NetworkElement:
 
 
 def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixture:
-    f = grid.points
-    w = 2.0 * math.pi * f
     z_grid = Thevenin(66e3, rng.uniform(4e8, 2e9), rng.uniform(3.0, 12.0))
     strings = tuple(_rand_string_branch(rng) for _ in range(n_strings))
     z_net_old = Parallel((z_grid,) + strings)
-    znet = _eval_tree(z_net_old, f, w)
+    znet = eval_network(z_net_old, grid).samples
 
     ppm_raw = _rand_ppm_tree(rng)
-    zppm_raw = _eval_tree(ppm_raw, f, w)
+    zppm_raw = eval_network(ppm_raw, grid).samples
     l_raw = np.abs(znet) / np.abs(zppm_raw)
     # center |L_old| geometrically around 1 so a gain crossover exists
     k_ppm = math.sqrt(float(l_raw.max()) * float(l_raw.min()))
@@ -461,20 +448,20 @@ def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixt
     z_ppm = scale_network(ppm_raw, k_ppm)
 
     new_raw = _rand_ppm_tree(rng)
-    znew_raw = _eval_tree(new_raw, f, w)
+    znew_raw = eval_network(new_raw, grid).samples
     rho_raw = np.abs(znet) / np.abs(znew_raw)
     k_new = math.exp(float(np.mean(np.log(rho_raw)))) * rng.uniform(0.3, 3.0)
     z_new = scale_network(new_raw, 1.0 / k_new)
 
     # conditioning guards: bounded rho, no near-cancellation of 1+rho,
     # well-sampled phases (keeps factored/direct identities in float range)
-    rho = znet / _eval_tree(z_new, f, w)
+    rho = znet / eval_network(z_new, grid).samples
     if float(np.abs(rho).min()) < 2e-3 or float(np.abs(rho).max()) > 2e2:
         raise ResonanceSingular("ill-conditioned rho; retry")
     one_plus = 1.0 + rho
     if float(np.abs(one_plus).min()) < 2e-2:
         raise ResonanceSingular("1+rho near zero; retry")
-    l_old = znet / _eval_tree(z_ppm, f, w)
+    l_old = znet / eval_network(z_ppm, grid).samples
     for z in (l_old, one_plus):
         if np.max(np.abs(_phase_steps_deg(np.degrees(np.angle(z))))) > 90.0:
             raise ResonanceSingular("under-sampled phase; retry")

@@ -40,7 +40,10 @@ class AssessmentReport:
     """Deterministic aggregate of one assessment run.
 
     ``curves`` optionally carries the loop-gain curves for SVG loci; it is
-    not part of the JSON schema and is dropped on parse.
+    not part of the JSON schema and is dropped on parse. Construction, and
+    so ``parse_report`` too, checks that the parts agree: one margin
+    policy, one compliance record per limit frequency in order, and the
+    verdict they give.
     """
 
     inputs: dict
@@ -55,6 +58,15 @@ class AssessmentReport:
     curves: tuple[tuple[str, FrequencyResponse], ...] = ()
 
     def __post_init__(self):
+        if self.l_old_summary.policy != self.l_new_summary.policy:
+            raise InconsistentInputs("old/new margin summaries use different policies")
+        if len(self.compliance) != len(self.limit_curve):
+            raise InconsistentInputs("compliance records do not match limit frequencies")
+        for rec, f in zip(self.compliance, self.limit_curve.freqs):
+            if rec.f_hz != f:
+                raise InconsistentInputs(
+                    f"compliance record at {rec.f_hz} Hz does not match limit {f} Hz"
+                )
         expected = _expected_verdict(
             self.l_new_summary, self.compliance, self.encirclements
         )
@@ -89,18 +101,9 @@ def build_report(
 
     The verdict is the worst of the post-connection margin verdict, any
     compliance violation, and a nonzero winding number (which forces
-    violation).
+    violation). The report checks that its parts agree.
     """
-    if l_old_summary.policy != l_new_summary.policy:
-        raise InconsistentInputs("old/new margin summaries use different policies")
     compliance = tuple(compliance)
-    if len(compliance) != len(limit_curve):
-        raise InconsistentInputs("compliance records do not match limit frequencies")
-    for rec, f in zip(compliance, limit_curve.freqs):
-        if rec.f_hz != f:
-            raise InconsistentInputs(
-                f"compliance record at {rec.f_hz} Hz does not match limit {f} Hz"
-            )
     return AssessmentReport(
         inputs=dict(inputs),
         l_old_summary=l_old_summary,

@@ -28,13 +28,11 @@ class TestLoopGain:
         lg = loop_gain(z, z)
         assert np.allclose(lg.response.samples, 1.0 + 0j, rtol=0, atol=1e-15)
         assert lg.response.unit == "dimensionless"
-        assert lg.derivation.method == "direct"
 
     def test_scalar_ratio(self, grid):
         z = ohm(grid, np.full(64, 2 + 3j), label="den")
         lg = loop_gain(ohm(grid, 2 * z.samples, label="num"), z)
         assert np.allclose(lg.response.samples, 2.0 + 0j)
-        assert lg.derivation.inputs == ("num", "den")
 
     def test_zero_denominator(self, grid):
         samples = np.ones(64, dtype=complex)
@@ -70,7 +68,6 @@ class TestUpdate:
         zero = FrequencyResponse(grid, np.zeros(64, complex), unit="dimensionless")
         upd = update_loop_gain(l_old, zero)
         assert np.array_equal(upd.response.samples, l_old.samples)
-        assert upd.derivation.method == "factored"
 
     def test_rho_one_halves(self, grid):
         l_old = FrequencyResponse(grid, np.full(64, 3 + 0j), unit="dimensionless")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from margingate.netsynth import (
     Capacitor,
     CaseFixture,
     Inductor,
+    NetworkElement,
     Parallel,
     Rational,
     Resistor,
@@ -20,6 +22,7 @@ from margingate.netsynth import (
     eval_network,
     network_from_json,
     network_to_json,
+    network_to_obj,
     par,
     random_case,
     scale_network,
@@ -193,6 +196,80 @@ class TestEval:
             for desc in (case.z_net_old,):  # passive by construction
                 z = eval_network(desc, case.grid).samples
                 assert np.all(z.real >= -1e-12 * np.abs(z))
+
+
+class TestValidation:
+    LEAF_FIELDS = (
+        (Resistor, "r_ohm"),
+        (Inductor, "l_henry"),
+        (Capacitor, "c_farad"),
+        (Thevenin, "v_ll_volt"),
+        (Thevenin, "s_sc_va"),
+        (Thevenin, "xr"),
+    )
+    GOOD = {"r_ohm": 1.0, "l_henry": 1e-3, "c_farad": 1e-6,
+            "v_ll_volt": 66e3, "s_sc_va": 1e9, "xr": 5.0}
+
+    @pytest.mark.parametrize("cls,name", LEAF_FIELDS)
+    @pytest.mark.parametrize("bad", [0, -1, 0.0, -1.0, math.nan, math.inf, -math.inf, "1"])
+    def test_leaf_field_must_be_positive_finite(self, cls, name, bad):
+        kwargs = {f: self.GOOD[f] for f in cls.__dataclass_fields__}
+        kwargs[name] = bad
+        with pytest.raises(ValueError) as exc:
+            cls(**kwargs)
+        assert str(exc.value) == f"{name} must be a positive finite number, got {bad!r}"
+
+    def test_thevenin_names_its_first_bad_field(self):
+        cases = (
+            ((0.0, -1.0, math.nan), "v_ll_volt", 0.0),
+            ((66e3, -1.0, math.nan), "s_sc_va", -1.0),
+            ((66e3, 1e9, math.inf), "xr", math.inf),
+            (("66e3", 0, 0), "v_ll_volt", "66e3"),
+        )
+        for args, name, bad in cases:
+            with pytest.raises(ValueError) as exc:
+                Thevenin(*args)
+            assert str(exc.value) == f"{name} must be a positive finite number, got {bad!r}"
+
+    @pytest.mark.parametrize("cls", [Series, Parallel])
+    def test_branches_need_two_children(self, cls):
+        for kids in ((), (Resistor(1.0),), [], [Inductor(1e-3)]):
+            with pytest.raises(ValueError) as exc:
+                cls(kids)
+            assert str(exc.value) == "series/parallel need at least two children"
+
+    @pytest.mark.parametrize("cls", [Series, Parallel])
+    def test_children_must_be_elements(self, cls):
+        for bad in (1.0, "r", None, Resistor):
+            with pytest.raises(ValueError) as exc:
+                cls((Resistor(1.0), bad, Inductor(1e-3)))
+            assert str(exc.value) == f"child is not a NetworkElement: {bad!r}"
+
+    @pytest.mark.parametrize("cls", [Series, Parallel])
+    def test_children_are_stored_as_a_tuple(self, cls):
+        kids = [Resistor(1.0), Capacitor(1e-6), Series((Resistor(2.0), Inductor(1e-3)))]
+        node = cls(kids)
+        assert type(node.children) is tuple
+        assert node.children == tuple(kids)
+        assert node == cls(iter(kids)) == cls(tuple(kids))
+        assert node != (Parallel if cls is Series else Series)(kids)
+
+    def test_unknown_elements_are_named(self):
+        @dataclass(frozen=True)
+        class Stub(NetworkElement):
+            r_ohm: float
+
+        for unknown in (NetworkElement(), Stub(1.0)):
+            name = type(unknown).__name__
+            for desc in (unknown, Series((Resistor(1.0), unknown))):
+                for call in (
+                    lambda: eval_network(desc, log_grid(1, 100, 8)),
+                    lambda: scale_network(desc, 2.0),
+                    lambda: network_to_obj(desc),
+                ):
+                    with pytest.raises(ValueError) as exc:
+                        call()
+                    assert str(exc.value) == f"unknown network element {name}"
 
 
 class TestScale:

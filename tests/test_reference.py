@@ -5,7 +5,9 @@ network evaluator against the code they replaced.
 (a scalar copy of the interpolation), ``mirrored_winding_number`` (the
 count on an explicitly mirrored contour, with its segment-distance helper)
 and ``reference_par`` with ``reference_eval_tree`` (the network evaluator
-that built a fresh array at every node) are kept verbatim as references.
+that built a fresh array at every node) and ``reference_scale_network``
+(the per-type scaling) are kept verbatim as references. A scaled tree
+must equal its reference and serialise to the same bytes.
 The winding count must match its reference exactly, the whole result
 included, once the sampling guard's warnings (which the reference
 predates) are added to the reference's. The network evaluator must match
@@ -56,8 +58,10 @@ from margingate.netsynth import (
     Thevenin,
     _BLOCK_POINTS,
     eval_network,
+    network_to_json,
     par,
     random_case,
+    scale_network,
 )
 from margingate.regions import (
     _CLOSURE_WARN_DIST,
@@ -642,3 +646,66 @@ def test_par_matches_reference_on_arrays_and_scalars():
         assert par(x, y).tobytes() == reference_par(x, y).tobytes()
     for x, y in ((1 + 2j, 3 - 1j), (2j, 2j), (0.5, 1e12 + 0j)):
         assert par(x, y) == reference_par(x, y)
+
+
+# -- network scaling -----------------------------------------------------------
+
+
+def reference_check_positive(name: str, value: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def reference_scale_network(desc: NetworkElement, k: float) -> NetworkElement:
+    """Scale the impedance of a tree by k > 0 (R,L *= k; C /= k)."""
+    reference_check_positive("scale factor", k)
+    if isinstance(desc, Resistor):
+        return Resistor(desc.r_ohm * k)
+    if isinstance(desc, Inductor):
+        return Inductor(desc.l_henry * k)
+    if isinstance(desc, Capacitor):
+        return Capacitor(desc.c_farad / k)
+    if isinstance(desc, Thevenin):
+        return Thevenin(desc.v_ll_volt * math.sqrt(k), desc.s_sc_va, desc.xr)
+    if isinstance(desc, Rational):
+        return Rational(desc.gain * k, desc.zeros_rad_s, desc.poles_rad_s)
+    if isinstance(desc, Series):
+        return Series(tuple(reference_scale_network(c, k) for c in desc.children))
+    if isinstance(desc, Parallel):
+        return Parallel(tuple(reference_scale_network(c, k) for c in desc.children))
+    raise ValueError(f"unknown network element {type(desc).__name__}")
+
+
+def scale_outcome(scale, desc, k):
+    """The scaled tree and its JSON bytes, or the type and message raised."""
+    try:
+        scaled = scale(desc, k)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return scaled, network_to_json(scaled)
+
+
+def scaling_trees():
+    yield from _LEAVES
+    yield from mixed_trees()
+    for seed in range(4):
+        yield offshore_tree(np.random.default_rng(seed), 24)
+    for seed in range(10, 60):
+        case = random_case(seed, 1 + seed % 4, (1.0, 10000.0))
+        yield from (case.z_ppm_existing, case.z_net_old, case.z_ppm_new)
+
+
+@pytest.mark.parametrize("k", [1e-3, 0.37, 1, 3, 1e4])
+def test_scale_network_matches_reference(k):
+    for desc in scaling_trees():
+        got = scale_outcome(scale_network, desc, k)
+        assert isinstance(got[0], NetworkElement)
+        assert got == scale_outcome(reference_scale_network, desc, k)
+
+
+@pytest.mark.parametrize("k", [0, -1, math.nan, math.inf, "2"])
+def test_scale_network_rejects_like_reference(k):
+    for desc in scaling_trees():
+        got = scale_outcome(scale_network, desc, k)
+        assert got[0] is ValueError
+        assert got == scale_outcome(reference_scale_network, desc, k)

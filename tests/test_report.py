@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from margingate import report as report_mod
+from margingate.cli import RunConfig, run_assessment
 from margingate.errors import InconsistentInputs, UnsupportedFormat
+from margingate.fixtures import write_bundled_case
 from margingate.freqresp import FrequencyResponse, log_grid
 from margingate.margins import (
     CrossoverPoint,
@@ -220,6 +222,29 @@ class TestJson:
             obj["overall_verdict"] = bogus
             with pytest.raises(InconsistentInputs):
                 parse_report(json.dumps(obj).encode())
+
+    @pytest.fixture(scope="class")
+    def bundled_obj(self, tmp_path_factory):
+        import json
+
+        paths = write_bundled_case("compliant-A", tmp_path_factory.mktemp("compliant-A"))
+        rep, _ = run_assessment(RunConfig(**paths))
+        assert rep.compliance
+        return json.loads(render(rep, "json"))
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda o: o["compliance"][0].update(f_hz=123.0), "compliance record at 123.0 Hz"),
+        (lambda o: o["compliance"].clear(), "compliance records do not match limit"),
+        (lambda o: o["l_old"]["policy"].update(pm_min_deg=20), "different policies"),
+    ], ids=["f_hz", "emptied", "policy"])
+    def test_reports_build_report_refuses_do_not_parse(self, bundled_obj, tamper, message):
+        import copy
+        import json
+
+        obj = copy.deepcopy(bundled_obj)
+        tamper(obj)
+        with pytest.raises(InconsistentInputs, match=message):
+            parse_report(json.dumps(obj).encode())
 
 
 class TestMarkdown:

@@ -180,22 +180,11 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
         }
 
     with _stage("report"):
+        by_role = dict(zip(_ROLES, (z_ppm, z_net, z_new)))
         inputs = {
-            "labels": {
-                "z_ppm_existing": z_ppm.label,
-                "z_net_old": z_net.label,
-                "z_ppm_new": z_new.label,
-            },
-            "sequence": {
-                "z_ppm_existing": z_ppm.sequence,
-                "z_net_old": z_net.sequence,
-                "z_ppm_new": z_new.sequence,
-            },
-            "operating_point": {
-                "z_ppm_existing": z_ppm.operating_point,
-                "z_net_old": z_net.operating_point,
-                "z_ppm_new": z_new.operating_point,
-            },
+            "labels": {role: c.label for role, c in by_role.items()},
+            "sequence": {role: c.sequence for role, c in by_role.items()},
+            "operating_point": {role: c.operating_point for role, c in by_role.items()},
             "critical_frequency_mode": mode,
             "asserted_preconditions": list(_ASSERTED_PRECONDITIONS),
         }

@@ -76,13 +76,23 @@ def _base_networks() -> tuple[NetworkElement, NetworkElement, NetworkElement]:
 
 
 @lru_cache(maxsize=1)
+def _base_curves() -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
+    """The three ``compliant-A`` curves, evaluated once per process."""
+    grid = bundled_grid()
+    return tuple(
+        eval_network(desc, grid, label=label)
+        for desc, label in zip(_base_networks(), ("Z_ppm_existing", "Z_net_old", "Z_ppm_new"))
+    )
+
+
+@lru_cache(maxsize=1)
 def _tableii_scale() -> float:
     """Scale on the new plant putting |Z_new| at 2x the limit.
 
     Fixed-point iteration: with a large scale the new plant barely moves
     the loop gain, so the first new gain crossover converges quickly.
     """
-    z_ppm, z_net, z_new_base = bundled_case("compliant-A")
+    z_ppm, z_net, z_new_base = _base_curves()
     l_old = loop_gain(z_net, z_ppm, label="L_old").response
     policy = MarginPolicy()
 
@@ -112,13 +122,10 @@ def bundled_case(
     """Impedance curves (existing PPM, old network, new PPM) for a case."""
     if name not in ("compliant-A", "tableII-like"):
         raise ValueError(f"no impedance curves for case {name!r}")
-    grid = bundled_grid()
-    z_ppm_d, z_net_d, z_new_d = _base_networks()
-    z_ppm = eval_network(z_ppm_d, grid, label="Z_ppm_existing")
-    z_net = eval_network(z_net_d, grid, label="Z_net_old")
+    z_ppm, z_net, z_new = _base_curves()
     if name == "tableII-like":
-        z_new_d = scale_network(z_new_d, _tableii_scale())
-    z_new = eval_network(z_new_d, grid, label="Z_ppm_new")
+        z_new_d = scale_network(_base_networks()[2], _tableii_scale())
+        z_new = eval_network(z_new_d, z_new.grid, label="Z_ppm_new")
     return z_ppm, z_net, z_new
 
 

@@ -10,7 +10,7 @@ Objects are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -192,13 +192,11 @@ class FrequencyResponse:
         self, samples, unit: str | None = None, label: str | None = None
     ) -> "FrequencyResponse":
         """Same grid and metadata, new sample values."""
-        return FrequencyResponse(
-            grid=self.grid,
+        return replace(
+            self,
             samples=samples,
             unit=self.unit if unit is None else unit,
-            sequence=self.sequence,
             label=self.label if label is None else label,
-            operating_point=self.operating_point,
         )
 
     @cached_property
@@ -274,14 +272,7 @@ def parse_response(data: bytes) -> FrequencyResponse:
         samples = np.empty(len(rows), dtype=complex)
         samples.real, samples.imag = cols[1], cols[2]
 
-    return FrequencyResponse(
-        grid=FrequencyGrid(freqs),
-        samples=samples,
-        unit=unit,
-        sequence=meta.get("sequence", "untagged"),
-        label=meta.get("label", ""),
-        operating_point=meta.get("operating_point", ""),
-    )
+    return FrequencyResponse(grid=FrequencyGrid(freqs), samples=samples, unit=unit, **meta)
 
 
 def _parse_rows(rows: list[str]) -> np.ndarray:
@@ -340,13 +331,12 @@ def write_response(resp: FrequencyResponse) -> bytes:
     doubles exactly. Output is deterministic: two writes of the same
     response are byte-identical.
     """
-    lines: list[str] = []
-    if resp.sequence != "untagged":
-        lines.append(f"# sequence={resp.sequence}")
-    if resp.label:
-        lines.append(f"# label={resp.label}")
-    if resp.operating_point:
-        lines.append(f"# operating_point={resp.operating_point}")
+    defaults = {fld.name: fld.default for fld in fields(resp)}
+    lines = [
+        f"# {key}={getattr(resp, key)}"
+        for key in _META_KEYS
+        if getattr(resp, key) != defaults[key]
+    ]
     lines.append("freq_hz,re_ohm,im_ohm" if resp.unit == "ohm" else "freq_hz,re,im")
     table = np.column_stack((resp.grid.points, resp.samples.real, resp.samples.imag))
     body = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
@@ -425,16 +415,7 @@ def align(responses: list[FrequencyResponse]) -> list[FrequencyResponse]:
         if np.array_equal(r.grid.points, union):
             out.append(r)
         else:
-            out.append(
-                FrequencyResponse(
-                    grid=target,
-                    samples=values_at(r, union),
-                    unit=r.unit,
-                    sequence=r.sequence,
-                    label=r.label,
-                    operating_point=r.operating_point,
-                )
-            )
+            out.append(replace(r, grid=target, samples=values_at(r, union)))
     return out
 
 

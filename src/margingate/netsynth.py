@@ -51,7 +51,8 @@ class NetworkElement:
 
 
 def _check_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -93,7 +94,7 @@ class Rational(NetworkElement):
     poles_rad_s: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if not (math.isfinite(self.gain) and self.gain != 0):
+        if isinstance(self.gain, bool) or not (math.isfinite(self.gain) and self.gain != 0):
             raise ValueError("rational gain must be finite and nonzero")
         object.__setattr__(
             self, "zeros_rad_s", tuple(complex(z) for z in self.zeros_rad_s)
@@ -355,6 +356,8 @@ def network_from_obj(obj) -> NetworkElement:
             kwargs["children"] = tuple(network_from_obj(c) for c in v)
             continue
         try:
+            if isinstance(v, bool):  # float(true) would be 1.0
+                raise TypeError(v)
             kwargs[fld.name] = (
                 tuple(complex(re, im) for re, im in v) if fld.name in _ROOT_FIELDS else float(v)
             )

@@ -389,6 +389,29 @@ def _f6(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _xml(s: str) -> str:
+    return (
+        s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
+    )
+
+
+def _el(tag: str, text: str | None = None, **attrs) -> str:
+    """One SVG element, with attributes in the order given.
+
+    ``class_`` is written as ``class`` and any other ``_`` in a name as
+    ``-``. Numbers are written with ``_f6``; strings, and the element
+    text, are escaped with ``_xml``.
+    """
+    body = "".join(
+        f' {"class" if name == "class_" else name.replace("_", "-")}="'
+        f'{_xml(value) if isinstance(value, str) else _f6(value)}"'
+        for name, value in attrs.items()
+    )
+    if text is None:
+        return f"<{tag}{body}/>"
+    return f"<{tag}{body}>{_xml(text)}</{tag}>"
+
+
 def _sector_path(theta_lo_deg: float, theta_hi_deg: float, radius: float) -> str:
     """Origin-anchored sector, math angles, y emitted flipped for SVG."""
     t0, t1 = math.radians(theta_lo_deg), math.radians(theta_hi_deg)
@@ -416,14 +439,6 @@ def _path_d(x: np.ndarray, y: np.ndarray, quantum: float) -> str:
     return ("M %.6g %.6g" + " L %.6g %.6g" * (len(xy) - 1)) % tuple(xy.ravel().tolist())
 
 
-def _nyquist_svg(report: AssessmentReport) -> str:
-    return nyquist_svg_chart(
-        report.l_new_summary.policy,
-        report.curves,
-        (report.l_old_summary, report.l_new_summary),
-    )
-
-
 def nyquist_svg_chart(
     policy: MarginPolicy, curves, summaries=()
 ) -> str:
@@ -440,57 +455,41 @@ def nyquist_svg_chart(
         f'viewBox="{-extent} {-extent} {2*extent} {2*extent}">'
     )
     parts.append(f"<style>\n{_SVG_STYLE}</style>")
-    parts.append(
-        f'<line class="axis" x1="{-extent}" y1="0" x2="{extent}" y2="0"/>'
-    )
-    parts.append(
-        f'<line class="axis" x1="0" y1="{-extent}" x2="0" y2="{extent}"/>'
-    )
+    parts.append(_el("line", class_="axis", x1=-extent, y1=0, x2=extent, y2=0))
+    parts.append(_el("line", class_="axis", x1=0, y1=-extent, x2=0, y2=extent))
     # angle wedges about the negative real axis, evaluated at |L| = 1
-    parts.append(
-        f'<path class="wedge-critical" d="{_sector_path(180.0 - policy.pm_min_deg, 180.0 + policy.pm_min_deg, wedge_r)}"/>'
-    )
+    critical_d = _sector_path(180.0 - policy.pm_min_deg, 180.0 + policy.pm_min_deg, wedge_r)
+    parts.append(_el("path", class_="wedge-critical", d=critical_d))
     caution_d = (
         _sector_path(180.0 - policy.pm_cau_deg, 180.0 - policy.pm_min_deg, wedge_r)
         + " "
         + _sector_path(180.0 + policy.pm_min_deg, 180.0 + policy.pm_cau_deg, wedge_r)
     )
-    parts.append(f'<path class="wedge-caution" d="{caution_d}"/>')
-    parts.append('<circle class="unit" cx="0" cy="0" r="1"/>')
-    parts.append(
-        f'<circle class="gm-circle" cx="0" cy="0" r="{policy.gm_circle_radius!r}"/>'
-    )
+    parts.append(_el("path", class_="wedge-caution", d=caution_d))
+    parts.append(_el("circle", class_="unit", cx=0, cy=0, r=1))
+    # the GM circle keeps every digit of its radius (repr), not six
+    parts.append(_el("circle", class_="gm-circle", cx=0, cy=0, r=repr(policy.gm_circle_radius)))
     # critical point -1 + 0j
-    parts.append('<line class="critical-point" x1="-1.04" y1="-0.04" x2="-0.96" y2="0.04"/>')
-    parts.append('<line class="critical-point" x1="-1.04" y1="0.04" x2="-0.96" y2="-0.04"/>')
+    parts.append(_el("line", class_="critical-point", x1=-1.04, y1=-0.04, x2=-0.96, y2=0.04))
+    parts.append(_el("line", class_="critical-point", x1=-1.04, y1=0.04, x2=-0.96, y2=-0.04))
 
     quantum = extent / 600  # half a pixel: 600 px span 2 * extent units
     for i, (name, curve) in enumerate(curves):
         x, y = curve.samples.real, curve.samples.imag
         d = _path_d(x, -y, quantum) + " " + _path_d(x[::-1], y[::-1], quantum)
-        parts.append(f'<path class="locus locus-{i % 3}" id="locus-{_xml(name)}" d="{d}"/>')
-        parts.append(
-            f'<text x="{_f6(extent - 0.1)}" y="{_f6(-extent + 0.18 + 0.14 * i)}" '
-            f'text-anchor="end" font-size="0.12" class="locus-{i % 3}" '
-            f'style="fill: currentColor; stroke: none;">{_xml(name)}</text>'
-        )
+        parts.append(_el("path", class_=f"locus locus-{i % 3}", id=f"locus-{name}", d=d))
+        parts.append(_el(
+            "text", name, x=extent - 0.1, y=-extent + 0.18 + 0.14 * i, text_anchor="end",
+            font_size=0.12, class_=f"locus-{i % 3}", style="fill: currentColor; stroke: none;",
+        ))
 
     for summary in summaries:
         for cp in summary.crossovers:
-            cls = "marker-gain" if cp.kind == "gain" else "marker-phase"
-            parts.append(
-                f'<circle class="{cls}" cx="{_f6(cp.l_value.real)}" '
-                f'cy="{_f6(-cp.l_value.imag)}" r="0.035"/>'
-            )
+            z = cp.l_value
+            parts.append(_el("circle", class_=f"marker-{cp.kind}", cx=z.real, cy=-z.imag, r=0.035))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _xml(s: str) -> str:
-    return (
-        s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
-    )
 
 
 def _ticks_db(lo: float, hi: float) -> list[float]:
@@ -502,12 +501,6 @@ def _ticks_db(lo: float, hi: float) -> list[float]:
 
 
 _BODE_QUANTUM = 0.5  # half a pixel; the Bode viewBox is in pixels
-
-
-def _bode_svg(report: AssessmentReport) -> str:
-    return bode_svg_chart(
-        report.curves, (report.l_old_summary, report.l_new_summary)
-    )
 
 
 def bode_svg_chart(curves, summaries=()) -> str:
@@ -553,6 +546,12 @@ def bode_svg_chart(curves, summaries=()) -> str:
     def y_ph(v):
         return margin_t + panel_h + gap + (p_hi - v) / (p_hi - p_lo) * panel_h
 
+    def hline(cls, y, label=None):
+        """A line across the panel at height y, with a tick label if given."""
+        parts.append(_el("line", class_=cls, x1=margin_l, y1=y, x2=margin_l + panel_w, y2=y))
+        if label is not None:
+            parts.append(_el("text", _f6(label), x=margin_l - 6, y=y + 4, text_anchor="end"))
+
     parts: list[str] = []
     parts.append(
         '<svg xmlns="http://www.w3.org/2000/svg" '
@@ -573,91 +572,55 @@ def bode_svg_chart(curves, summaries=()) -> str:
     )
 
     for y0, label in ((margin_t, "magnitude (dB)"), (margin_t + panel_h + gap, "phase (deg)")):
-        parts.append(
-            f'<rect class="frame" x="{margin_l}" y="{_f6(y0)}" '
-            f'width="{_f6(panel_w)}" height="{_f6(panel_h)}"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l}" y="{_f6(y0 - 6)}">{label}</text>'
-        )
+        parts.append(_el("rect", class_="frame", x=margin_l, y=y0, width=panel_w, height=panel_h))
+        parts.append(_el("text", label, x=margin_l, y=y0 - 6))
 
     for dec in range(math.ceil(lx_lo), math.floor(lx_hi) + 1):
         x = x_of(10.0**dec)
         for y0 in (margin_t, margin_t + panel_h + gap):
-            parts.append(
-                f'<line class="grid" x1="{_f6(x)}" y1="{_f6(y0)}" '
-                f'x2="{_f6(x)}" y2="{_f6(y0 + panel_h)}"/>'
-            )
-        parts.append(
-            f'<text x="{_f6(x)}" y="{_f6(height - 28)}" text-anchor="middle">1e{dec}</text>'
-        )
-    parts.append(
-        f'<text x="{_f6(margin_l + panel_w / 2)}" y="{_f6(height - 8)}" '
-        'text-anchor="middle">frequency (Hz)</text>'
-    )
+            parts.append(_el("line", class_="grid", x1=x, y1=y0, x2=x, y2=y0 + panel_h))
+        parts.append(_el("text", f"1e{dec}", x=x, y=height - 28, text_anchor="middle"))
+    parts.append(_el(
+        "text", "frequency (Hz)", x=margin_l + panel_w / 2, y=height - 8, text_anchor="middle"
+    ))
 
     for v in _ticks_db(m_lo, m_hi):
         if m_lo <= v <= m_hi:
-            y = y_mag(v)
-            parts.append(
-                f'<line class="grid" x1="{margin_l}" y1="{_f6(y)}" '
-                f'x2="{_f6(margin_l + panel_w)}" y2="{_f6(y)}"/>'
-            )
-            parts.append(
-                f'<text x="{margin_l - 6}" y="{_f6(y + 4)}" text-anchor="end">{_f6(v)}</text>'
-            )
+            hline("grid", y_mag(v), v)
     if m_lo <= 0.0 <= m_hi:
-        parts.append(
-            f'<line class="zero" x1="{margin_l}" y1="{_f6(y_mag(0.0))}" '
-            f'x2="{_f6(margin_l + panel_w)}" y2="{_f6(y_mag(0.0))}"/>'
-        )
+        hline("zero", y_mag(0.0))
     k = math.ceil(p_lo / 90.0)
     while 90.0 * k <= p_hi:
         v = 90.0 * k
-        y = y_ph(v)
-        cls = "zero" if v % 360.0 == -180.0 % 360.0 else "grid"
-        parts.append(
-            f'<line class="{cls}" x1="{margin_l}" y1="{_f6(y)}" '
-            f'x2="{_f6(margin_l + panel_w)}" y2="{_f6(y)}"/>'
-        )
-        parts.append(
-            f'<text x="{margin_l - 6}" y="{_f6(y + 4)}" text-anchor="end">{_f6(v)}</text>'
-        )
+        hline("zero" if v % 360.0 == -180.0 % 360.0 else "grid", y_ph(v), v)
         k += 1
 
     for i, ((name, curve), mag, ph) in enumerate(zip(curves, mags, phases)):
         xs = x_of(curve.grid.points)
-        d_mag = _path_d(xs, y_mag(mag), _BODE_QUANTUM)
-        d_ph = _path_d(xs, y_ph(ph), _BODE_QUANTUM)
-        parts.append(
-            f'<path class="locus locus-mag locus-{i % 3}" id="bode-mag-{_xml(name)}" d="{d_mag}"/>'
-        )
-        parts.append(
-            f'<path class="locus locus-phase locus-{i % 3}" id="bode-phase-{_xml(name)}" d="{d_ph}"/>'
-        )
-        parts.append(
-            f'<text x="{_f6(margin_l + panel_w - 8)}" y="{_f6(margin_t + 16 + 14 * i)}" '
-            f'text-anchor="end" style="fill: currentColor;" class="locus-{i % 3}">{_xml(name)}</text>'
-        )
+        cls = f"locus-{i % 3}"
+        for kind, ys in (("mag", y_mag(mag)), ("phase", y_ph(ph))):
+            d = _path_d(xs, ys, _BODE_QUANTUM)
+            parts.append(
+                _el("path", class_=f"locus locus-{kind} {cls}", id=f"bode-{kind}-{name}", d=d)
+            )
+        parts.append(_el(
+            "text", name, x=margin_l + panel_w - 8, y=margin_t + 16 + 14 * i,
+            text_anchor="end", style="fill: currentColor;", class_=cls,
+        ))
 
     for i, summary in enumerate(summaries):
         for cp in summary.crossovers:
             if not (f_lo <= cp.f_hz <= f_hi):
                 continue
-            x = x_of(cp.f_hz)
             if cp.kind == "gain":
-                parts.append(
-                    f'<circle class="marker-gain" cx="{_f6(x)}" cy="{_f6(y_mag(0.0))}" r="4"/>'
-                )
+                cy = y_mag(0.0)
             else:
                 level = -180.0
                 if i < len(curves):
                     p = np.interp(math.log(cp.f_hz), curves[i][1]._tables[0], phases[i])
                     level += 360.0 * round((float(p) + 180.0) / 360.0)
-                parts.append(
-                    f'<circle class="marker-phase" cx="{_f6(x)}" '
-                    f'cy="{_f6(y_ph(max(p_lo, min(p_hi, level))))}" r="4"/>'
-                )
+                cy = y_ph(max(p_lo, min(p_hi, level)))
+            parts.append(_el("circle", class_=f"marker-{cp.kind}", cx=x_of(cp.f_hz), cy=cy, r=4))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -673,14 +636,15 @@ def render(report: AssessmentReport, format: str) -> bytes:
     JSON output is canonical: fixed key order and repr floats, so the
     render -> parse -> render cycle is byte-identical.
     """
+    summaries = (report.l_old_summary, report.l_new_summary)
     if format == "json":
         text = json.dumps(_report_to_obj(report), indent=2, allow_nan=False) + "\n"
     elif format == "markdown":
         text = _markdown(report)
     elif format == "nyquist_svg":
-        text = _nyquist_svg(report)
+        text = nyquist_svg_chart(report.l_new_summary.policy, report.curves, summaries)
     elif format == "bode_svg":
-        text = _bode_svg(report)
+        text = bode_svg_chart(report.curves, summaries)
     else:
         raise UnsupportedFormat(f"unknown format {format!r}; expected one of {FORMATS}")
     return text.encode("utf-8")

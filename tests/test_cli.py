@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from margingate import fixtures
 from margingate.cli import RunConfig, build_parser, main, run_assessment
 from margingate.fixtures import BUNDLED_CASES, bundled_case, write_bundled_case
 from margingate.freqresp import FrequencyResponse, log_grid, parse_response, write_response
@@ -423,3 +424,22 @@ class TestFixtures:
             gains = find_crossovers(curve, "gain")
             assert gains, "fixture must exercise a crossover"
             assert all(cp.pm_deg > 30.0 for cp in gains)
+
+    def test_tableii_evaluates_each_network_once(self, monkeypatch):
+        # 3 compliant-A curves plus the scaled plant; later calls reuse them
+        calls = []
+        real = fixtures.eval_network
+
+        def spy(desc, grid, label=""):
+            calls.append(label)
+            return real(desc, grid, label=label)
+
+        monkeypatch.setattr(fixtures, "eval_network", spy)
+        fixtures._base_curves.cache_clear()
+        fixtures._tableii_scale.cache_clear()
+        bundled_case("tableII-like")
+        assert len(calls) == 4
+        bundled_case("tableII-like")
+        assert len(calls) == 5
+        bundled_case("compliant-A")
+        assert len(calls) == 5

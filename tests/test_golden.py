@@ -1,12 +1,13 @@
-"""Golden bytes: the CSV writer, the JSON / markdown renderers and the
-network JSON writer.
+"""Golden bytes: the CSV writer, the JSON / markdown / SVG renderers and
+the network JSON writer.
 
 Each case's three impedance curves go through ``write_response``; the
 written files then drive a full ``check`` in file mode (so the parser is
-on the path too) and the report is rendered as JSON and markdown. The
-element trees behind the cases go through ``network_to_json``. Every
-output is pinned by its SHA-256 digest. A change that alters any of these
-bytes must say why and update the digest here.
+on the path too) and the report is rendered as JSON, markdown and both
+SVG charts. The element trees behind the cases go through
+``network_to_json``. Every output is pinned by its SHA-256 digest. A
+change that alters any of these bytes must say why and update the digest
+here.
 """
 import hashlib
 import json
@@ -16,9 +17,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from margingate.cli import RunConfig, run_assessment
+from margingate.cli import RunConfig, main, run_assessment
 from margingate.fixtures import _base_networks, bundled_case, bundled_grid
-from margingate.freqresp import write_response
+from margingate.freqresp import log_grid, write_response
+from margingate.margins import MarginPolicy
 from margingate.netsynth import (
     Rational,
     Series,
@@ -26,7 +28,9 @@ from margingate.netsynth import (
     network_to_json,
     random_case,
 )
-from margingate.report import render
+from margingate.report import bode_svg_chart, nyquist_svg_chart, render
+
+from conftest import three_pole
 
 ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 SVG = "{http://www.w3.org/2000/svg}"
@@ -122,6 +126,72 @@ GOLDEN = {
         "z_ppm_new": "c46624549a031915f68cfb7272f835b8038d75f85a4c24b804f3c15d2d3dc013",
         "json": "2092e824aee989ee20eeb76e0339386be3ce822788a6762d9f2e734a7e324885",
         "markdown": "9fbdcff4fd92f037585ccede96114bfe28a7f6e70cccefc5ea4d639f0ff2f66f",
+    },
+}
+
+
+# the Nyquist and Bode charts of each GOLDEN case's report; "empty" is both
+# charts with no curves, "converter-cli" the Nyquist chart that the
+# ``loopgain`` and ``nyquist`` subcommands draw from the converter curves
+SVG_GOLDEN = {
+    "compliant-A": {
+        "nyquist_svg": "ad55e679bb81e53a22cc4516c0500c2c556cbfceb10390b12edc417f33f05c2a",
+        "bode_svg": "75b590aaa2633193f2ae3d3df087c00d6df7f527e32c2139acacf1e60560096d",
+    },
+    "tableII-like": {
+        "nyquist_svg": "338209c7d0e8babfaf46e6c512a353e8d91412c941b2337b7a64362a6ed8e393",
+        "bode_svg": "e7d2f1563ebd5c9a3627b9dfe88c44e5f6c203b3602f250595b923929076c80c",
+    },
+    "seed-0": {
+        "nyquist_svg": "9a86db3b8b48c37639d3e1cbce97a76e0f5edc468ca618e951a01123d2fd2131",
+        "bode_svg": "72c606d0afa76844dbc4d8272efd39271dfe58aed30067c24d4a0d447b10c5e7",
+    },
+    "seed-1": {
+        "nyquist_svg": "76d20bd28ecfff58f100da07cab0460489c9c1a7be8eb2f252c5b0c76edc7908",
+        "bode_svg": "641d458ce594ccad91e8797463b61a2cfae65643d9c822be4d0647f6df4deeeb",
+    },
+    "seed-2": {
+        "nyquist_svg": "5bee4d4f58f904a675d13496856d806c2464b2e9d7cccae06c24dfe0e6a232d6",
+        "bode_svg": "02b48deb3b750860d29111268cfb50909def72affd727dbfbbb985f6f6beb054",
+    },
+    "seed-3": {
+        "nyquist_svg": "c5dd899918cd5a22db9e55eb91e1207517ede18e7cf7c6c28c6e8b53e52b37ca",
+        "bode_svg": "a1fb83941688e0dee8485ab9d67067e9f86dd7842c122cd18137ac9d35be0ffe",
+    },
+    "seed-4": {
+        "nyquist_svg": "432136952bab5028c1243e6b752007bb5c8fc05e894ffc044e618c716c46ef41",
+        "bode_svg": "6a91329e7e4a7d30ad1ab33b747153dcbb1f6b726a3b5baf10a975b990c961a6",
+    },
+    "seed-5": {
+        "nyquist_svg": "150d079903f0f502d34bbf4ac4812a15bf899f35fcbca678046d7ad81f4f3c7f",
+        "bode_svg": "a8f76da85939c03da4a2a6937bb1699711a651411dab00107dd516d4f25c6815",
+    },
+    "seed-6": {
+        "nyquist_svg": "ec405e78784f8372bf19595f44ee4497bbeeb98b794d3de8cea67e75fcd21f89",
+        "bode_svg": "33be45e170551860558012257acc5a4e7ec062f35b5a204b38cd3ecce1a718c9",
+    },
+    "seed-7": {
+        "nyquist_svg": "5b2e7be1a47c9841914f9f90c47476cc73affd767d78e45254faabf9a3b7aecb",
+        "bode_svg": "a99c8c34c1de581b9e24e6a6b6bf2b9c3710b57d07996a9046365fdc38eb6643",
+    },
+    "seed-8": {
+        "nyquist_svg": "afa7431579f04d527317edcf62fc9589ae189df7290da75ca1e827f911cdef22",
+        "bode_svg": "762e19fb1cb79f9897ae62d8683b106a5ff0125d8c51bc85b3dbbf3837a8205f",
+    },
+    "seed-9": {
+        "nyquist_svg": "80ae8c7990df2d84848853d64fa82ea58a1b6ca721cf13ebbe93628bb08f7c5e",
+        "bode_svg": "ecd3ecd3e253c60dddc2580fa885481ca33807c250eabbcdfe984f4fef0935c5",
+    },
+    "converter": {
+        "nyquist_svg": "6558cefe82148b17aeb61249e1524b4c821c9f89ff31de5092054fa676b1ac1c",
+        "bode_svg": "41e2d565f03d208304b77ea2831ea8b04592bd53dc37331a85b849bb95662d23",
+    },
+    "empty": {
+        "nyquist_svg": "f0006ad26af497edd38c992dd0a9970468267ffe79a75be8a37ea3a886e82f03",
+        "bode_svg": "83260ed3984d53259c447b4c994986c55e8c650ced62f7dbce6c2f69985f2818",
+    },
+    "converter-cli": {
+        "nyquist_svg": "438998f07287101105a1c45f371d531536b91f8f2162f311ee722def7798b831",
     },
 }
 
@@ -252,6 +322,47 @@ def check_report(name: str, tmp_path):
 def test_golden_digests(name, tmp_path):
     got, _ = check_report(name, tmp_path)
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_svg_digests(name, tmp_path):
+    _, report = check_report(name, tmp_path)
+    got = {fmt: sha256(render(report, fmt)) for fmt in ("nyquist_svg", "bode_svg")}
+    assert got == SVG_GOLDEN[name]
+
+
+def test_empty_svg_digests():
+    got = {
+        "nyquist_svg": sha256(nyquist_svg_chart(MarginPolicy(), ()).encode("utf-8")),
+        "bode_svg": sha256(bode_svg_chart(()).encode("utf-8")),
+    }
+    assert got == SVG_GOLDEN["empty"]
+
+
+def test_nyquist_subcommand_svg_digest(tmp_path):
+    paths = {}
+    for role, curve in zip(ROLES, case_curves("converter")):
+        paths[role] = tmp_path / f"{role}.csv"
+        paths[role].write_bytes(write_response(curve))
+    l_path, svg_path = tmp_path / "l.csv", tmp_path / "nyquist.svg"
+    assert main([
+        "loopgain", "--z-net", str(paths["z_net_old"]),
+        "--z-ppm", str(paths["z_ppm_existing"]), "--out", str(l_path),
+    ]) == 0
+    assert main(["nyquist", "--loop-gain", str(l_path), "--out", str(svg_path)]) == 0
+    assert {"nyquist_svg": sha256(svg_path.read_bytes())} == SVG_GOLDEN["converter-cli"]
+
+
+def test_curve_names_are_escaped_in_both_charts():
+    name = 'a&b<"c">'
+    curves = ((name, three_pole(2.0, 100.0, log_grid(1, 10000, 200))),)
+    for chart, ids in (
+        (nyquist_svg_chart(MarginPolicy(), curves), ["locus-" + name]),
+        (bode_svg_chart(curves), ["bode-mag-" + name, "bode-phase-" + name]),
+    ):
+        root = ET.fromstring(chart)
+        assert [p.get("id") for p in root.iter(f"{SVG}path") if p.get("id")] == ids
+        assert name in [t.text for t in root.iter(f"{SVG}text")]
 
 
 def test_converter_case_reaches_phase_crossovers(tmp_path):

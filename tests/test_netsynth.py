@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import dataclass
 
@@ -211,7 +212,7 @@ class TestValidation:
             "v_ll_volt": 66e3, "s_sc_va": 1e9, "xr": 5.0}
 
     @pytest.mark.parametrize("cls,name", LEAF_FIELDS)
-    @pytest.mark.parametrize("bad", [0, -1, 0.0, -1.0, math.nan, math.inf, -math.inf, "1"])
+    @pytest.mark.parametrize("bad", [0, -1, 0.0, -1.0, math.nan, math.inf, -math.inf, "1", True])
     def test_leaf_field_must_be_positive_finite(self, cls, name, bad):
         kwargs = {f: self.GOOD[f] for f in cls.__dataclass_fields__}
         kwargs[name] = bad
@@ -230,6 +231,22 @@ class TestValidation:
             with pytest.raises(ValueError) as exc:
                 Thevenin(*args)
             assert str(exc.value) == f"{name} must be a positive finite number, got {bad!r}"
+
+    def test_bools_are_not_numbers(self):
+        # float(True) is 1.0, and the JSON of Resistor(True) would not round-trip
+        for gain in (True, False):
+            with pytest.raises(ValueError) as exc:
+                Rational(gain)
+            assert str(exc.value) == "rational gain must be finite and nonzero"
+        for obj, name in (
+            ({"type": "resistor", "r_ohm": True}, "r_ohm"),
+            ({"type": "thevenin", "v_ll_volt": 66e3, "s_sc_va": 1e9, "xr": True}, "xr"),
+            ({"type": "rational", "gain": False}, "gain"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                network_from_json(json.dumps(obj).encode("utf-8"))
+            bad = obj[name]
+            assert str(exc.value) == f"{obj['type']} element: bad or missing {name!r}: {bad!r}"
 
     @pytest.mark.parametrize("cls", [Series, Parallel])
     def test_branches_need_two_children(self, cls):

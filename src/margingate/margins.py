@@ -27,7 +27,7 @@ from .freqresp import (
     value_at,
     values_at,
 )
-from .loopgain import one_plus
+from .loopgain import _SENSITIVITY_ATOL, one_plus
 
 __all__ = [
     "REGIONS",
@@ -109,58 +109,89 @@ class MarginPolicy:
 class CrossoverPoint:
     """A gain or phase crossover with the interpolated loop-gain value.
 
-    Gain kind carries the phase margin; phase kind carries the gain margin
-    in linear and dB form.
+    The margins are read off ``l_value``: a gain crossover has the phase
+    margin ``pm_deg``, a phase crossover the gain margin ``gm_lin`` = 1/|L|
+    and its dB form ``gm_db``; the other kind's margins are None.
     """
 
     kind: str
     f_hz: float
     l_value: complex
-    pm_deg: float | None = None
-    gm_lin: float | None = None
-    gm_db: float | None = None
 
     def __post_init__(self):
         if self.kind == "gain":
             if abs(abs(self.l_value) - 1.0) >= GAIN_MAG_TOL:
                 raise KindMismatch("gain crossover value not on the unit circle")
-            if self.pm_deg is None or not (-180.0 < self.pm_deg <= 180.0):
-                raise KindMismatch("gain crossover needs pm_deg in (-180, 180]")
         elif self.kind == "phase":
             if abs(pm_deg(self.l_value)) >= PHASE_ANGLE_TOL:
                 raise KindMismatch("phase crossover value not at -180 deg")
-            if self.gm_lin is None or self.gm_db is None:
-                raise KindMismatch("phase crossover needs gm_lin and gm_db")
         else:
             raise ValueError(f"kind must be gain or phase, got {self.kind!r}")
+
+    @property
+    def pm_deg(self) -> float | None:
+        # the name in the body is the module function
+        return pm_deg(self.l_value) if self.kind == "gain" else None
+
+    @property
+    def gm_lin(self) -> float | None:
+        return 1.0 / abs(self.l_value) if self.kind == "phase" else None
+
+    @property
+    def gm_db(self) -> float | None:
+        return None if self.kind == "gain" else 20.0 * math.log10(self.gm_lin)
 
 
 @dataclass(frozen=True)
 class MarginSummary:
-    """All crossovers of a loop gain plus worst cases and policy verdict."""
+    """All crossovers of a loop gain, sorted by (f, kind), under a policy."""
 
     crossovers: tuple[CrossoverPoint, ...]
-    worst_pm: CrossoverPoint | None
-    worst_gm: CrossoverPoint | None
     policy: MarginPolicy
-    verdict: str
+
+    @property
+    def worst_pm(self) -> CrossoverPoint | None:
+        """The gain crossover with the smallest phase margin."""
+        gains = (c for c in self.crossovers if c.kind == "gain")
+        return min(gains, key=lambda c: c.pm_deg, default=None)
+
+    @property
+    def worst_gm(self) -> CrossoverPoint | None:
+        """The phase crossover with the smallest gain margin."""
+        phases = (c for c in self.crossovers if c.kind == "phase")
+        return max(phases, key=lambda c: abs(c.l_value), default=None)
+
+    @property
+    def verdict(self) -> str:
+        """The most severe ``MarginPolicy.region`` of the crossovers, with
+        critical reported as ``violation``; compliant with no crossover."""
+        regions = (self.policy.region(c) for c in self.crossovers)
+        worst = max(regions, key=REGIONS.index, default="compliant")
+        return "violation" if worst == "critical" else worst
 
 
 @dataclass(frozen=True)
 class MarginDecomposition:
     """Margins at one frequency expressed through the old loop gain.
 
-    ``kind`` is the kind of the L_new crossover at ``f_hz``.
+    ``kind`` is the kind of the L_new crossover at ``f_hz``. PM_new and
+    GM_new are read off the stored terms.
     """
 
     f_hz: float
     kind: str
     pm_old_newgc_deg: float
     angle_one_plus_rho_deg: float
-    pm_new_deg: float
-    gm_new_lin: float
     abs_one_plus_rho: float
     l_old_mag: float
+
+    @property
+    def pm_new_deg(self) -> float:
+        return normalize_deg(self.pm_old_newgc_deg - self.angle_one_plus_rho_deg)
+
+    @property
+    def gm_new_lin(self) -> float:
+        return self.abs_one_plus_rho / self.l_old_mag
 
 
 def _level_root(u_lo, u_hi, y_lo, y_hi, c):
@@ -200,9 +231,9 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
     unwrapped phase through -180 + k*360 for any integer k (high-order
     loops wrap several times). Each bracket on the sample grid is solved in
     closed form on the log-frequency interpolant; near-duplicates within
-    1e-6 relative frequency are merged. The margin is read off the
-    interpolated value: PM = ``pm_deg(L)``, GM = 1/|L|; ``CrossoverPoint``
-    checks that the value lies on the unit circle or at -180 deg.
+    1e-6 relative frequency are merged. Each point keeps the interpolated
+    value; ``CrossoverPoint`` reads its margin off it and checks that it
+    lies on the unit circle or at -180 deg.
     """
     if kind not in ("gain", "phase"):
         raise ValueError(f"kind must be gain or phase, got {kind!r}")
@@ -219,15 +250,7 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
         y = phase
 
     freqs = _merge_close(_detect_levels(logf, y, levels, g))
-    points: list[CrossoverPoint] = []
-    for f, lv in zip(freqs, values_at(l, freqs).tolist()):
-        if kind == "gain":
-            points.append(CrossoverPoint("gain", f, lv, pm_deg=pm_deg(lv)))
-        else:
-            gm_lin = 1.0 / abs(lv)
-            gm_db = 20.0 * math.log10(gm_lin)
-            points.append(CrossoverPoint("phase", f, lv, gm_lin=gm_lin, gm_db=gm_db))
-    return points
+    return [CrossoverPoint(kind, f, lv) for f, lv in zip(freqs, values_at(l, freqs).tolist())]
 
 
 def decompose_margins(
@@ -235,7 +258,7 @@ def decompose_margins(
 ) -> MarginDecomposition:
     """Margins at ``f`` expressed through the pre-connection loop gain.
 
-    Interpolates L_old and the curve 1+rho at ``f`` and fills every field;
+    Interpolates L_old and the curve 1+rho at ``f`` and stores the terms;
     the identities against the direct computation on L_new hold to float
     rounding. The stored pm_old_newgc does not assume |L_old| = 1 at ``f``.
     """
@@ -243,46 +266,20 @@ def decompose_margins(
         raise ValueError(f"kind must be gain or phase, got {kind!r}")
     l_o = value_at(l_old, f)          # OutOfRange if f outside span
     opr = value_at(one_plus(ratio), f)
-    if abs(opr) <= 1e-12:
+    if abs(opr) <= _SENSITIVITY_ATOL:
         raise SingularSensitivity(f"|1+rho| vanishes at {f} Hz")
-    pm_old = pm_deg(l_o)
-    ang = principal_angle_deg(opr)
     return MarginDecomposition(
         f_hz=f,
         kind=kind,
-        pm_old_newgc_deg=pm_old,
-        angle_one_plus_rho_deg=ang,
-        pm_new_deg=normalize_deg(pm_old - ang),
-        gm_new_lin=abs(opr) / abs(l_o),
+        pm_old_newgc_deg=pm_deg(l_o),
+        angle_one_plus_rho_deg=principal_angle_deg(opr),
         abs_one_plus_rho=abs(opr),
         l_old_mag=abs(l_o),
     )
 
 
 def summarize_margins(l: FrequencyResponse, policy: MarginPolicy) -> MarginSummary:
-    """Detect all crossovers, pick worst cases, and apply the policy.
-
-    Verdict: the most severe ``MarginPolicy.region`` of the crossovers,
-    with critical reported as ``violation``: a phase margin below the
-    minimum or any gain margin below the dB floor is a violation, a phase
-    margin below the caution threshold a caution. A curve with no
-    crossover is compliant.
-    """
-    gains = find_crossovers(l, "gain")
-    phases = find_crossovers(l, "phase")
-    crossovers = tuple(sorted(gains + phases, key=lambda c: (c.f_hz, c.kind)))
-
-    worst_pm = min(gains, key=lambda c: c.pm_deg, default=None)
-    worst_gm = max(phases, key=lambda c: abs(c.l_value), default=None)
-
-    regions = [policy.region(c) for c in crossovers]
-    worst = max(regions, key=REGIONS.index, default="compliant")
-    verdict = "violation" if worst == "critical" else worst
-
-    return MarginSummary(
-        crossovers=crossovers,
-        worst_pm=worst_pm,
-        worst_gm=worst_gm,
-        policy=policy,
-        verdict=verdict,
-    )
+    """Detect all gain and phase crossovers of ``l``; the summary reads its
+    worst cases and verdict off them under ``policy``."""
+    crossovers = find_crossovers(l, "gain") + find_crossovers(l, "phase")
+    return MarginSummary(tuple(sorted(crossovers, key=lambda c: (c.f_hz, c.kind))), policy)

@@ -356,7 +356,8 @@ def network_from_obj(obj) -> NetworkElement:
             kwargs["children"] = tuple(network_from_obj(c) for c in v)
             continue
         try:
-            if isinstance(v, bool):  # float(true) would be 1.0
+            parts = [x for pair in v for x in pair] if fld.name in _ROOT_FIELDS else [v]
+            if any(isinstance(x, bool) for x in parts):  # float(true) would be 1.0
                 raise TypeError(v)
             kwargs[fld.name] = (
                 tuple(complex(re, im) for re, im in v) if fld.name in _ROOT_FIELDS else float(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class AssessmentReport:
     ``curves`` optionally carries the loop-gain curves for SVG loci; it is
     not part of the JSON schema and is dropped on parse. Construction, and
     so ``parse_report`` too, checks that the parts agree: one margin
-    policy, one compliance record per limit frequency in order, and the
-    verdict they give.
+    policy, and one compliance record per limit frequency in order, with
+    that frequency's limit.
     """
 
     inputs: dict
@@ -54,36 +54,30 @@ class AssessmentReport:
     compliance: tuple[ComplianceRecord, ...]
     encirclements: dict[str, EncirclementResult]
     consistency_error: float
-    overall_verdict: str
     curves: tuple[tuple[str, FrequencyResponse], ...] = ()
 
     def __post_init__(self):
         if self.l_old_summary.policy != self.l_new_summary.policy:
             raise InconsistentInputs("old/new margin summaries use different policies")
-        if len(self.compliance) != len(self.limit_curve):
+        lc = self.limit_curve
+        if len(self.compliance) != len(lc):
             raise InconsistentInputs("compliance records do not match limit frequencies")
-        for rec, f in zip(self.compliance, self.limit_curve.freqs):
-            if rec.f_hz != f:
+        for rec, f, z_lim in zip(self.compliance, lc.freqs, lc.z_limit_ohm):
+            if (rec.f_hz, rec.z_limit_ohm) != (f, z_lim):
                 raise InconsistentInputs(
-                    f"compliance record at {rec.f_hz} Hz does not match limit {f} Hz"
+                    f"compliance record at {rec.f_hz} Hz ({rec.z_limit_ohm} ohm) "
+                    f"does not match limit {f} Hz ({z_lim} ohm)"
                 )
-        expected = _expected_verdict(
-            self.l_new_summary, self.compliance, self.encirclements
-        )
-        if self.overall_verdict != expected:
-            raise InconsistentInputs(
-                f"overall verdict {self.overall_verdict!r}, components say {expected!r}"
-            )
 
-
-def _expected_verdict(l_new_summary, compliance, encirclements) -> str:
-    """Violation on any compliance violation or nonzero winding, else the
-    L_new margin verdict."""
-    if any(rec.verdict == "violation" for rec in compliance):
-        return "violation"
-    if any(res.winding != 0 for res in encirclements.values()):
-        return "violation"
-    return l_new_summary.verdict
+    @property
+    def overall_verdict(self) -> str:
+        """Violation on any compliance violation or nonzero winding, else
+        the L_new margin verdict."""
+        if any(rec.verdict == "violation" for rec in self.compliance):
+            return "violation"
+        if any(res.winding != 0 for res in self.encirclements.values()):
+            return "violation"
+        return self.l_new_summary.verdict
 
 
 def build_report(
@@ -97,23 +91,21 @@ def build_report(
     consistency_error: float,
     curves=(),
 ) -> AssessmentReport:
-    """Assemble the report and derive the overall verdict.
+    """Assemble the report; it checks that its parts agree.
 
-    The verdict is the worst of the post-connection margin verdict, any
-    compliance violation, and a nonzero winding number (which forces
-    violation). The report checks that its parts agree.
+    ``AssessmentReport.overall_verdict`` is the worst of the
+    post-connection margin verdict, any compliance violation, and a
+    nonzero winding number (which forces violation).
     """
-    compliance = tuple(compliance)
     return AssessmentReport(
         inputs=dict(inputs),
         l_old_summary=l_old_summary,
         l_new_summary=l_new_summary,
         decompositions=tuple(decompositions),
         limit_curve=limit_curve,
-        compliance=compliance,
+        compliance=tuple(compliance),
         encirclements=dict(encirclements),
         consistency_error=float(consistency_error),
-        overall_verdict=_expected_verdict(l_new_summary, compliance, encirclements),
         curves=tuple(curves),
     )
 
@@ -135,28 +127,19 @@ def _num_in(v):
     return None if v is None else float(v)
 
 
+# the margins each crossover kind writes, and every decomposition key in order
+_MARGIN_KEYS = {"gain": ("pm_deg",), "phase": ("gm_lin", "gm_db")}
+_DECOMPOSITION_KEYS = (
+    "f_hz", "kind", "pm_old_newgc_deg", "angle_one_plus_rho_deg",
+    "pm_new_deg", "gm_new_lin", "abs_one_plus_rho", "l_old_mag",
+)
+
+
 def _crossover_obj(cp: CrossoverPoint, policy: MarginPolicy) -> dict:
-    obj = {
-        "f_hz": cp.f_hz,
-        "kind": cp.kind,
-        "l_value": [cp.l_value.real, cp.l_value.imag],
-    }
-    if cp.kind == "gain":
-        obj["pm_deg"] = cp.pm_deg
-    else:
-        obj["gm_lin"] = cp.gm_lin
-        obj["gm_db"] = cp.gm_db
+    obj = {"f_hz": cp.f_hz, "kind": cp.kind, "l_value": [cp.l_value.real, cp.l_value.imag]}
+    obj.update((key, getattr(cp, key)) for key in _MARGIN_KEYS[cp.kind])
     obj["region"] = policy.region(cp)
     return obj
-
-
-def _crossover_from_obj(obj: dict) -> CrossoverPoint:
-    lv = complex(obj["l_value"][0], obj["l_value"][1])
-    if obj["kind"] == "gain":
-        return CrossoverPoint("gain", obj["f_hz"], lv, pm_deg=obj["pm_deg"])
-    return CrossoverPoint(
-        "phase", obj["f_hz"], lv, gm_lin=obj["gm_lin"], gm_db=obj["gm_db"]
-    )
 
 
 def _summary_obj(s: MarginSummary) -> dict:
@@ -170,13 +153,12 @@ def _summary_obj(s: MarginSummary) -> dict:
 
 
 def _summary_from_obj(obj: dict) -> MarginSummary:
-    policy = MarginPolicy(**obj["policy"])
     return MarginSummary(
-        crossovers=tuple(_crossover_from_obj(c) for c in obj["crossovers"]),
-        worst_pm=None if obj["worst_pm"] is None else _crossover_from_obj(obj["worst_pm"]),
-        worst_gm=None if obj["worst_gm"] is None else _crossover_from_obj(obj["worst_gm"]),
-        policy=policy,
-        verdict=obj["verdict"],
+        crossovers=tuple(
+            CrossoverPoint(c["kind"], c["f_hz"], complex(*c["l_value"]))
+            for c in obj["crossovers"]
+        ),
+        policy=MarginPolicy(**obj["policy"]),
     )
 
 
@@ -187,7 +169,9 @@ def _report_to_obj(report: AssessmentReport) -> dict:
         "inputs": report.inputs,
         "l_old": _summary_obj(report.l_old_summary),
         "l_new": _summary_obj(report.l_new_summary),
-        "decompositions": [asdict(d) for d in report.decompositions],
+        "decompositions": [
+            {key: getattr(d, key) for key in _DECOMPOSITION_KEYS} for d in report.decompositions
+        ],
         "limit_curve": {
             "freqs_hz": list(lc.freqs),
             "z_limit_ohm": [_num_out(z) for z in lc.z_limit_ohm],
@@ -221,7 +205,12 @@ def _report_to_obj(report: AssessmentReport) -> dict:
 
 
 def parse_report(data: bytes) -> AssessmentReport:
-    """Reconstruct a report from its JSON rendering."""
+    """Reconstruct a report from its JSON rendering.
+
+    Only the measured values are read; every margin, region, worst case
+    and verdict is derived again, and a report whose copies disagree with
+    the derived ones, or that has an unknown key, is refused.
+    """
     obj = json.loads(data.decode("utf-8"))
     if obj.get("schema") != SCHEMA:
         raise UnsupportedFormat(f"unsupported report schema {obj.get('schema')!r}")
@@ -234,19 +223,17 @@ def parse_report(data: bytes) -> AssessmentReport:
         r_diag=tuple(_num_in(r) for r in lc["r_diag"]),
         flags=tuple(frozenset(f) for f in lc["flags"]),
     )
-    return AssessmentReport(
+    report = AssessmentReport(
         inputs=obj["inputs"],
         l_old_summary=_summary_from_obj(obj["l_old"]),
         l_new_summary=_summary_from_obj(obj["l_new"]),
-        decompositions=tuple(MarginDecomposition(**d) for d in obj["decompositions"]),
+        decompositions=tuple(
+            MarginDecomposition(*(d[f.name] for f in fields(MarginDecomposition)))
+            for d in obj["decompositions"]
+        ),
         limit_curve=limit,
         compliance=tuple(
-            ComplianceRecord(
-                f_hz=rec["f_hz"],
-                z_new_mag_ohm=rec["z_new_mag_ohm"],
-                z_limit_ohm=_num_in(rec["z_limit_ohm"]),
-                verdict=rec["verdict"],
-            )
+            ComplianceRecord(rec["f_hz"], rec["z_new_mag_ohm"], _num_in(rec["z_limit_ohm"]))
             for rec in obj["compliance"]
         ),
         encirclements={
@@ -260,8 +247,14 @@ def parse_report(data: bytes) -> AssessmentReport:
             for name, res in obj["encirclements"].items()
         },
         consistency_error=obj["consistency_error"],
-        overall_verdict=obj["overall_verdict"],
     )
+    derived = _report_to_obj(report)
+    for key in dict.fromkeys([*derived, *obj]):
+        if key not in derived or key not in obj or derived[key] != obj[key]:
+            raise InconsistentInputs(
+                f"report key {key!r} is unknown or disagrees with the measured values"
+            )
+    return report
 
 
 # ---------------------------------------------------------------------------

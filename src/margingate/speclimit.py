@@ -82,10 +82,10 @@ class LimitCurve:
         for zl, dpm, zn, fl in zip(
             self.z_limit_ohm, self.delta_pm_deg, self.z_net_old_mag_ohm, self.flags
         ):
-            if dpm <= 0.0:
-                if FLAG_PREEXISTING not in fl or zl is not None:
+            if dpm <= 0.0 or FLAG_PREEXISTING in fl:
+                if not (dpm <= 0.0 and FLAG_PREEXISTING in fl and zl is None):
                     raise ValueError(
-                        "exhausted headroom must be flagged with no limit value"
+                        "exhausted headroom, and only it, is flagged with no limit value"
                     )
             elif FLAG_UNCONSTRAINED not in fl and zl is not None and math.isfinite(zl):
                 ref = zn / (2.0 * _sin_deg(dpm / 2.0))
@@ -103,15 +103,13 @@ class ComplianceRecord:
     f_hz: float
     z_new_mag_ohm: float
     z_limit_ohm: float | None
-    verdict: str
 
-    def __post_init__(self):
-        if self.verdict not in ("compliant", "violation"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.z_limit_ohm is not None:
-            ok = self.z_new_mag_ohm <= self.z_limit_ohm
-            if (self.verdict == "compliant") != ok:
-                raise ValueError("verdict inconsistent with magnitudes")
+    @property
+    def verdict(self) -> str:
+        """Compliant when |Z_new| is at most the limit (boundary-inclusive);
+        a violation with no limit to state."""
+        ok = self.z_limit_ohm is not None and self.z_new_mag_ohm <= self.z_limit_ohm
+        return "compliant" if ok else "violation"
 
 
 def pm_old_at(l_old: FrequencyResponse, f: float) -> float:
@@ -198,16 +196,9 @@ def check_compliance(
 ) -> list[ComplianceRecord]:
     """Check |Z_new| against the limit at every limit frequency.
 
-    The verdict is boundary-inclusive: |Z_new| equal to the limit is
-    compliant. Frequencies flagged as pre-existing violations yield a
-    violation with no limit value.
+    Each record carries the limit curve's value: frequencies flagged as
+    pre-existing violations have none, so ``ComplianceRecord.verdict``
+    gives a violation there.
     """
     z_mags = np.abs(values_at(z_new, limits.freqs)).tolist()
-    records: list[ComplianceRecord] = []
-    for f, z_mag, z_lim, flags in zip(limits.freqs, z_mags, limits.z_limit_ohm, limits.flags):
-        if FLAG_PREEXISTING in flags or z_lim is None:
-            records.append(ComplianceRecord(f, z_mag, None, "violation"))
-        else:
-            verdict = "compliant" if z_mag <= z_lim else "violation"
-            records.append(ComplianceRecord(f, z_mag, z_lim, verdict))
-    return records
+    return [ComplianceRecord(*row) for row in zip(limits.freqs, z_mags, limits.z_limit_ohm)]

@@ -128,11 +128,11 @@ class TestMarginAt:
 class TestCrossoverPoint:
     def test_invariants_enforced(self):
         with pytest.raises(KindMismatch):
-            CrossoverPoint("gain", 10.0, 2.0 + 0j, pm_deg=45.0)
+            CrossoverPoint("gain", 10.0, 2.0 + 0j)
         with pytest.raises(KindMismatch):
-            CrossoverPoint("phase", 10.0, unit_angle(-90.0), gm_lin=1.0, gm_db=0.0)
-        cp = CrossoverPoint("phase", 10.0, -0.5 + 0j, gm_lin=2.0, gm_db=6.02)
-        assert cp.gm_lin == 2.0
+            CrossoverPoint("phase", 10.0, unit_angle(-90.0))
+        cp = CrossoverPoint("phase", 10.0, -0.5 + 0j)
+        assert (cp.gm_lin, cp.pm_deg) == (2.0, None)
 
 
 class TestDecompose:
@@ -234,7 +234,8 @@ class TestSummarize:
     )
     def test_phase_crossover_region_against_gm_floor(self, gm_db, region):
         gm_lin = 10.0 ** (gm_db / 20.0)
-        cp = CrossoverPoint("phase", 100.0, -1.0 / gm_lin + 0j, gm_lin=gm_lin, gm_db=gm_db)
+        cp = CrossoverPoint("phase", 100.0, -1.0 / gm_lin + 0j)
+        assert (cp.gm_lin, cp.gm_db) == (gm_lin, gm_db)
         assert POLICY.region(cp) == region
 
     def test_scaling_invariance(self, grid_2k):

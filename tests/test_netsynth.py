@@ -242,6 +242,8 @@ class TestValidation:
             ({"type": "resistor", "r_ohm": True}, "r_ohm"),
             ({"type": "thevenin", "v_ll_volt": 66e3, "s_sc_va": 1e9, "xr": True}, "xr"),
             ({"type": "rational", "gain": False}, "gain"),
+            ({"type": "rational", "gain": 2.0, "zeros_rad_s": [[True, 0]]}, "zeros_rad_s"),
+            ({"type": "rational", "gain": 2.0, "zeros_rad_s": [[1.0, False]]}, "zeros_rad_s"),
         ):
             with pytest.raises(ValueError) as exc:
                 network_from_json(json.dumps(obj).encode("utf-8"))

@@ -30,7 +30,6 @@ and were set before the closed form and the array evaluator were written:
 """
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ from margingate.errors import (
 )
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid, value_at, values_at
 from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
-from margingate.margins import _detect_levels, _level_root
+from margingate.margins import MarginPolicy, MarginSummary, _detect_levels, _level_root
 from margingate.netsynth import (
     Capacitor,
     Inductor,
@@ -71,7 +70,8 @@ from margingate.regions import (
     EncirclementResult,
     winding_number,
 )
-from margingate.report import _expected_verdict
+from margingate.report import build_report
+from margingate.speclimit import LimitCurve
 
 from conftest import three_pole
 from test_golden import GOLDEN, case_curves
@@ -401,8 +401,11 @@ def test_tie_step_wraps_to_minus_180():
     for res in (new, old):
         assert res.min_distance_to_critical_point == 0.0
         assert res.resolution_warnings == ((1.0, 2.0),)
-        verdict = _expected_verdict(SimpleNamespace(verdict="compliant"), (), {"l_new": res})
-        assert verdict == "violation"
+        quiet = MarginSummary((), MarginPolicy())
+        report = build_report(
+            {}, quiet, quiet, (), LimitCurve((), (), (), (), (), ()), (), {"l_new": res}, 0.0
+        )
+        assert report.overall_verdict == "violation"
 
 
 # -- network evaluation --------------------------------------------------------

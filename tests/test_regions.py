@@ -72,12 +72,8 @@ class TestGmCircle:
         radius = 10.0 ** (-15.0 / 20.0)  # oracle for the 15 dB policy
         assert radius == pytest.approx(0.177828, abs=1e-6)
         assert POLICY.gm_circle_radius == pytest.approx(radius, rel=1e-15)
-        cp_bad = CrossoverPoint(
-            "phase", 100.0, -0.4 + 0j, gm_lin=2.5, gm_db=20 * math.log10(2.5)
-        )
-        cp_ok = CrossoverPoint(
-            "phase", 200.0, -0.1 + 0j, gm_lin=10.0, gm_db=20.0
-        )
+        cp_bad = CrossoverPoint("phase", 100.0, -0.4 + 0j)
+        cp_ok = CrossoverPoint("phase", 200.0, -0.1 + 0j)
         assert POLICY.region(cp_bad) == "critical"   # 0.4 outside the circle
         assert POLICY.region(cp_ok) == "compliant"   # 0.1 inside
 

@@ -45,17 +45,13 @@ def unit_angle(deg):
     return cmath.exp(1j * math.radians(deg))
 
 
-def empty_summary(verdict="compliant"):
-    return MarginSummary(
-        crossovers=(), worst_pm=None, worst_gm=None, policy=POLICY, verdict=verdict
-    )
+def empty_summary():
+    return MarginSummary(crossovers=(), policy=POLICY)
 
 
-def summary_with_crossover(pm_deg=60.0, verdict="compliant"):
-    cp = CrossoverPoint("gain", 120.0, unit_angle(pm_deg - 180.0), pm_deg=pm_deg)
-    return MarginSummary(
-        crossovers=(cp,), worst_pm=cp, worst_gm=None, policy=POLICY, verdict=verdict
-    )
+def summary_with_crossover(pm_deg=60.0):
+    cp = CrossoverPoint("gain", 120.0, unit_angle(pm_deg - 180.0))
+    return MarginSummary(crossovers=(cp,), policy=POLICY)
 
 
 def empty_limits():
@@ -74,7 +70,7 @@ def basic_report(compliance_rows=ROWS_WITHIN_LIMIT, limit=None, windings=(0, 0),
         l_old_summary=summary_with_crossover(70.0),
         l_new_summary=summary_with_crossover(60.0),
         decompositions=(
-            MarginDecomposition(120.0, "gain", 70.0, 10.0, 60.0, 1.2, 1.4, 1.1666),
+            MarginDecomposition(120.0, "gain", 70.0, 10.0, 1.4, 1.1666),
         ),
         limit_curve=limit,
         compliance=compliance,
@@ -105,7 +101,7 @@ class TestBuild:
         rep = build_report(
             inputs={},
             l_old_summary=empty_summary(),
-            l_new_summary=summary_with_crossover(20.0, verdict="caution"),
+            l_new_summary=summary_with_crossover(20.0),
             decompositions=(),
             limit_curve=limit,
             compliance=(),
@@ -115,7 +111,7 @@ class TestBuild:
         assert rep.overall_verdict == "caution"
 
     def test_policy_mismatch_rejected(self):
-        other = MarginSummary((), None, None, MarginPolicy(10.0, 20.0, 10.0), "compliant")
+        other = MarginSummary((), MarginPolicy(10.0, 20.0, 10.0))
         with pytest.raises(InconsistentInputs):
             build_report(
                 inputs={},
@@ -144,10 +140,17 @@ class TestBuild:
                 l_new_summary=empty_summary(),
                 decompositions=(),
                 limit_curve=empty_limits(),
-                compliance=(ComplianceRecord(10.0, 1.0, 2.0, "compliant"),),
+                compliance=(ComplianceRecord(10.0, 1.0, 2.0),),
                 encirclements={},
                 consistency_error=0.0,
             )
+
+
+_FLIPPED = {"compliant": "violation", "violation": "compliant"}
+
+
+def _l_new_gain(obj):
+    return next(c for c in obj["l_new"]["crossovers"] if c["kind"] == "gain")
 
 
 class TestJson:
@@ -195,8 +198,7 @@ class TestJson:
         rep = build_report(
             inputs={},
             l_old_summary=empty_summary(),
-            l_new_summary=empty_summary("violation" if any(
-                r.verdict == "violation" for r in compliance) else "compliant"),
+            l_new_summary=empty_summary(),
             decompositions=(),
             limit_curve=limit,
             compliance=compliance,
@@ -236,7 +238,20 @@ class TestJson:
         (lambda o: o["compliance"][0].update(f_hz=123.0), "compliance record at 123.0 Hz"),
         (lambda o: o["compliance"].clear(), "compliance records do not match limit"),
         (lambda o: o["l_old"]["policy"].update(pm_min_deg=20), "different policies"),
-    ], ids=["f_hz", "emptied", "policy"])
+        (lambda o: _l_new_gain(o).update(pm_deg=5.0), "key 'l_new'"),
+        (lambda o: _l_new_gain(o).update(region="critical"), "key 'l_new'"),
+        (lambda o: o["l_new"].update(worst_pm=None), "key 'l_new'"),
+        (lambda o: o["l_new"].update(verdict="violation"), "key 'l_new'"),
+        (lambda o: o["compliance"][0].update(verdict=_FLIPPED[o["compliance"][0]["verdict"]]),
+         "key 'compliance'"),
+        (lambda o: o["compliance"][0].update(z_limit_ohm=1e9),
+         r"compliance record at \S+ Hz \(1000000000.0 ohm\)"),
+        (lambda o: o["decompositions"][0].update(pm_new_deg=-99.0), "key 'decompositions'"),
+        (lambda o: o.update(note="unchecked"), "key 'note' is unknown"),
+    ], ids=[
+        "f_hz", "emptied", "policy", "pm_deg", "region", "worst_pm", "summary_verdict",
+        "compliance_verdict", "z_limit", "pm_new_deg", "unknown_key",
+    ])
     def test_reports_build_report_refuses_do_not_parse(self, bundled_obj, tamper, message):
         import copy
         import json

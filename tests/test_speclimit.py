@@ -237,5 +237,5 @@ class TestLimitCurveBuilder:
                 r_diag=(None,),
                 flags=(frozenset(),),
             )
-        with pytest.raises(ValueError):
-            ComplianceRecord(1.0, 5.0, 4.0, "compliant")  # 5 > 4
+        # a record's verdict is read off its magnitudes: 5 > 4
+        assert ComplianceRecord(1.0, 5.0, 4.0).verdict == "violation"

@@ -314,7 +314,7 @@ def _markdown(report: AssessmentReport) -> str:
     lines.append("## Impedance limit compliance")
     lines.append("")
     if report.compliance:
-        lines.append("| f (Hz) | |Z_new| (ohm) | Z_limit (ohm) | verdict |")
+        lines.append("| f (Hz) | \\|Z_new\\| (ohm) | Z_limit (ohm) | verdict |")
         lines.append("| --- | --- | --- | --- |")
         for rec in report.compliance:
             lines.append(

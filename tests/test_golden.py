@@ -12,6 +12,7 @@ here.
 import hashlib
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -41,91 +42,91 @@ GOLDEN = {
         "z_net_old": "b6881c575a452b27ad6313c2dea763fdab0fae0fac9a518dcddf51118e9285dd",
         "z_ppm_new": "260e8822a56bd3452f2027132cc3e5a8f0b25669db8372a4e39a97ca1ca491ed",
         "json": "145d3df8dfae2f76bc6ebfd70b2375df6d5c5e28d9f762eef742d8a99fe1ecfa",
-        "markdown": "383f821244c15ac22d6dffe2f0f44e3ca9480ae3d3b1ccb5ecebb5d60537d7e3",
+        "markdown": "8f530d3c0ff490be99811ba84c24cf3600de96cea5e32c562c49d54e58393fea",
     },
     "tableII-like": {
         "z_ppm_existing": "ae906cdbe1fe80fd82ff689e6d3de4eef434bf31272d9c1ebdbe5cef457d37d4",
         "z_net_old": "b6881c575a452b27ad6313c2dea763fdab0fae0fac9a518dcddf51118e9285dd",
         "z_ppm_new": "51c8d14837d4c704793a2bd6d8c81adc5817ae02812f19e15791e723072f4f95",
         "json": "cc7c56f36aeb3c42c4e21d8e1e0af8ed2f7ca2ab73304c934480d25597374bf3",
-        "markdown": "cc6a8ccf06d000c2daa6a42136d7bf216e59efd587e06de3f907c3afafb5521f",
+        "markdown": "c73a86bbed3b14bd19fc8e6c25e17f9df596264b8c233b69b75779cda5f1866c",
     },
     "seed-0": {
         "z_ppm_existing": "d0a886c78feb24474f7ca0788cd4ff87bd3ef7f78833dd309f923934b180db1c",
         "z_net_old": "39736c34ca1566c90e4d80dd100294c7e9f4abc0d76165dbe8d515d810050736",
         "z_ppm_new": "4f17dee6482d3a967630b9e6061eddeb25086963fe1eb4622256c58e5727d340",
         "json": "6417dcd0332ab860e3ae6b840183d87c56d4cdaf4e5fc279ae9bf81495ec6921",
-        "markdown": "4f24f47050c61883376ef468ad669bfbe45627da2949a0800774ec994b58cc22",
+        "markdown": "7ce20b8d85d6317c2d7f28aaead63588b1a049ede8d4ac6570c3efa4f294294b",
     },
     "seed-1": {
         "z_ppm_existing": "9d2b3040aa00181280bda22cc2194694d3b1fc9f6baf192f4b124531bfcd2bcf",
         "z_net_old": "5e08c3797b0d77fb4d3dfc30cb78b151d06b33819d682e324a806e369f5cc1d9",
         "z_ppm_new": "94c9d9f0bf23cf707016567a6b5069b0fe3330b0b64a70e308f9c97e44e483e3",
         "json": "608f0a61e25e15fa7eee6750e02f8f6966a6ac86c15a6853a2f77da11384566e",
-        "markdown": "2e4a4d2f027965f7153bd44b1fec417434c10e2e095b35c3ed346a21499d0482",
+        "markdown": "0571a2d8f167368a9e6cccdee44a83fceb5d0c7229fc13f8dfe55cbad083b775",
     },
     "seed-2": {
         "z_ppm_existing": "691447b9cea8810e0be508369bdf8ba567a436ea56a2dd90800e576d744c5c71",
         "z_net_old": "101ea9b1eb691b17bba0e9f59bb1fe5c9bc67b4341ce4ec5f83b7713090eacdb",
         "z_ppm_new": "19f1e912a439b131f44c8d5354f18679976f17574afe1b59546930f23de890e7",
         "json": "a19ad18cce34802830a8b6c50c823b1cd5c891f1110bf907f958d3d40c57cdbc",
-        "markdown": "39740811607684f8c34fee59c197a9e670eebc73faf040b2d2b1b11fd527bec7",
+        "markdown": "0800a0911ee354cb47a0edf2af07ce1c2abac59f1fb7cc1382f6a1236cf34cb8",
     },
     "seed-3": {
         "z_ppm_existing": "72106aed8a686b8be3bb7871fd7528682b0ee919a34361c36a1bdfc5c0c6fac0",
         "z_net_old": "db17d0750e5178b34ec1e0216a92402f5c7781aee63b6131df799a1447a1866d",
         "z_ppm_new": "a214afa73ffb9213b631e332a282dcc052d8338696cf70a2bbe9f6f2395a33ae",
         "json": "d661eaa40a5554c51bf05e05aeb23aef29019520db3d185a55b1889c44964efd",
-        "markdown": "d76098fb5d78761f17c2f99d85659ed4d0bbfe17a893089d81c8daceca34bd40",
+        "markdown": "818b27ea1700bc2967813cd33a2ca064b6e842c1bd0e44b8d8f9b1dae2eab69b",
     },
     "seed-4": {
         "z_ppm_existing": "1f04383a91adc20be91bedfbea7f67f2659fb6fcd57b5c75dc3749977fdc2fde",
         "z_net_old": "e02898ecf9fef2e1a9b890c4b5551ab53da609858f0cf38bd5ef316f095480c0",
         "z_ppm_new": "74a1513c3e61209b9b7aea7713116b83115d7323e2c4a9b00b939ac3aad03b79",
         "json": "5f3ab031e423dc88627ec455706405adb1baa44ebde1afbf15a53cc50f32ab05",
-        "markdown": "60f871b385cf225cedb52a09f0da1fe35b535666f4e8c99f0c763da6079fd9dd",
+        "markdown": "d914404112a3cad6c778f69df009cab763a6b01486773c0b94a4fd85853c366d",
     },
     "seed-5": {
         "z_ppm_existing": "8d5ef5d9db69d9f7eae10e6e1c69413b8b146937f9beb488d7014305b202827e",
         "z_net_old": "8cb72a12202eca3cbcda5faa775ac894cdebb8e15a85e7396fcc7bd3cbb15541",
         "z_ppm_new": "5030dcabc82f852f96114b3ac085650977e7c525e28bbcb6bac58b1cf8f71e7c",
         "json": "78577b8c5efa206bed928aa5a11f1a7cc4788cf20d1ca1841a8bbb7f6855ecaa",
-        "markdown": "9b8540030501c21fa2f67bb755272c6f84c7ae9d1e3b9f3637e4ca3e597f839e",
+        "markdown": "fa9eea0410fd5af8897a69827c017835ff6874051ad5bc2555ebb9a1fcf4f79a",
     },
     "seed-6": {
         "z_ppm_existing": "ed43762917786706291a7f82a32f959a3d8cab27bfc12fe77fdef4834f0b655f",
         "z_net_old": "5b00647f84e99277b102f1267946aa0def96d3b06b8c226e75589ebd0b138428",
         "z_ppm_new": "1030f1aa4f2fbe4091ab12683132417f78685f982c366c27313451aad80e0a73",
         "json": "2ee61d2c212ac70501eb910449da1ca8122a61cc09ee9449d2963efee61e4e44",
-        "markdown": "171d80198646179dbf8d0feb2cd58dbbbe4e02f03423f3dd21a6286189466469",
+        "markdown": "14584eb3676a40faf364d82ce6ebbd1e7bfda3518cb2643df0c420c066d70b54",
     },
     "seed-7": {
         "z_ppm_existing": "47966033e8b3faede987f2a9987eeda3aa05fc3d258a9b02d7eb9dad9f1aa8c4",
         "z_net_old": "5f3bc0bab490c048c49198150fc426292ea1167e19b61eb8be2a8bf16dabacf9",
         "z_ppm_new": "9efa3ee49ab3f9ea38ba75e58bba93dd6af7ff6d79342e8ab5f1b31e78e9075d",
         "json": "85bc4d29221ce37861048f401e07fa0ce2c6901b5092a17c99f8ec1e8ff47f4c",
-        "markdown": "5db7a0fa0becfd4e1f9f145d2dc6d2a138a935f3a6c85fdcfe1b6310e37c5278",
+        "markdown": "de9f622010cf7b9f625429a943cbfc381b450ef84db9dbd2f1a817b917fc6d62",
     },
     "seed-8": {
         "z_ppm_existing": "c58647e9fdca524f4f81d0f70500defb65f1d7de031610d18bbc08590d24f376",
         "z_net_old": "507ea7e243b4fd0b59e26e7889c336afa0e04454a0221117bedff4d1cadf6e74",
         "z_ppm_new": "cfb49e8dd510492400e8e038891a223d0275899897eba27abb085ef1b73583db",
         "json": "fd8a4577dbd2fc7627a5572bba597d0b3b9fb2515c01c7435de7a8077c7006fb",
-        "markdown": "ad54ddf68ef9a38cc3c53bbfa2d65ba2b4e841500dcf7625c7d599537626328d",
+        "markdown": "bcdb00b7c6bd21f7d1829b7519b72868654e7e533b2c8ddcab6930079849184c",
     },
     "seed-9": {
         "z_ppm_existing": "66962cf2af5580038ac17be20625cb41fdba6cb843c649ed9c3b7e07fbc2ea50",
         "z_net_old": "887b7b4902cd8145756abba5e0e2db3f68aaf5ffff93032b110fbd0185e6c2a9",
         "z_ppm_new": "11f358d96e28e34a7b0c49f3431d84a1dab1469503229a97342e1cbb6cd7b141",
         "json": "40b96064f86b49236cce2e08314e88fbdf3e4596cd3b26b945b31d4164ecf590",
-        "markdown": "a346d0eb3d53029abc24f0f59800c041ef6630bec8a918509982437e94981649",
+        "markdown": "4d67155a197216b0c1e071a6cd1ad57dace5b2c56368e44902d96d4cef8b8f00",
     },
     "converter": {
         "z_ppm_existing": "9e510c7818b77a293081835d15bd78b1531d79da65804177bf9b1dafd7ce06bc",
         "z_net_old": "a6a6be47021e7b101af9be71c70868a610fdf8f9d827a1490e5dc9bce128d17a",
         "z_ppm_new": "c46624549a031915f68cfb7272f835b8038d75f85a4c24b804f3c15d2d3dc013",
         "json": "2092e824aee989ee20eeb76e0339386be3ce822788a6762d9f2e734a7e324885",
-        "markdown": "9fbdcff4fd92f037585ccede96114bfe28a7f6e70cccefc5ea4d639f0ff2f66f",
+        "markdown": "630a3d7316fa08c323bd54addfe1f77cac8e2951c9f41029352a569f1ecc0fec",
     },
 }
 
@@ -322,6 +323,29 @@ def check_report(name: str, tmp_path):
 def test_golden_digests(name, tmp_path):
     got, _ = check_report(name, tmp_path)
     assert got == GOLDEN[name]
+
+
+def table_cell_counts(markdown: str) -> list[list[int]]:
+    """Cells per row of each markdown table, split on unescaped pipes."""
+    tables, rows = [], []
+    for line in markdown.splitlines() + [""]:
+        if line.startswith("|"):
+            rows.append(len(re.split(r"(?<!\\)\|", line.strip())) - 2)
+        elif rows:
+            tables.append(rows)
+            rows = []
+    return tables
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_markdown_tables_have_one_cell_count(name, tmp_path):
+    # GFM renders a table only when its header has as many cells as the
+    # delimiter row under it
+    _, report = check_report(name, tmp_path)
+    tables = table_cell_counts(render(report, "markdown").decode())
+    assert tables
+    for counts in tables:
+        assert counts[1] == counts[0] > 1 and set(counts) == {counts[0]}
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))

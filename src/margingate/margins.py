@@ -139,7 +139,7 @@ class CrossoverPoint:
 
     @property
     def gm_db(self) -> float | None:
-        return None if self.kind == "gain" else 20.0 * math.log10(self.gm_lin)
+        return 20.0 * math.log10(self.gm_lin) if self.kind == "phase" else None
 
 
 @dataclass(frozen=True)

@@ -237,5 +237,14 @@ class TestLimitCurveBuilder:
                 r_diag=(None,),
                 flags=(frozenset(),),
             )
+        with pytest.raises(ValueError, match="and only it"):
+            LimitCurve(
+                freqs=(1.0,),
+                z_limit_ohm=(10.0,),  # consistent with 60 deg of headroom
+                delta_pm_deg=(60.0,),
+                z_net_old_mag_ohm=(10.0,),
+                r_diag=(None,),
+                flags=(frozenset({FLAG_PREEXISTING}),),  # yet flagged exhausted
+            )
         # a record's verdict is read off its magnitudes: 5 > 4
         assert ComplianceRecord(1.0, 5.0, 4.0).verdict == "violation"

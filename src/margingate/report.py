@@ -207,9 +207,9 @@ def _report_to_obj(report: AssessmentReport) -> dict:
 def parse_report(data: bytes) -> AssessmentReport:
     """Reconstruct a report from its JSON rendering.
 
-    Only the measured values are read; every margin, region, worst case
-    and verdict is derived again, and a report whose copies disagree with
-    the derived ones, or that has an unknown key, is refused.
+    Only the measured values are read; every limit, flag, margin, region,
+    worst case and verdict is derived again, and a report whose copies
+    disagree with the derived ones, or that has an unknown key, is refused.
     """
     obj = json.loads(data.decode("utf-8"))
     if obj.get("schema") != SCHEMA:
@@ -217,11 +217,9 @@ def parse_report(data: bytes) -> AssessmentReport:
     lc = obj["limit_curve"]
     limit = LimitCurve(
         freqs=tuple(lc["freqs_hz"]),
-        z_limit_ohm=tuple(_num_in(z) for z in lc["z_limit_ohm"]),
         delta_pm_deg=tuple(lc["delta_pm_deg"]),
         z_net_old_mag_ohm=tuple(lc["z_net_old_mag_ohm"]),
         r_diag=tuple(_num_in(r) for r in lc["r_diag"]),
-        flags=tuple(frozenset(f) for f in lc["flags"]),
     )
     report = AssessmentReport(
         inputs=obj["inputs"],

@@ -57,40 +57,61 @@ def _sin_deg(x: float) -> float:
     return math.sin(math.radians(x))
 
 
+def _check_z_net_old(z_net_old_mag: float) -> None:
+    if not (math.isfinite(z_net_old_mag) and z_net_old_mag > 0.0):
+        raise NonpositiveImpedanceMagnitude(
+            f"|Z_net,old| must be positive, got {z_net_old_mag!r}"
+        )
+
+
+def _limit_rule(
+    delta_pm: float, z_net_old_mag: float, r: float | None = None
+) -> tuple[float | None, frozenset[str]]:
+    """The limit and flags at one frequency, read off the headroom,
+    |Z_net,old| and, when known, r = |1+rho|."""
+    flags = frozenset({FLAG_R_CAVEAT}) if r is not None and r < 1.0 else frozenset()
+    if delta_pm <= 0.0:
+        return None, flags | {FLAG_PREEXISTING}
+    if delta_pm >= 180.0:
+        return z_net_old_mag / 2.0, flags | {FLAG_UNCONSTRAINED}
+    return z_net_old_mag / (2.0 * _sin_deg(delta_pm / 2.0)), flags
+
+
 @dataclass(frozen=True)
 class LimitCurve:
-    """Per-frequency maximum allowable impedance with diagnostics.
+    """Per-frequency headroom and |Z_net,old| with diagnostics.
 
-    ``z_limit_ohm`` entries are None where headroom is exhausted
-    (pre-existing violation) and may be ``math.inf`` as an explicit
-    no-constraint sentinel. ``r_diag`` carries |1+rho| when rho was
-    available, else None.
+    ``r_diag`` carries |1+rho| when rho was available, else None. The
+    limit and the flags are read off these by one rule.
     """
 
     freqs: tuple[float, ...]
-    z_limit_ohm: tuple[float | None, ...]
     delta_pm_deg: tuple[float, ...]
     z_net_old_mag_ohm: tuple[float, ...]
     r_diag: tuple[float | None, ...]
-    flags: tuple[frozenset[str], ...]
 
     def __post_init__(self):
         n = len(self.freqs)
-        for name in ("z_limit_ohm", "delta_pm_deg", "z_net_old_mag_ohm", "r_diag", "flags"):
+        for name in ("delta_pm_deg", "z_net_old_mag_ohm", "r_diag"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length must match freqs")
-        for zl, dpm, zn, fl in zip(
-            self.z_limit_ohm, self.delta_pm_deg, self.z_net_old_mag_ohm, self.flags
-        ):
-            if dpm <= 0.0 or FLAG_PREEXISTING in fl:
-                if not (dpm <= 0.0 and FLAG_PREEXISTING in fl and zl is None):
-                    raise ValueError(
-                        "exhausted headroom, and only it, is flagged with no limit value"
-                    )
-            elif FLAG_UNCONSTRAINED not in fl and zl is not None and math.isfinite(zl):
-                ref = zn / (2.0 * _sin_deg(dpm / 2.0))
-                if abs(zl - ref) > 1e-12 * ref:
-                    raise ValueError("limit value inconsistent with its headroom")
+        for zn in self.z_net_old_mag_ohm:
+            _check_z_net_old(zn)
+
+    def _rows(self) -> list[tuple[float | None, frozenset[str]]]:
+        return [
+            _limit_rule(*row)
+            for row in zip(self.delta_pm_deg, self.z_net_old_mag_ohm, self.r_diag)
+        ]
+
+    @property
+    def z_limit_ohm(self) -> tuple[float | None, ...]:
+        """Maximum allowable |Z_new|; None where headroom is exhausted."""
+        return tuple(z for z, _ in self._rows())
+
+    @property
+    def flags(self) -> tuple[frozenset[str], ...]:
+        return tuple(fl for _, fl in self._rows())
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -134,17 +155,10 @@ def impedance_limit(
     |Z_net,old|/2) so the bound stays monotone-conservative, flagged
     ``unconstrained``.
     """
-    if not (math.isfinite(z_net_old_mag) and z_net_old_mag > 0.0):
-        raise NonpositiveImpedanceMagnitude(
-            f"|Z_net,old| must be positive, got {z_net_old_mag!r}"
-        )
+    _check_z_net_old(z_net_old_mag)
     delta_pm = pm_old_deg - policy.pm_min_deg
-    if delta_pm <= 0.0:
-        return None, delta_pm, frozenset({FLAG_PREEXISTING})
-    if delta_pm >= 180.0:
-        return z_net_old_mag / 2.0, delta_pm, frozenset({FLAG_UNCONSTRAINED})
-    z_limit = z_net_old_mag / (2.0 * _sin_deg(delta_pm / 2.0))
-    return z_limit, delta_pm, frozenset()
+    z_limit, flags = _limit_rule(delta_pm, z_net_old_mag)
+    return z_limit, delta_pm, flags
 
 
 def limit_curve(
@@ -163,32 +177,13 @@ def limit_curve(
     is not guaranteed in that regime.
     """
     fs = sorted(set(float(f) for f in freqs))
-    pm_olds = [pm_deg(z) for z in values_at(l_old, fs).tolist()]
-    znet_mags = np.abs(values_at(z_net_old, fs)).tolist()
+    dpms = tuple(pm_deg(z) - policy.pm_min_deg for z in values_at(l_old, fs).tolist())
+    znet_mags = tuple(np.abs(values_at(z_net_old, fs)).tolist())
     if ratio is None:
-        r_diags: list[float | None] = [None] * len(fs)
+        r_diags: tuple[float | None, ...] = (None,) * len(fs)
     else:
-        r_diags = np.abs(values_at(one_plus(ratio), fs)).tolist()
-
-    z_limits: list[float | None] = []
-    dpms: list[float] = []
-    flag_sets: list[frozenset[str]] = []
-    for pm_old, znet_mag, r in zip(pm_olds, znet_mags, r_diags):
-        z_lim, dpm, flags = impedance_limit(znet_mag, pm_old, policy)
-        if r is not None and r < 1.0:
-            flags = flags | {FLAG_R_CAVEAT}
-        z_limits.append(z_lim)
-        dpms.append(dpm)
-        flag_sets.append(flags)
-
-    return LimitCurve(
-        freqs=tuple(fs),
-        z_limit_ohm=tuple(z_limits),
-        delta_pm_deg=tuple(dpms),
-        z_net_old_mag_ohm=tuple(znet_mags),
-        r_diag=tuple(r_diags),
-        flags=tuple(flag_sets),
-    )
+        r_diags = tuple(np.abs(values_at(one_plus(ratio), fs)).tolist())
+    return LimitCurve(tuple(fs), dpms, znet_mags, r_diags)
 
 
 def check_compliance(

@@ -403,7 +403,7 @@ def test_tie_step_wraps_to_minus_180():
         assert res.resolution_warnings == ((1.0, 2.0),)
         quiet = MarginSummary((), MarginPolicy())
         report = build_report(
-            {}, quiet, quiet, (), LimitCurve((), (), (), (), (), ()), (), {"l_new": res}, 0.0
+            {}, quiet, quiet, (), LimitCurve((), (), (), ()), (), {"l_new": res}, 0.0
         )
         assert report.overall_verdict == "violation"
 

@@ -55,7 +55,7 @@ def summary_with_crossover(pm_deg=60.0):
 
 
 def empty_limits():
-    return LimitCurve((), (), (), (), (), ())
+    return LimitCurve((), (), (), ())
 
 
 def no_encirclement():
@@ -153,6 +153,16 @@ def _l_new_gain(obj):
     return next(c for c in obj["l_new"]["crossovers"] if c["kind"] == "gain")
 
 
+def _rewrite_limit(obj, z_limit, rows=("limit_curve", "compliance")):
+    """Rewrite the one limit in the given rows, with verdicts to match."""
+    if "limit_curve" in rows:
+        obj["limit_curve"]["z_limit_ohm"] = [z_limit]
+    if "compliance" in rows:
+        obj["compliance"][0]["z_limit_ohm"] = z_limit
+        obj["compliance"][0]["verdict"] = "compliant"
+        obj["overall_verdict"] = "compliant"
+
+
 class TestJson:
     def test_round_trip_byte_identical(self):
         rep = basic_report()
@@ -187,11 +197,9 @@ class TestJson:
     def test_infinity_and_none_round_trip(self):
         limit = LimitCurve(
             freqs=(50.0, 100.0),
-            z_limit_ohm=(math.inf, None),
             delta_pm_deg=(1e-14, -3.0),
             z_net_old_mag_ohm=(5.0, 5.0),
-            r_diag=(1.5, None),
-            flags=(frozenset(), frozenset({FLAG_PREEXISTING})),
+            r_diag=(math.inf, None),
         )
         z_new = table_z_new([(50.0, 1.0, None), (100.0, 1.0, None)])
         compliance = check_compliance(z_new, limit)
@@ -207,8 +215,9 @@ class TestJson:
         )
         blob = render(rep, "json")
         back = parse_report(blob)
-        assert back.limit_curve.z_limit_ohm[0] == math.inf
+        assert back.limit_curve.r_diag == (math.inf, None)
         assert back.limit_curve.z_limit_ohm[1] is None
+        assert back.limit_curve.flags[1] == frozenset({FLAG_PREEXISTING})
         assert back.encirclements["l_new"].resolution_warnings[0][1] == math.inf
         assert render(back, "json") == blob
 
@@ -225,14 +234,25 @@ class TestJson:
             with pytest.raises(InconsistentInputs):
                 parse_report(json.dumps(obj).encode())
 
-    @pytest.fixture(scope="class")
-    def bundled_obj(self, tmp_path_factory):
+    @staticmethod
+    def _bundled_obj(name, tmp_path_factory):
         import json
 
-        paths = write_bundled_case("compliant-A", tmp_path_factory.mktemp("compliant-A"))
+        paths = write_bundled_case(name, tmp_path_factory.mktemp(name))
         rep, _ = run_assessment(RunConfig(**paths))
         assert rep.compliance
         return json.loads(render(rep, "json"))
+
+    @pytest.fixture(scope="class")
+    def bundled_obj(self, tmp_path_factory):
+        return self._bundled_obj("compliant-A", tmp_path_factory)
+
+    @pytest.fixture(scope="class")
+    def violation_obj(self, tmp_path_factory):
+        obj = self._bundled_obj("tableII-like", tmp_path_factory)
+        assert obj["overall_verdict"] == "violation"
+        assert len(obj["compliance"]) == 1
+        return obj
 
     @pytest.mark.parametrize("tamper,message", [
         (lambda o: o["compliance"][0].update(f_hz=123.0), "compliance record at 123.0 Hz"),
@@ -258,6 +278,22 @@ class TestJson:
 
         obj = copy.deepcopy(bundled_obj)
         tamper(obj)
+        with pytest.raises(InconsistentInputs, match=message):
+            parse_report(json.dumps(obj).encode())
+
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda o, z: _rewrite_limit(o, "inf"), r"\(inf ohm\) does not match limit"),
+        (lambda o, z: _rewrite_limit(o, 2.0 * z), "does not match limit"),
+        (lambda o, z: _rewrite_limit(o, 2.0 * z, ("limit_curve",)), "key 'limit_curve'"),
+        (lambda o, z: o["limit_curve"].update(flags=[["unconstrained"]]), "key 'limit_curve'"),
+    ], ids=["inf", "doubled", "doubled_limit_row", "flags"])
+    def test_rewritten_limits_do_not_parse(self, violation_obj, tamper, message):
+        import copy
+        import json
+
+        obj = copy.deepcopy(violation_obj)
+        tamper(obj, obj["limit_curve"]["z_limit_ohm"][0])
         with pytest.raises(InconsistentInputs, match=message):
             parse_report(json.dumps(obj).encode())
 

@@ -48,11 +48,9 @@ def table_limit_curve(rows) -> LimitCurve:
     lims = tuple(r[2] for r in rows)
     return LimitCurve(
         freqs=freqs,
-        z_limit_ohm=lims,
         delta_pm_deg=tuple(60.0 for _ in rows),
         z_net_old_mag_ohm=lims,
         r_diag=tuple(None for _ in rows),
-        flags=tuple(frozenset() for _ in rows),
     )
 
 
@@ -186,12 +184,11 @@ class TestCompliance:
     def test_preexisting_violation_rows(self):
         limits = LimitCurve(
             freqs=(100.0,),
-            z_limit_ohm=(None,),
             delta_pm_deg=(-5.0,),
             z_net_old_mag_ohm=(3.0,),
             r_diag=(None,),
-            flags=(frozenset({FLAG_PREEXISTING}),),
         )
+        assert limits.flags == (frozenset({FLAG_PREEXISTING}),)
         z_new = table_z_new([(50.0, 1.0, None), (100.0, 1.0, None), (150.0, 1.0, None)])
         records = check_compliance(z_new, limits)
         assert records[0].verdict == "violation"
@@ -228,23 +225,10 @@ class TestLimitCurveBuilder:
         assert len(lc) == 3
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LimitCurve(
-                freqs=(1.0,),
-                z_limit_ohm=(123.0,),  # inconsistent with headroom
-                delta_pm_deg=(60.0,),
-                z_net_old_mag_ohm=(10.0,),
-                r_diag=(None,),
-                flags=(frozenset(),),
-            )
-        with pytest.raises(ValueError, match="and only it"):
-            LimitCurve(
-                freqs=(1.0,),
-                z_limit_ohm=(10.0,),  # consistent with 60 deg of headroom
-                delta_pm_deg=(60.0,),
-                z_net_old_mag_ohm=(10.0,),
-                r_diag=(None,),
-                flags=(frozenset({FLAG_PREEXISTING}),),  # yet flagged exhausted
-            )
+        with pytest.raises(ValueError, match="r_diag length"):
+            LimitCurve(freqs=(1.0,), delta_pm_deg=(60.0,), z_net_old_mag_ohm=(10.0,), r_diag=())
+        for z_net_old in (0.0, -3.0, math.inf, math.nan):
+            with pytest.raises(NonpositiveImpedanceMagnitude):
+                LimitCurve((1.0,), (60.0,), (z_net_old,), (None,))
         # a record's verdict is read off its magnitudes: 5 > 4
         assert ComplianceRecord(1.0, 5.0, 4.0).verdict == "violation"

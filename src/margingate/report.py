@@ -209,44 +209,47 @@ def parse_report(data: bytes) -> AssessmentReport:
 
     Only the measured values are read; every limit, flag, margin, region,
     worst case and verdict is derived again, and a report whose copies
-    disagree with the derived ones, or that has an unknown key, is refused.
+    disagree with the derived ones, that has an unknown key, or that
+    cannot be read as a report is refused.
     """
-    obj = json.loads(data.decode("utf-8"))
-    if obj.get("schema") != SCHEMA:
-        raise UnsupportedFormat(f"unsupported report schema {obj.get('schema')!r}")
-    lc = obj["limit_curve"]
-    limit = LimitCurve(
-        freqs=tuple(lc["freqs_hz"]),
-        delta_pm_deg=tuple(lc["delta_pm_deg"]),
-        z_net_old_mag_ohm=tuple(lc["z_net_old_mag_ohm"]),
-        r_diag=tuple(_num_in(r) for r in lc["r_diag"]),
-    )
-    report = AssessmentReport(
-        inputs=obj["inputs"],
-        l_old_summary=_summary_from_obj(obj["l_old"]),
-        l_new_summary=_summary_from_obj(obj["l_new"]),
-        decompositions=tuple(
-            MarginDecomposition(*(d[f.name] for f in fields(MarginDecomposition)))
-            for d in obj["decompositions"]
-        ),
-        limit_curve=limit,
-        compliance=tuple(
-            ComplianceRecord(rec["f_hz"], rec["z_new_mag_ohm"], _num_in(rec["z_limit_ohm"]))
-            for rec in obj["compliance"]
-        ),
-        encirclements={
-            name: EncirclementResult(
-                winding=int(res["winding"]),
-                min_distance_to_critical_point=res["min_distance_to_critical_point"],
-                resolution_warnings=tuple(
-                    (_num_in(a), _num_in(b)) for a, b in res["resolution_warnings"]
-                ),
-            )
-            for name, res in obj["encirclements"].items()
-        },
-        consistency_error=obj["consistency_error"],
-    )
-    derived = _report_to_obj(report)
+    try:
+        obj = json.loads(data.decode("utf-8"))
+        if obj.get("schema") != SCHEMA:
+            raise UnsupportedFormat(f"unsupported report schema {obj.get('schema')!r}")
+        lc = obj["limit_curve"]
+        report = AssessmentReport(
+            inputs=obj["inputs"],
+            l_old_summary=_summary_from_obj(obj["l_old"]),
+            l_new_summary=_summary_from_obj(obj["l_new"]),
+            decompositions=tuple(
+                MarginDecomposition(*(d[f.name] for f in fields(MarginDecomposition)))
+                for d in obj["decompositions"]
+            ),
+            limit_curve=LimitCurve(
+                freqs=tuple(lc["freqs_hz"]),
+                delta_pm_deg=tuple(lc["delta_pm_deg"]),
+                z_net_old_mag_ohm=tuple(lc["z_net_old_mag_ohm"]),
+                r_diag=tuple(_num_in(r) for r in lc["r_diag"]),
+            ),
+            compliance=tuple(
+                ComplianceRecord(rec["f_hz"], rec["z_new_mag_ohm"], _num_in(rec["z_limit_ohm"]))
+                for rec in obj["compliance"]
+            ),
+            encirclements={
+                name: EncirclementResult(
+                    winding=int(res["winding"]),
+                    min_distance_to_critical_point=res["min_distance_to_critical_point"],
+                    resolution_warnings=tuple(
+                        (_num_in(a), _num_in(b)) for a, b in res["resolution_warnings"]
+                    ),
+                )
+                for name, res in obj["encirclements"].items()
+            },
+            consistency_error=obj["consistency_error"],
+        )
+        derived = _report_to_obj(report)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InconsistentInputs(f"malformed report: {exc!r}") from exc
     for key in dict.fromkeys([*derived, *obj]):
         if key not in derived or key not in obj or derived[key] != obj[key]:
             raise InconsistentInputs(

@@ -225,6 +225,18 @@ class TestJson:
         with pytest.raises(UnsupportedFormat):
             parse_report(b'{"schema": "other/9"}')
 
+    @pytest.mark.parametrize("data", [
+        b'{"schema": "margin-gate/1"}',
+        b'{"schema": "margin-gate/1", "limit_curve": []}',
+        b"[1]",
+        b'"margin-gate/1"',
+        b"{",
+        b"\xff",
+    ], ids=["truncated", "limit_curve_list", "list", "string", "bad_json", "bad_utf8"])
+    def test_malformed_reports_refused(self, data):
+        with pytest.raises(InconsistentInputs, match="malformed report"):
+            parse_report(data)
+
     def test_tampered_verdict_rejected(self):
         import json
 
@@ -268,9 +280,12 @@ class TestJson:
          r"compliance record at \S+ Hz \(1000000000.0 ohm\)"),
         (lambda o: o["decompositions"][0].update(pm_new_deg=-99.0), "key 'decompositions'"),
         (lambda o: o.update(note="unchecked"), "key 'note' is unknown"),
+        (lambda o: o["limit_curve"]["delta_pm_deg"].clear(), "delta_pm_deg length"),
+        (lambda o: o.pop("encirclements"), r"KeyError\('encirclements'\)"),
     ], ids=[
         "f_hz", "emptied", "policy", "pm_deg", "region", "worst_pm", "summary_verdict",
-        "compliance_verdict", "z_limit", "pm_new_deg", "unknown_key",
+        "compliance_verdict", "z_limit", "pm_new_deg", "unknown_key", "short_delta_pm",
+        "missing_key",
     ])
     def test_reports_build_report_refuses_do_not_parse(self, bundled_obj, tamper, message):
         import copy

@@ -42,8 +42,9 @@ class AssessmentReport:
     ``curves`` optionally carries the loop-gain curves for SVG loci; it is
     not part of the JSON schema and is dropped on parse. Construction, and
     so ``parse_report`` too, checks that the parts agree: one margin
-    policy, and one compliance record per limit frequency in order, with
-    that frequency's limit.
+    policy, one decomposition per L_new crossover in order, with its
+    frequency and kind, and one compliance record per limit frequency in
+    order, with that frequency's limit.
     """
 
     inputs: dict
@@ -59,6 +60,10 @@ class AssessmentReport:
     def __post_init__(self):
         if self.l_old_summary.policy != self.l_new_summary.policy:
             raise InconsistentInputs("old/new margin summaries use different policies")
+        if [(d.f_hz, d.kind) for d in self.decompositions] != [
+            (cp.f_hz, cp.kind) for cp in self.l_new_summary.crossovers
+        ]:
+            raise InconsistentInputs("decompositions do not sit on the L_new crossovers")
         lc = self.limit_curve
         if len(self.compliance) != len(lc):
             raise InconsistentInputs("compliance records do not match limit frequencies")

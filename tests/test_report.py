@@ -102,7 +102,7 @@ class TestBuild:
             inputs={},
             l_old_summary=empty_summary(),
             l_new_summary=summary_with_crossover(20.0),
-            decompositions=(),
+            decompositions=(MarginDecomposition(120.0, "gain", 30.0, 10.0, 1.4, 1.1666),),
             limit_curve=limit,
             compliance=(),
             encirclements={"l_new": no_encirclement()},
@@ -280,12 +280,15 @@ class TestJson:
          r"compliance record at \S+ Hz \(1000000000.0 ohm\)"),
         (lambda o: o["decompositions"][0].update(pm_new_deg=-99.0), "key 'decompositions'"),
         (lambda o: o.update(note="unchecked"), "key 'note' is unknown"),
+        (lambda o: o["decompositions"].clear(), "decompositions do not sit"),
+        (lambda o: o["decompositions"][0].update(f_hz=123.0), "decompositions do not sit"),
+        (lambda o: o["decompositions"][0].update(kind="phase"), "decompositions do not sit"),
         (lambda o: o["limit_curve"]["delta_pm_deg"].clear(), "delta_pm_deg length"),
         (lambda o: o.pop("encirclements"), r"KeyError\('encirclements'\)"),
     ], ids=[
         "f_hz", "emptied", "policy", "pm_deg", "region", "worst_pm", "summary_verdict",
-        "compliance_verdict", "z_limit", "pm_new_deg", "unknown_key", "short_delta_pm",
-        "missing_key",
+        "compliance_verdict", "z_limit", "pm_new_deg", "unknown_key", "no_decomposition",
+        "decomposition_f_hz", "decomposition_kind", "short_delta_pm", "missing_key",
     ])
     def test_reports_build_report_refuses_do_not_parse(self, bundled_obj, tamper, message):
         import copy

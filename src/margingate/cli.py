@@ -75,6 +75,8 @@ class RunConfig:
             raise ValueError(
                 "exactly one input mode: three impedance files or --synth case"
             )
+        if self.critical_freqs is not None and not self.critical_freqs:
+            raise ValueError("critical_freqs needs a frequency; None detects them")
         unknown = set(self.formats) - set(FORMATS)
         if unknown:
             raise ValueError(f"unknown formats {sorted(unknown)}; choose from {FORMATS}")
@@ -272,7 +274,10 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _parse_freq_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    freqs = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not freqs:
+        raise ValueError(f"no frequency in critical-frequency list {text!r}")
+    return freqs
 
 
 def _parse_span(text: str) -> tuple[float, float]:
@@ -354,7 +359,7 @@ def _cmd_check(args) -> int:
         synth_case=Path(args.synth) if args.synth else None,
         policy=args.policy,
         critical_freqs=(
-            _parse_freq_list(args.critical_freqs) if args.critical_freqs else None
+            None if args.critical_freqs is None else _parse_freq_list(args.critical_freqs)
         ),
         out_dir=Path(args.out_dir),
         formats=tuple(f.strip() for f in args.format.split(",") if f.strip()),
@@ -398,7 +403,7 @@ def _cmd_limit(args) -> int:
         l_old = _read_response(Path(args.l_old))
         z_net = _read_response(Path(args.z_net_old))
     with _stage("limit"):
-        if args.critical_freqs:
+        if args.critical_freqs is not None:
             freqs = _parse_freq_list(args.critical_freqs)
         elif args.detect_from:
             l_probe = _read_response(Path(args.detect_from))

@@ -93,6 +93,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "[stage=limit]" in err and "nan Hz outside span" in err
 
+    @pytest.mark.parametrize("freqs", [",", ""])
+    def test_empty_critical_frequency_list_exit_2(self, tmp_path, capsys, freqs):
+        # the detected crossovers of tableII-like give exit 1; an empty
+        # operator list must not assess nothing and pass
+        paths = write_bundled_case("tableII-like", tmp_path / "in")
+        assert main(check_args(paths, tmp_path / "out", "--critical-freqs", freqs)) == 2
+        assert "[stage=config] no frequency in critical-frequency list" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+        lg_file = tmp_path / "lg.csv"
+        assert main(["loopgain", "--z-net", str(paths["z_net_old"]),
+                     "--z-ppm", str(paths["z_ppm_existing"]), "--out", str(lg_file)]) == 0
+        capsys.readouterr()
+        code = main(["limit", "--l-old", str(lg_file), "--z-net-old", str(paths["z_net_old"]),
+                     "--critical-freqs", freqs])
+        assert code == 2
+        assert "no frequency in critical-frequency list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["check", "margins", "limit", "nyquist"])
     def test_bad_policy_fails_at_config_stage(self, compliant_dir, tmp_path, capsys, command):
         lg_file = tmp_path / "lg.csv"
@@ -198,6 +215,10 @@ class TestRunConfig:
                 z_ppm_new=Path("c"),
                 synth_case=Path("d"),
             )
+
+    def test_empty_critical_freqs_refused(self, compliant_dir):
+        with pytest.raises(ValueError, match="critical_freqs needs a frequency"):
+            RunConfig(**compliant_dir, critical_freqs=())
 
     def test_run_assessment_report(self, compliant_dir):
         cfg = RunConfig(

@@ -322,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     lim = sub.add_parser("limit", help="maximum allowable new-plant impedance")
     lim.add_argument("--l-old", required=True, help="pre-connection loop-gain file")
     lim.add_argument("--z-net-old", required=True)
-    lim.add_argument("--critical-freqs", help="comma-separated frequencies in Hz")
-    lim.add_argument(
+    lim_freqs = lim.add_mutually_exclusive_group(required=True)
+    lim_freqs.add_argument("--critical-freqs", help="comma-separated frequencies in Hz")
+    lim_freqs.add_argument(
         "--detect-from", help="loop-gain file whose gain crossovers set the frequencies"
     )
     lim.add_argument("--z-new", help="optional new-plant impedance file to check")
@@ -405,14 +406,12 @@ def _cmd_limit(args) -> int:
     with _stage("limit"):
         if args.critical_freqs is not None:
             freqs = _parse_freq_list(args.critical_freqs)
-        elif args.detect_from:
+        else:
             l_probe = _read_response(Path(args.detect_from))
             freqs = tuple(
                 cp.f_hz for cp in summarize_margins(l_probe, args.policy).crossovers
                 if cp.kind == "gain"
             )
-        else:
-            raise ValueError("need --critical-freqs or --detect-from")
         limits = limit_curve(l_old, z_net, freqs, args.policy)
 
     lines = []

@@ -407,6 +407,17 @@ class TestParser:
         )
 
 
+    @pytest.mark.parametrize("freq_flags", [
+        (),
+        ("--critical-freqs", "150", "--detect-from", "lg.csv"),
+    ], ids=["neither", "both"])
+    def test_limit_needs_one_frequency_source(self, freq_flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["limit", "--l-old", "lg.csv", "--z-net-old", "z.csv", *freq_flags])
+        assert exc.value.code == 2
+        assert "--critical-freqs" in capsys.readouterr().err
+
+
 class TestFixtures:
     def test_bundled_names(self):
         assert set(BUNDLED_CASES) == {"compliant-A", "tableII-like", "invalid-header"}

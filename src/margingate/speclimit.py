@@ -111,6 +111,7 @@ class LimitCurve:
 
     @property
     def flags(self) -> tuple[frozenset[str], ...]:
+        """The caveats of each limit (FLAG_* names)."""
         return tuple(fl for _, fl in self._rows())
 
     def __len__(self) -> int:

@@ -406,7 +406,6 @@ class TestParser:
             20.0, 40.0, 10.0
         )
 
-
     @pytest.mark.parametrize("freq_flags", [
         (),
         ("--critical-freqs", "150", "--detect-from", "lg.csv"),

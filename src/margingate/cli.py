@@ -27,7 +27,13 @@ from .freqresp import (
 )
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
 from .margins import MarginPolicy, decompose_margins, summarize_margins
-from .netsynth import eval_network, network_from_json, network_from_obj, par, random_case
+from .netsynth import (
+    _check_positive,
+    eval_network,
+    network_from_json,
+    network_from_obj,
+    random_case,
+)
 from .regions import winding_number
 from .report import (
     FORMATS,
@@ -97,7 +103,8 @@ def _stage(name: str):
         yield
     except StageFailure:
         raise
-    except (MarginGateError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    # running out of memory is an error of the run (exit 2), not a verdict
+    except (MarginGateError, OSError, ValueError, KeyError, MemoryError) as exc:
         raise StageFailure(name, exc) from exc
 
 
@@ -108,17 +115,32 @@ def _read_response(path: Path) -> FrequencyResponse:
 def _load_synth_case(path: Path):
     obj = json.loads(Path(path).read_bytes().decode("utf-8"))
     gspec = obj.get("grid") if isinstance(obj, dict) else None
-    try:
-        span = float(gspec["start_hz"]), float(gspec["stop_hz"]), int(gspec["points"])
-    except (KeyError, TypeError):
+    if not isinstance(gspec, dict) or not {"start_hz", "stop_hz", "points"} <= gspec.keys():
         raise ValueError(
             "case must be an object whose 'grid' has start_hz, stop_hz and points"
-        ) from None
-    grid = log_grid(*span)
+        )
+    for key in ("start_hz", "stop_hz"):
+        _check_positive(f"grid {key!r}", gspec[key])
+    points = gspec["points"]
+    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+        raise ValueError(f"grid 'points' must be a JSON integer >= 2, got {points!r}")
+    grid = log_grid(float(gspec["start_hz"]), float(gspec["stop_hz"]), points)
     out = []
     for role in _ROLES:
         out.append(eval_network(network_from_obj(obj[role]), grid, label=role))
     return tuple(out)
+
+
+def _inputs_meta(curves, mode: str) -> dict:
+    """The report's record of its three input curves, without their samples."""
+    by_role = dict(zip(_ROLES, curves))
+    return {
+        "labels": {role: c.label for role, c in by_role.items()},
+        "sequence": {role: c.sequence for role, c in by_role.items()},
+        "operating_point": {role: c.operating_point for role, c in by_role.items()},
+        "critical_frequency_mode": mode,
+        "asserted_preconditions": list(_ASSERTED_PRECONDITIONS),
+    }
 
 
 def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
@@ -132,26 +154,27 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
             z_ppm, z_net, z_new = _load_synth_case(cfg.synth_case)
         else:
             paths = (cfg.z_ppm_existing, cfg.z_net_old, cfg.z_ppm_new)
-            curves = [_read_response(path) for path in paths]
             z_ppm, z_net, z_new = (
                 c if c.label else c.with_samples(c.samples, label=role)
-                for c, role in zip(curves, _ROLES)
+                for c, role in zip(map(_read_response, paths), _ROLES)
             )
 
     with _stage("align"):
         z_ppm, z_net, z_new = align([z_ppm, z_net, z_new])
 
+    # the report keeps the inputs' metadata, not their samples: each curve
+    # below is dropped after the last stage that reads it
+    inputs = _inputs_meta(
+        (z_ppm, z_net, z_new),
+        "detected-crossovers" if cfg.critical_freqs is None else "operator-specified",
+    )
+
     with _stage("loopgain"):
-        l_old_lg = loop_gain(z_net, z_ppm, label="L_old")
-        l_old = l_old_lg.response
+        l_old = loop_gain(z_net, z_ppm, label="L_old").response
         ratio = rho(z_net, z_new)
-        l_new_lg = update_loop_gain(l_old, ratio)
-        l_new = l_new_lg.response
-        z_net_new = z_net.with_samples(
-            par(z_net.samples, z_new.samples, z_net.grid.points), label="z_net_new"
-        )
-        l_new_direct = loop_gain(z_net_new, z_ppm, label="L_new_direct")
-        cons_err = consistency_error(l_new_direct.response, l_new)
+        l_new = update_loop_gain(l_old, ratio).response
+        cons_err = consistency_error(z_net, z_ppm, z_new, l_new)
+    del z_ppm
 
     with _stage("margins"):
         s_old = summarize_margins(l_old, cfg.policy)
@@ -166,14 +189,14 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
     with _stage("limit"):
         if cfg.critical_freqs is not None:
             freqs = cfg.critical_freqs
-            mode = "operator-specified"
         else:
             freqs = tuple(cp.f_hz for cp in s_new.crossovers if cp.kind == "gain")
-            mode = "detected-crossovers"
         limits = limit_curve(l_old, z_net, freqs, cfg.policy, ratio)
+    del z_net, ratio
 
     with _stage("compliance"):
         compliance = check_compliance(z_new, limits)
+    del z_new
 
     with _stage("regions"):
         encirclements = {
@@ -182,14 +205,6 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
         }
 
     with _stage("report"):
-        by_role = dict(zip(_ROLES, (z_ppm, z_net, z_new)))
-        inputs = {
-            "labels": {role: c.label for role, c in by_role.items()},
-            "sequence": {role: c.sequence for role, c in by_role.items()},
-            "operating_point": {role: c.operating_point for role, c in by_role.items()},
-            "critical_frequency_mode": mode,
-            "asserted_preconditions": list(_ASSERTED_PRECONDITIONS),
-        }
         report = build_report(
             inputs=inputs,
             l_old_summary=s_old,

@@ -53,6 +53,7 @@ _META_KEYS = ("sequence", "label", "operating_point")
 _COMMA, _NEWLINE = ord(","), ord("\n")
 _ROW_SEPS = np.array([_COMMA, _COMMA, _NEWLINE], dtype=np.uint8)
 _BLOCK_ROWS = 2048
+_BLOCK_POINTS = 16384  # frequencies per block of a blocked stage (256 KiB of complex)
 
 
 def normalize_deg(angle: float) -> float:
@@ -75,15 +76,37 @@ def _phase_steps_deg(principal: np.ndarray) -> np.ndarray:
     (capacitive-to-inductive transitions wrap downward).
     """
     d = np.diff(principal)
-    return d - 360.0 * np.floor((d + 180.0) / 360.0)
+    turns = d + 180.0
+    turns /= 360.0
+    np.floor(turns, out=turns)
+    turns *= 360.0
+    d -= turns
+    return d
 
 
 def _unwrap_deg(principal: np.ndarray) -> np.ndarray:
-    """Unwrap a principal-phase series (degrees) by its wrapped steps."""
-    out = np.empty_like(principal)
-    out[0] = principal[0]
-    out[1:] = principal[0] + np.cumsum(_phase_steps_deg(principal))
-    return out
+    """Unwrap a principal-phase series (degrees) by its wrapped steps, in
+    place; returns the series."""
+    np.cumsum(_phase_steps_deg(principal), out=principal[1:])
+    principal[1:] += principal[0]
+    return principal
+
+
+def _blocks(n: int):
+    """Slices cutting ``range(n)`` into blocks of ``_BLOCK_POINTS``.
+
+    Every block starts at a multiple of ``_BLOCK_POINTS``, so an elementwise
+    stage run block by block meets numpy's SIMD loops with the alignment and
+    the remainder elements of the whole-array run, and gives its bits.
+    """
+    for start in range(0, n, _BLOCK_POINTS):
+        yield slice(start, min(start + _BLOCK_POINTS, n))
+
+
+def _require_finite(z: np.ndarray) -> None:
+    """Raise ``NonFiniteValue`` unless every component of ``z`` is finite."""
+    if not np.all(np.isfinite(z.real)) or not np.all(np.isfinite(z.imag)):
+        raise NonFiniteValue("samples contain NaN or infinite components")
 
 
 @dataclass(frozen=True)
@@ -156,8 +179,7 @@ class FrequencyResponse:
         z = np.asarray(self.samples, dtype=complex)
         if z.ndim != 1 or z.size != len(self.grid):
             raise NonFiniteValue("samples length must equal grid length")
-        if not np.all(np.isfinite(z.real)) or not np.all(np.isfinite(z.imag)):
-            raise NonFiniteValue("samples contain NaN or infinite components")
+        _require_finite(z)
         if self.unit not in UNITS:
             raise ValueError(f"unit must be one of {UNITS}, got {self.unit!r}")
         if self.sequence not in SEQUENCES:
@@ -212,9 +234,9 @@ class FrequencyResponse:
             raise ZeroMagnitudeSample(
                 "curve has a zero-magnitude sample; log interpolation undefined"
             )
-        logmag = np.log(mag)
-        phase = _unwrap_deg(np.degrees(np.angle(self.samples)))
-        return self.grid._log_table, logmag, phase
+        principal = np.angle(self.samples)
+        np.degrees(principal, out=principal)
+        return self.grid._log_table, np.log(mag, out=mag), _unwrap_deg(principal)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The loop gain is the ratio of network-side impedance to PPM impedance.
 Adding a plant in parallel updates it through the impedance ratio rho:
-L_new = L_old / (1 + rho). Both the direct quotient and the factored
-update are first-class so they can be cross-checked against each other.
+L_new = L_old / (1 + rho). The factored update is cross-checked against
+the direct quotient (Z_net || Z_new) / Z_ppm, which is built one block of
+frequencies at a time and never kept.
 """
 from __future__ import annotations
 
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, SingularSensitivity, ZeroDenominator
-from .freqresp import FrequencyResponse
+from .errors import GridMismatch, MarginGateError, SingularSensitivity, ZeroDenominator
+from .freqresp import FrequencyResponse, _blocks, _require_finite
+from .netsynth import par
 
 __all__ = [
     "LoopGain",
@@ -39,6 +41,11 @@ def _require_same_grid(a: FrequencyResponse, b: FrequencyResponse) -> None:
         raise GridMismatch("curves are not on a common grid; align() first")
 
 
+def _require_nonzero(den: np.ndarray, den_name: str) -> None:
+    if np.any(den == 0):
+        raise ZeroDenominator(f"{den_name} has a zero sample")
+
+
 def _merged_meta(a: FrequencyResponse, b: FrequencyResponse) -> dict:
     return {
         "sequence": a.sequence if a.sequence == b.sequence else "untagged",
@@ -53,8 +60,7 @@ def _quotient(
 ) -> FrequencyResponse:
     """Pointwise num / den as a dimensionless curve with merged metadata."""
     _require_same_grid(num, den)
-    if np.any(den.samples == 0):
-        raise ZeroDenominator(f"{den_name} has a zero sample")
+    _require_nonzero(den.samples, den_name)
     return FrequencyResponse(
         grid=num.grid,
         samples=num.samples / den.samples,
@@ -115,14 +121,36 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
 
 
 def consistency_error(
-    l_direct: FrequencyResponse, l_factored: FrequencyResponse
+    z_net_old: FrequencyResponse,
+    z_ppm: FrequencyResponse,
+    z_new: FrequencyResponse,
+    l_factored: FrequencyResponse,
 ) -> float:
-    """Worst pointwise relative deviation between two loop-gain curves.
+    """Worst pointwise relative deviation of the factored loop gain from
+    the direct one, L_direct = (Z_net,old || Z_new) / Z_ppm.
 
     max over frequency of |direct - factored| / max(|direct|, 1e-30); the
     floor keeps the metric defined where the loop gain is near zero.
+    L_direct is built one block of frequencies at a time, with the guards
+    of ``par``, of curve samples and of ``loop_gain``. Blocks meet faults
+    in frequency order, so a fault is met again on the whole grid, which
+    raises the error the whole-grid construction meets first.
     """
-    _require_same_grid(l_direct, l_factored)
-    num = np.abs(l_direct.samples - l_factored.samples)
-    den = np.maximum(np.abs(l_direct.samples), _REL_FLOOR)
-    return float(np.max(num / den))
+    for curve in (z_ppm, z_new, l_factored):
+        _require_same_grid(z_net_old, curve)
+    f = z_net_old.grid.points
+
+    def worst(block) -> float:
+        direct = par(z_net_old.samples[block], z_new.samples[block], f[block])
+        _require_finite(direct)
+        _require_nonzero(z_ppm.samples[block], "PPM impedance")
+        direct /= z_ppm.samples[block]
+        _require_finite(direct)
+        num = np.abs(direct - l_factored.samples[block])
+        num /= np.maximum(np.abs(direct), _REL_FLOOR)
+        return float(np.max(num))
+
+    try:
+        return max(worst(block) for block in _blocks(f.size))
+    except MarginGateError:
+        return worst(slice(None))

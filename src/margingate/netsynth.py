@@ -17,7 +17,7 @@ from .errors import (
     ResonanceSingular,
     SingularAtFrequency,
 )
-from .freqresp import FrequencyGrid, FrequencyResponse, _phase_steps_deg, log_grid
+from .freqresp import FrequencyGrid, FrequencyResponse, _blocks, _phase_steps_deg, log_grid
 
 __all__ = [
     "NetworkElement",
@@ -41,7 +41,6 @@ __all__ = [
 
 _NOMINAL_HZ = 50.0  # Thevenin X/R split is anchored at nominal grid frequency
 _SINGULAR_RTOL = 1e-12
-_BLOCK_POINTS = 16384  # frequencies per block in eval_network (256 KiB of complex)
 
 
 class NetworkElement:
@@ -280,10 +279,10 @@ def eval_network(
 ) -> FrequencyResponse:
     """Evaluate an element tree to an impedance curve on the grid.
 
-    The tree is evaluated one block of ``_BLOCK_POINTS`` frequencies at a
-    time, so every temporary is a cache-sized block, and each block is
-    written into one output array; the bits are those of a whole-grid
-    evaluation. Blocks meet faults in frequency order, so a singular tree
+    The tree is evaluated one block of frequencies at a time
+    (``freqresp._blocks``), so every temporary is a cache-sized block, and
+    each block is written into one output array; the bits are those of a
+    whole-grid evaluation. Blocks meet faults in frequency order, so a singular tree
     is evaluated again on the whole grid, which raises for the first
     faulty node in evaluation order at its first bad frequency.
     """
@@ -291,8 +290,7 @@ def eval_network(
     w = 2.0 * math.pi * f
     samples = np.empty(f.size, dtype=complex)
     try:
-        for start in range(0, f.size, _BLOCK_POINTS):
-            block = slice(start, start + _BLOCK_POINTS)
+        for block in _blocks(f.size):
             samples[block] = _eval_tree(desc, f[block], w[block])
     except SingularAtFrequency:
         samples = _eval_tree(desc, f, w)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousWinding, CriticalPointOnLocus, NotOnUnitCircle
-from .freqresp import FrequencyResponse, _phase_steps_deg
+from .freqresp import FrequencyResponse, _blocks, _phase_steps_deg
 from .margins import MarginPolicy, pm_deg
 
 __all__ = [
@@ -81,11 +81,13 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
     if float(np.min(np.abs(z))) <= _CRITICAL_ATOL:
         raise CriticalPointOnLocus("a locus sample coincides with -1+0j")
 
-    theta = np.degrees(np.angle(z))
     # angles along conj(z0) -> z0 ... zN -> conj(zN): step 0 crosses zero
     # frequency, step N closes at high frequency, and each step between
     # spans one grid interval and is traversed twice, once mirrored
-    steps = _phase_steps_deg(np.concatenate(([-theta[0]], theta, [-theta[-1]])))
+    theta = np.empty(z.size + 2)
+    np.degrees(np.angle(z), out=theta[1:-1])
+    theta[0], theta[-1] = -theta[1], -theta[-2]
+    steps = _phase_steps_deg(theta)
     total = float(np.sum(steps) + np.sum(steps[1:-1]))
 
     turns = -total / 360.0
@@ -98,17 +100,21 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
     # closure segments conj(z0) -> z0 and z_N -> conj(z_N)
     ends = np.array([np.conj(z[0]), z[-1]])
     closures, _ = _segment_min_dist(ends, np.conj(ends))
-    # the mirrored pass goes first, so its temporaries never coexist with
-    # the forward arrays the sampling guard keeps
-    mirrored = float(np.min(_segment_min_dist(z[1:], z[:-1])[0]))
-    forward, l2 = _segment_min_dist(z[:-1], z[1:])
-    min_dist = min(float(np.min(forward)), mirrored, float(np.min(closures)))
-
+    warn = np.abs(steps) > _STEP_WARN_DEG
+    warn[[0, -1]] |= closures < _CLOSURE_WARN_DIST
+    # the segments z_k -> z_k+1, forward and mirrored, one block at a time;
     # a segment longer than its distance from -1 may have gone round -1
     # between its samples, whatever its angle step
-    warn = np.abs(steps) > _STEP_WARN_DEG
-    warn[1:-1] |= l2 > forward**2
-    warn[[0, -1]] |= closures < _CLOSURE_WARN_DIST
+    forward_min, mirrored_min = [], []
+    for block in _blocks(z.size - 1):
+        a, b = z[block], z[block.start + 1:block.stop + 1]
+        mirrored_min.append(np.min(_segment_min_dist(b, a)[0]))
+        forward, l2 = _segment_min_dist(a, b)
+        forward_min.append(np.min(forward))
+        warn[block.start + 1:block.stop + 1] |= l2 > forward**2
+    min_dist = min(
+        float(np.min(forward_min)), float(np.min(mirrored_min)), float(np.min(closures))
+    )
     edges = np.concatenate(([0.0], l.grid.points, [math.inf]))
 
     return EncirclementResult(

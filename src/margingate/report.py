@@ -209,6 +209,11 @@ def _report_to_obj(report: AssessmentReport) -> dict:
     }
 
 
+def _refuse_constant(literal: str):
+    """``render`` never writes NaN or an infinity as a JSON literal."""
+    raise ValueError(f"JSON literal {literal} is not a report value")
+
+
 def parse_report(data: bytes) -> AssessmentReport:
     """Reconstruct a report from its JSON rendering.
 
@@ -218,7 +223,7 @@ def parse_report(data: bytes) -> AssessmentReport:
     cannot be read as a report is refused.
     """
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
         if obj.get("schema") != SCHEMA:
             raise UnsupportedFormat(f"unsupported report schema {obj.get('schema')!r}")
         lc = obj["limit_curve"]

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -8,8 +9,21 @@ import pytest
 from margingate import fixtures
 from margingate.cli import RunConfig, build_parser, main, run_assessment
 from margingate.fixtures import BUNDLED_CASES, bundled_case, write_bundled_case
-from margingate.freqresp import FrequencyResponse, log_grid, parse_response, write_response
-from margingate.netsynth import Inductor, Resistor, Series, eval_network, network_to_json
+from margingate.freqresp import (
+    _BLOCK_POINTS,
+    FrequencyResponse,
+    log_grid,
+    parse_response,
+    write_response,
+)
+from margingate.netsynth import (
+    Inductor,
+    Resistor,
+    Series,
+    eval_network,
+    network_to_json,
+    network_to_obj,
+)
 from margingate.speclimit import MarginPolicy
 
 
@@ -65,6 +79,23 @@ class TestExitCodes:
         )
         assert code == 2
         assert "stage=parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("site, stage, points", [
+        ("log_grid", "parse", 10**12), ("consistency_error", "loopgain", 64),
+    ])
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch, site, stage, points):
+        # numpy raises a MemoryError for a 10**12-point grid; the allocation
+        # site raises it here instead, so nothing that large is allocated
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(f"margingate.cli.{site}", no_memory)
+        case = synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": points})
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case))
+        assert main(["check", "--synth", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error [stage={stage}] Unable to allocate" in err
 
     def test_violation_noted_on_stderr(self, tmp_path, capsys):
         paths = write_bundled_case("tableII-like", tmp_path / "in")
@@ -138,6 +169,15 @@ class TestExitCodes:
         assert "exactly one input mode" in capsys.readouterr().err
 
 
+ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
+
+
+def synth_case(grid, net=None):
+    """A synthetic case of three resistors on the given grid."""
+    net = net or {"type": "resistor", "r_ohm": 1.0}
+    return {"grid": grid, "z_ppm_existing": net, "z_net_old": net, "z_ppm_new": net}
+
+
 class TestMalformedNetworkJson:
     """Malformed case and network JSON ends in exit 2 at the parse stage,
     with a message naming the offending element or key."""
@@ -166,8 +206,27 @@ class TestMalformedNetworkJson:
                     RESISTOR, {"type": "resistor", "r_ohm": None}]},
                 "z_ppm_new": RESISTOR,
             }, "'r_ohm'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": 2.7}),
+             "'points'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": 200.9}),
+             "'points'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": "200"}),
+             "'points'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": True}),
+             "'points'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": 1}),
+             "'points'"),
+            ("check", synth_case({"start_hz": "10", "stop_hz": 1000.0, "points": 16}),
+             "'start_hz'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": None, "points": 16}),
+             "'stop_hz'"),
+            ("check", synth_case({"start_hz": 10.0, "stop_hz": 1000.0}), "'grid'"),
         ],
-        ids=["case-not-object", "child-not-object", "children-not-list", "null-value"],
+        ids=[
+            "case-not-object", "child-not-object", "children-not-list", "null-value",
+            "points-fraction", "points-fraction-above-200", "points-string", "points-bool",
+            "points-one", "start-string", "stop-null", "points-missing",
+        ],
     )
     def test_exit_2_names_the_element(self, tmp_path, capsys, command, obj, named):
         assert self.run(tmp_path, command, obj) == 2
@@ -244,6 +303,31 @@ class TestRunConfig:
         assert report.inputs["critical_frequency_mode"] == "operator-specified"
         assert report.limit_curve.freqs == (100.0, 500.0)
         assert len(report.compliance) == 2
+
+
+class TestWorkingSet:
+    def test_traced_peak_of_a_two_block_run(self, tmp_path):
+        # 2 blocks + 1 point, so every blocked stage crosses two block edges;
+        # the whole-grid pipeline peaked at about 20.8 N complex samples
+        # (16 bytes each), the blocked one at about 12.0 N
+        n = 2 * _BLOCK_POINTS + 1
+        case = {"grid": {"start_hz": 1.0, "stop_hz": 10000.0, "points": n}}
+        case.update(zip(ROLES, map(network_to_obj, fixtures._base_networks())))
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case))
+        cfg = RunConfig(synth_case=path)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            report, _ = run_assessment(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert report.overall_verdict == "compliant"
+        assert peak <= 14 * n * 16, f"traced peak {peak / (n * 16):.1f} N complex samples"
 
 
 class TestReportContents:

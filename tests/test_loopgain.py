@@ -10,7 +10,7 @@ from margingate.loopgain import (
     rho,
     update_loop_gain,
 )
-from margingate.netsynth import par, random_case
+from margingate.netsynth import random_case
 
 
 def ohm(grid, samples, label=""):
@@ -97,17 +97,19 @@ class TestUpdate:
 
 
 class TestConsistency:
+    # Z_net,old = Z_new = 2 L and Z_ppm = 1: the direct loop gain is exactly L
     def test_identical_is_zero(self, grid):
         l = FrequencyResponse(grid, np.exp(1j * np.linspace(0, 3, 64)), unit="dimensionless")
-        assert consistency_error(l, l) == 0.0
+        z = ohm(grid, 2.0 * l.samples)
+        assert consistency_error(z, ohm(grid, np.ones(64, complex)), z, l) == 0.0
 
     def test_one_percent_at_one_point(self, grid):
-        samples = np.full(64, 2.0 + 0j)
-        l_a = FrequencyResponse(grid, samples, unit="dimensionless")
-        perturbed = samples.copy()
+        z = ohm(grid, np.full(64, 4.0 + 0j))
+        perturbed = np.full(64, 2.0 + 0j)
         perturbed[30] *= 1.01
         l_b = FrequencyResponse(grid, perturbed, unit="dimensionless")
-        assert consistency_error(l_a, l_b) == pytest.approx(0.01, abs=1e-12)
+        err = consistency_error(z, ohm(grid, np.ones(64, complex)), z, l_b)
+        assert err == pytest.approx(0.01, abs=1e-12)
 
     def test_direct_vs_factored_identity(self):
         # parallel-combination quotient vs the factored update, via
@@ -116,11 +118,8 @@ class TestConsistency:
             case = random_case(seed, 3, (1.0, 10000.0))
             z_ppm, z_net, z_new = case.responses()
             l_old = loop_gain(z_net, z_ppm).response
-            ratio = rho(z_net, z_new)
-            l_fact = update_loop_gain(l_old, ratio).response
-            z_net_new = z_net.with_samples(par(z_net.samples, z_new.samples))
-            l_direct = loop_gain(z_net_new, z_ppm).response
-            assert consistency_error(l_direct, l_fact) < 1e-10
+            l_fact = update_loop_gain(l_old, rho(z_net, z_new)).response
+            assert consistency_error(z_net, z_ppm, z_new, l_fact) < 1e-10
 
 
 class TestLimits:

@@ -1,13 +1,18 @@
-"""The crossover root, the curve evaluator, the winding count and the
-network evaluator against the code they replaced.
+"""The crossover root, the curve evaluator, the winding count, the
+network evaluator and the blocked assessment stages against the code
+they replaced.
 
 ``bisect_level`` (a bisection on the interpolant), ``scalar_value_at``
 (a scalar copy of the interpolation), ``mirrored_winding_number`` (the
 count on an explicitly mirrored contour, with its segment-distance helper)
 and ``reference_par`` with ``reference_eval_tree`` (the network evaluator
 that built a fresh array at every node) and ``reference_scale_network``
-(the per-type scaling) are kept verbatim as references. A scaled tree
-must equal its reference and serialise to the same bytes.
+(the per-type scaling) are kept verbatim as references, and so is
+``whole_grid_consistency_error`` (the consistency check between two whole
+loop-gain curves), which ``whole_grid_report`` runs on a direct L_new
+built whole to assess a case with no stage blocked. A scaled tree
+must equal its reference and serialise to the same bytes, and a case its
+whole-grid report in every format, byte for byte.
 The winding count must match its reference exactly, the whole result
 included, once the sampling guard's warnings (which the reference
 predates) are added to the reference's. The network evaluator must match
@@ -29,6 +34,7 @@ and were set before the closed form and the array evaluator were written:
   points they round exp, cos and sin, so they agree within 4 eps relative.
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -36,16 +42,32 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from margingate.cli import _ASSERTED_PRECONDITIONS, RunConfig, StageFailure, run_assessment
 from margingate.errors import (
     AmbiguousWinding,
     CriticalPointOnLocus,
+    MarginGateError,
     OutOfRange,
     ResonanceSingular,
     SingularAtFrequency,
 )
-from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid, value_at, values_at
-from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
-from margingate.margins import MarginPolicy, MarginSummary, _detect_levels, _level_root
+from margingate.freqresp import (
+    _BLOCK_POINTS,
+    FrequencyGrid,
+    FrequencyResponse,
+    log_grid,
+    value_at,
+    values_at,
+)
+from margingate.loopgain import consistency_error, loop_gain, one_plus, rho, update_loop_gain
+from margingate.margins import (
+    MarginPolicy,
+    MarginSummary,
+    _detect_levels,
+    _level_root,
+    decompose_margins,
+    summarize_margins,
+)
 from margingate.netsynth import (
     Capacitor,
     Inductor,
@@ -55,9 +77,10 @@ from margingate.netsynth import (
     Resistor,
     Series,
     Thevenin,
-    _BLOCK_POINTS,
     eval_network,
+    network_from_obj,
     network_to_json,
+    network_to_obj,
     par,
     random_case,
     scale_network,
@@ -70,8 +93,8 @@ from margingate.regions import (
     EncirclementResult,
     winding_number,
 )
-from margingate.report import build_report
-from margingate.speclimit import LimitCurve
+from margingate.report import FORMATS, build_report, render
+from margingate.speclimit import LimitCurve, check_compliance, limit_curve
 
 from conftest import three_pole
 from test_golden import GOLDEN, case_curves
@@ -712,3 +735,164 @@ def test_scale_network_rejects_like_reference(k):
         got = scale_outcome(scale_network, desc, k)
         assert got[0] is ValueError
         assert got == scale_outcome(reference_scale_network, desc, k)
+
+
+# -- blocked stages against the whole-grid pipeline -----------------------------
+
+
+def whole_grid_consistency_error(l_direct, l_factored) -> float:
+    """Worst pointwise relative deviation between two loop-gain curves."""
+    num = np.abs(l_direct.samples - l_factored.samples)
+    den = np.maximum(np.abs(l_direct.samples), 1e-30)
+    return float(np.max(num / den))
+
+
+def whole_grid_direct_check(z_net, z_ppm, z_new, l_factored) -> float:
+    """The direct loop gain built on the whole grid, then compared."""
+    z_net_new = z_net.with_samples(
+        par(z_net.samples, z_new.samples, z_net.grid.points), label="z_net_new"
+    )
+    l_direct = loop_gain(z_net_new, z_ppm, label="L_new_direct").response
+    return whole_grid_consistency_error(l_direct, l_factored)
+
+
+def reference_winding(l) -> EncirclementResult:
+    """The mirrored count with the sampling guard's warnings added."""
+    ref = mirrored_winding_number(l)
+    warn = set(ref.resolution_warnings) | sampling_guard(l)
+    return dataclasses.replace(ref, resolution_warnings=tuple(sorted(warn)))
+
+
+_ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
+
+
+def whole_grid_report(case: dict, policy=MarginPolicy()):
+    """The assessment of a synthetic case with every curve built on the
+    whole grid and kept to the end."""
+    g = case["grid"]
+    grid = log_grid(g["start_hz"], g["stop_hz"], g["points"])
+    curves = [eval_network(network_from_obj(case[r]), grid, label=r) for r in _ROLES]
+    z_ppm, z_net, z_new = curves
+    l_old = loop_gain(z_net, z_ppm, label="L_old").response
+    ratio = rho(z_net, z_new)
+    l_new = update_loop_gain(l_old, ratio).response
+    cons_err = whole_grid_direct_check(z_net, z_ppm, z_new, l_new)
+    s_old, s_new = summarize_margins(l_old, policy), summarize_margins(l_new, policy)
+    decomps = [decompose_margins(l_old, ratio, cp.f_hz, cp.kind) for cp in s_new.crossovers]
+    gain_freqs = [cp.f_hz for cp in s_new.crossovers if cp.kind == "gain"]
+    limits = limit_curve(l_old, z_net, gain_freqs, policy, ratio)
+    inputs = {
+        key: {r: getattr(c, attr) for r, c in zip(_ROLES, curves)}
+        for key, attr in (
+            ("labels", "label"), ("sequence", "sequence"), ("operating_point", "operating_point")
+        )
+    }
+    inputs["critical_frequency_mode"] = "detected-crossovers"
+    inputs["asserted_preconditions"] = list(_ASSERTED_PRECONDITIONS)
+    return build_report(
+        inputs, s_old, s_new, decomps, limits, check_compliance(z_new, limits),
+        {"l_old": reference_winding(l_old), "l_new": reference_winding(l_new)},
+        cons_err, (("L_old", l_old), ("L_new", l_new)),
+    )
+
+
+def offshore_case(grid: FrequencyGrid) -> dict:
+    """The 24-string offshore network facing a converter-like plant; on
+    10-5000 Hz L_new has 13 gain and 5 phase crossovers and winds twice."""
+    wc = 2.0 * math.pi * 400.0
+    pole = complex(-0.5 * wc, wc * math.sqrt(0.75))
+    converter = Rational(-4e-3 * wc * wc, (0j,), (pole, pole.conjugate()))
+    nets = (
+        scale_network(Series((Resistor(0.5), Inductor(2e-3), converter)), 0.06),
+        offshore_tree(np.random.default_rng(11), 24),
+        scale_network(Series((Resistor(1.0), Inductor(3e-3))), 0.3),
+    )
+    lo, hi = grid.span
+    case = {"grid": {"start_hz": lo, "stop_hz": hi, "points": len(grid)}}
+    case.update(zip(_ROLES, map(network_to_obj, nets)))
+    return case
+
+
+def synth_assessment(case: dict, tmp_path):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    return run_assessment(RunConfig(synth_case=path))[0]
+
+
+def report_outcome(assess, case):
+    """The report bytes in every format, or the type and message raised."""
+    try:
+        rep = assess(case)
+    except (MarginGateError, StageFailure) as exc:
+        exc = getattr(exc, "cause", exc)
+        return type(exc), str(exc)
+    return tuple(render(rep, fmt) for fmt in FORMATS)
+
+
+def fixture_case(grid: FrequencyGrid, seed: int) -> dict:
+    """The networks of a random fixture on the given grid."""
+    fixture = random_case(seed, 3, grid.span)
+    nets = (fixture.z_ppm_existing, fixture.z_net_old, fixture.z_ppm_new)
+    return {**offshore_case(grid), **dict(zip(_ROLES, map(network_to_obj, nets)))}
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS, ids=len)
+def test_blocked_pipeline_matches_whole_grid_report(grid, tmp_path):
+    for case in (offshore_case(grid), fixture_case(grid, 7)):
+        got = report_outcome(lambda c: synth_assessment(c, tmp_path), case)
+        assert isinstance(got[0], bytes), got
+        assert got == report_outcome(whole_grid_report, case)
+
+
+def test_blocked_pipeline_matches_whole_grid_report_at_100000_points(tmp_path):
+    case = offshore_case(log_grid(10.0, 5000.0, 100_000))
+    got = report_outcome(lambda c: synth_assessment(c, tmp_path), case)
+    assert got == report_outcome(whole_grid_report, case)
+    # the case reaches both crossover kinds and a nonzero winding
+    obj = json.loads(got[0])
+    assert obj["encirclements"]["l_new"]["winding"] != 0
+    assert {cp["kind"] for cp in obj["l_new"]["crossovers"]} == {"gain", "phase"}
+
+
+def consistency_outcome(check, *curves):
+    try:
+        return check(*curves)
+    except MarginGateError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS[2:], ids=len)
+def test_singular_parallel_in_the_last_block_raises_like_whole_grid(grid):
+    rng = np.random.default_rng(2)
+    n = len(grid)
+    z_net = FrequencyResponse(grid, rng.uniform(1, 2, n) * np.exp(1j * rng.uniform(-1, 1, n)))
+    z_new = -z_net.samples
+    z_new[:-1] = rng.uniform(1, 2, n - 1)
+    z_new = z_net.with_samples(z_new)
+    l_fact = FrequencyResponse(grid, np.ones(n, complex), unit="dimensionless")
+    ones = z_net.with_samples(np.ones(n, complex))
+    # a second fault in the first block: a zero PPM sample, which the
+    # whole-grid chain meets after the singular parallel combination
+    holed = ones.with_samples(np.where(np.arange(n) == 3, 0j, 1 + 0j))
+    for z_ppm in (ones, holed):
+        curves = (z_net, z_ppm, z_new, l_fact)
+        got = consistency_outcome(consistency_error, *curves)
+        assert got == consistency_outcome(whole_grid_direct_check, *curves)
+        assert got[0] is ResonanceSingular and f"near {grid.points[-1]} Hz" in got[1], got
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS, ids=len)
+def test_winding_at_block_edges_matches_mirrored_reference(grid):
+    # 1 + L is 1.5 but for a segment 1+0.5j -> -0.2+0.5j ending each block
+    # and the grid: 1.2 long, 0.5 from the origin and an 85 deg step, so only
+    # the sampling guard warns there; the step after it is the closest one
+    n = len(grid)
+    z = np.full(n, 1.5 + 0j)
+    ends = [*range(_BLOCK_POINTS, n, _BLOCK_POINTS), n - 1]
+    for k in ends:
+        z[k - 1], z[k] = 1 + 0.5j, -0.2 + 0.5j
+    l = FrequencyResponse(grid, z - 1.0, unit="dimensionless")
+    got = winding_number(l)
+    assert got == reference_winding(l)
+    g = grid.points
+    assert {(float(g[k - 1]), float(g[k])) for k in ends} <= set(got.resolution_warnings)

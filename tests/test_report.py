@@ -316,6 +316,23 @@ class TestJson:
             parse_report(json.dumps(obj).encode())
 
 
+    @pytest.mark.parametrize("tamper", [
+        lambda o: o["limit_curve"].update(r_diag=[math.nan]),
+        lambda o: o["encirclements"]["l_new"].update(min_distance_to_critical_point=math.nan),
+        lambda o: o["encirclements"]["l_new"].update(min_distance_to_critical_point=math.inf),
+        lambda o: o.update(consistency_error=-math.inf),
+    ], ids=["r_diag_nan", "min_distance_nan", "min_distance_infinity", "consistency_minus_inf"])
+    def test_non_finite_literals_do_not_parse(self, violation_obj, tamper):
+        # render writes infinities as "inf" strings and never writes NaN
+        import copy
+        import json
+
+        obj = copy.deepcopy(violation_obj)
+        tamper(obj)
+        with pytest.raises(InconsistentInputs, match="malformed report.*is not a report value"):
+            parse_report(json.dumps(obj).encode())
+
+
 class TestMarkdown:
     def test_table_one_row_rendering(self):
         text = render(basic_report(), "markdown").decode()

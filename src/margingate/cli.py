@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import fixtures as _fixtures
 from .errors import MarginGateError
 from .freqresp import (
@@ -47,6 +49,7 @@ from .speclimit import FLAG_PREEXISTING, check_compliance, limit_curve
 __all__ = ["RunConfig", "run_assessment", "main"]
 
 _EXIT_BY_VERDICT = {"compliant": 0, "caution": 1, "violation": 1}
+_COLOR_BY_VERDICT = {"compliant": "32", "caution": "33", "violation": "31"}
 _ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 
 _ASSERTED_PRECONDITIONS = (
@@ -99,12 +102,11 @@ class StageFailure(Exception):
 
 @contextlib.contextmanager
 def _stage(name: str):
+    # out of memory or a float fault is an error of the run (exit 2), not a verdict
     try:
-        yield
-    except StageFailure:
-        raise
-    # running out of memory is an error of the run (exit 2), not a verdict
-    except (MarginGateError, OSError, ValueError, KeyError, MemoryError) as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (MarginGateError, OSError, ValueError, KeyError, MemoryError, ArithmeticError) as exc:
         raise StageFailure(name, exc) from exc
 
 
@@ -234,13 +236,7 @@ def _style(text: str, code: str, stream) -> str:
 
 def _print_verdict(report: AssessmentReport) -> None:
     verdict = report.overall_verdict
-    line = f"overall verdict: {verdict}"
-    if verdict == "compliant":
-        print(_style(line, "32", sys.stdout))
-    elif verdict == "caution":
-        print(_style(line, "33", sys.stdout))
-    else:
-        print(_style(line, "31", sys.stdout))
+    print(_style(f"overall verdict: {verdict}", _COLOR_BY_VERDICT[verdict], sys.stdout))
     if verdict == "violation":
         offenders = [rec for rec in report.compliance if rec.verdict == "violation"]
         for rec in offenders:

@@ -70,6 +70,8 @@ class MarginPolicy:
     gm_min_db: float = 15.0
 
     def __post_init__(self):
+        if any(isinstance(v, bool) for v in (self.pm_min_deg, self.pm_cau_deg, self.gm_min_db)):
+            raise ValueError("margin thresholds must be numbers, not booleans")
         if not (0.0 < self.pm_min_deg <= self.pm_cau_deg < 180.0):
             raise ValueError(
                 "need 0 < pm_min_deg <= pm_cau_deg < 180, got "

@@ -35,13 +35,18 @@ __all__ = [
 SCHEMA = "margin-gate/1"
 FORMATS = ("json", "markdown", "nyquist_svg", "bode_svg")
 
+_STORED_AS = (("inputs", dict), ("decompositions", tuple), ("compliance", tuple),
+              ("encirclements", dict), ("consistency_error", float), ("curves", tuple))
+
+
 @dataclass(frozen=True)
 class AssessmentReport:
     """Deterministic aggregate of one assessment run.
 
     ``curves`` optionally carries the loop-gain curves for SVG loci; it is
     not part of the JSON schema and is dropped on parse. Construction, and
-    so ``parse_report`` too, checks that the parts agree: one margin
+    so ``parse_report`` too, first stores each field as the type in
+    ``_STORED_AS`` and then checks that the parts agree: one margin
     policy, one decomposition per L_new crossover in order, with its
     frequency and kind, and one compliance record per limit frequency in
     order, with that frequency's limit.
@@ -58,6 +63,8 @@ class AssessmentReport:
     curves: tuple[tuple[str, FrequencyResponse], ...] = ()
 
     def __post_init__(self):
+        for name, kind in _STORED_AS:
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if self.l_old_summary.policy != self.l_new_summary.policy:
             raise InconsistentInputs("old/new margin summaries use different policies")
         if [(d.f_hz, d.kind) for d in self.decompositions] != [
@@ -85,34 +92,8 @@ class AssessmentReport:
         return self.l_new_summary.verdict
 
 
-def build_report(
-    inputs: dict,
-    l_old_summary: MarginSummary,
-    l_new_summary: MarginSummary,
-    decompositions,
-    limit_curve: LimitCurve,
-    compliance,
-    encirclements: dict[str, EncirclementResult],
-    consistency_error: float,
-    curves=(),
-) -> AssessmentReport:
-    """Assemble the report; it checks that its parts agree.
-
-    ``AssessmentReport.overall_verdict`` is the worst of the
-    post-connection margin verdict, any compliance violation, and a
-    nonzero winding number (which forces violation).
-    """
-    return AssessmentReport(
-        inputs=dict(inputs),
-        l_old_summary=l_old_summary,
-        l_new_summary=l_new_summary,
-        decompositions=tuple(decompositions),
-        limit_curve=limit_curve,
-        compliance=tuple(compliance),
-        encirclements=dict(encirclements),
-        consistency_error=float(consistency_error),
-        curves=tuple(curves),
-    )
+# the one constructor; the name is kept for callers that import it
+build_report = AssessmentReport
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +200,8 @@ def parse_report(data: bytes) -> AssessmentReport:
 
     Only the measured values are read; every limit, flag, margin, region,
     worst case and verdict is derived again, and a report whose copies
-    disagree with the derived ones, that has an unknown key, or that
-    cannot be read as a report is refused.
+    disagree with the derived ones as JSON text, that has an unknown key,
+    or that cannot be read as a report is refused.
     """
     try:
         obj = json.loads(data.decode("utf-8"), parse_constant=_refuse_constant)
@@ -231,7 +212,7 @@ def parse_report(data: bytes) -> AssessmentReport:
             inputs=obj["inputs"],
             l_old_summary=_summary_from_obj(obj["l_old"]),
             l_new_summary=_summary_from_obj(obj["l_new"]),
-            decompositions=tuple(
+            decompositions=(
                 MarginDecomposition(*(d[f.name] for f in fields(MarginDecomposition)))
                 for d in obj["decompositions"]
             ),
@@ -241,7 +222,7 @@ def parse_report(data: bytes) -> AssessmentReport:
                 z_net_old_mag_ohm=tuple(lc["z_net_old_mag_ohm"]),
                 r_diag=tuple(_num_in(r) for r in lc["r_diag"]),
             ),
-            compliance=tuple(
+            compliance=(
                 ComplianceRecord(rec["f_hz"], rec["z_new_mag_ohm"], _num_in(rec["z_limit_ohm"]))
                 for rec in obj["compliance"]
             ),
@@ -260,8 +241,10 @@ def parse_report(data: bytes) -> AssessmentReport:
         derived = _report_to_obj(report)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InconsistentInputs(f"malformed report: {exc!r}") from exc
+    # compared as JSON text, since in Python true == 1 == 1.0
+    obj_text = {key: json.dumps(value) for key, value in obj.items()}
     for key in dict.fromkeys([*derived, *obj]):
-        if key not in derived or key not in obj or derived[key] != obj[key]:
+        if key not in derived or json.dumps(derived[key]) != obj_text.get(key):
             raise InconsistentInputs(
                 f"report key {key!r} is unknown or disagrees with the measured values"
             )

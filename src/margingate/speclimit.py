@@ -40,21 +40,11 @@ FLAG_PREEXISTING = "preexisting_violation"
 FLAG_R_CAVEAT = "bound_caveat_r_lt_1"
 FLAG_UNCONSTRAINED = "unconstrained"
 
-# sine values that are short binary fractions; radians conversion would
-# lose the exactness (sin(radians(30)) is one ulp below 1/2)
-_SIN_DEG_EXACT = {0.0: 0.0, 30.0: 0.5, 90.0: 1.0, 150.0: 0.5, 180.0: 0.0}
-
 
 def _sin_deg(x: float) -> float:
-    """Sine of an angle in degrees, exact on the 30-degree lattice."""
-    r = math.fmod(x, 360.0)
-    if r < 0.0:
-        r += 360.0
-    if r in _SIN_DEG_EXACT:
-        return _SIN_DEG_EXACT[r]
-    if (r - 180.0) in _SIN_DEG_EXACT:
-        return -_SIN_DEG_EXACT[r - 180.0]
-    return math.sin(math.radians(x))
+    """Sine of an angle in degrees, for the 0 < x < 90 that ``_limit_rule``
+    passes; exact at 30, where sin(radians(30)) is one ulp below 1/2."""
+    return 0.5 if x == 30.0 else math.sin(math.radians(x))
 
 
 def _check_z_net_old(z_net_old_mag: float) -> None:

@@ -1,5 +1,7 @@
+import io
 import json
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from margingate.netsynth import (
     network_to_json,
     network_to_obj,
 )
-from margingate.speclimit import MarginPolicy
+from margingate.speclimit import FLAG_PREEXISTING, MarginPolicy, limit_curve
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,33 @@ class TestExitCodes:
         main(check_args(paths, tmp_path / "out"))
         err = capsys.readouterr().err
         assert "violation" in err and "exceeds limit" in err
+
+    def test_margin_violation_without_limit_offender_noted_on_stderr(
+        self, compliant_dir, tmp_path, capsys
+    ):
+        # L_new's 67 deg PM is below a 70 deg minimum, while the one limit
+        # row, at 3000 Hz (PM_old 78 deg), is met
+        extra = ("--pm-min-deg", "70", "--pm-cau-deg", "80", "--critical-freqs", "3000")
+        assert main(check_args(compliant_dir, tmp_path, *extra)) == 1
+        obj = json.loads((tmp_path / "report.json").read_bytes())
+        assert [rec["verdict"] for rec in obj["compliance"]] == ["compliant"]
+        assert capsys.readouterr().err == "margin or encirclement violation\n"
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_float_fault_exits_2_under_any_warning_filter(self, tmp_path, capsys, action):
+        # a subnormal PPM sample overflows the loop-gain quotient; the
+        # warning filter must not decide between exit 2 and a verdict
+        paths = write_bundled_case("compliant-A", tmp_path / "in")
+        csv = paths["z_ppm_existing"]
+        lines = csv.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line[0].isdigit())
+        lines[first] = lines[first].split(",")[0] + ",1e-320,0\n"
+        csv.write_text("".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert main(check_args(paths, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err == "error [stage=loopgain] overflow encountered in divide\n"
 
     def test_preexisting_violation_names_missing_headroom(
         self, compliant_dir, tmp_path, capsys
@@ -400,6 +429,89 @@ class TestSubcommands:
         assert len(text.splitlines()) == 3
         assert code in (0, 1)
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_limit_table_without_z_new(self, compliant_dir, tmp_path, capsys, to_file):
+        lg_file = tmp_path / "lg.csv"
+        main(
+            [
+                "loopgain",
+                "--z-net", str(compliant_dir["z_net_old"]),
+                "--z-ppm", str(compliant_dir["z_ppm_existing"]),
+                "--out", str(lg_file),
+            ]
+        )
+        capsys.readouterr()
+        # a 60 deg minimum leaves no headroom at 500 Hz (PM_old 52 deg)
+        args = [
+            "limit",
+            "--l-old", str(lg_file),
+            "--z-net-old", str(compliant_dir["z_net_old"]),
+            "--critical-freqs", "3000,150,500,150",
+            "--pm-min-deg", "60", "--pm-cau-deg", "70",
+        ]
+        out_file = tmp_path / "limit.csv"
+        assert main([*args, "--out", str(out_file)] if to_file else args) == 0
+        text = capsys.readouterr().out
+        if to_file:
+            assert text == ""
+            text = out_file.read_text()
+        limits = limit_curve(
+            parse_response(lg_file.read_bytes()),
+            parse_response(compliant_dir["z_net_old"].read_bytes()),
+            [150.0, 500.0, 3000.0],
+            MarginPolicy(60.0, 70.0, 15.0),
+        )
+        lines = text.splitlines()
+        assert lines[0] == "freq_hz,z_limit_ohm,delta_pm_deg,flags"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(row[0]) for row in rows] == [150.0, 500.0, 3000.0]
+        assert [row[2] for row in rows] == [repr(d) for d in limits.delta_pm_deg]
+        assert limits.z_limit_ohm[1] is None
+        assert rows[1][1::2] == ["", FLAG_PREEXISTING]
+        for row, z_lim in zip(rows[::2], limits.z_limit_ohm[::2]):
+            assert row[1::2] == [repr(z_lim), ""]
+
+    def test_limit_detect_from_matches_check(self, tmp_path, capsys):
+        # the gain crossovers of an L_new file set the rows, as in check;
+        # tableII-like's new plant violates its one limit row, so exit 1
+        paths = write_bundled_case("tableII-like", tmp_path / "in")
+        report, _ = run_assessment(RunConfig(**paths))
+        files = [tmp_path / f"{name}.csv" for name, _ in report.curves]
+        for path, (_, curve) in zip(files, report.curves):
+            path.write_bytes(write_response(curve))
+        code = main(
+            [
+                "limit",
+                "--l-old", str(files[0]),
+                "--z-net-old", str(paths["z_net_old"]),
+                "--detect-from", str(files[1]),
+                "--z-new", str(paths["z_ppm_new"]),
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "freq_hz,z_new_ohm,z_limit_ohm,verdict"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [float(row[0]) for row in rows] == list(report.limit_curve.freqs)
+        assert [row[3] for row in rows] == [rec.verdict for rec in report.compliance]
+        assert [row[3] for row in rows] == ["violation"]
+        assert code == 1
+
+    def test_synth_case_writes_each_role(self, tmp_path, capsys):
+        net = Series((Resistor(2.0), Inductor(1e-3)))
+        case = synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": 32}, network_to_obj(net))
+        case_file = tmp_path / "case.json"
+        case_file.write_text(json.dumps(case))
+        out_dir = tmp_path / "out"
+        assert main(["synth", "--case", str(case_file), "--out-dir", str(out_dir)]) == 0
+        expected = eval_network(net, log_grid(10, 1000, 32))
+        for role in ROLES:
+            resp = parse_response((out_dir / f"{role}.csv").read_bytes())
+            assert resp.label == role
+            assert resp == expected.with_samples(expected.samples, label=role)
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out_dir / role}.csv" for role in ROLES
+        ]
+
     def test_synth_network(self, tmp_path):
         net_file = tmp_path / "net.json"
         net_file.write_bytes(network_to_json(Series((Resistor(2.0), Inductor(1e-3)))))
@@ -474,10 +586,43 @@ class TestSubcommands:
         }
         case_file = tmp_path / "case.json"
         case_file.write_text(json.dumps(case))
-        code = main(["check", "--synth", str(case_file), "--out-dir", str(tmp_path)])
+        code = main(["check", "--synth", str(case_file), "--out-dir", str(tmp_path),
+                     "--format", "json,markdown"])
         assert code == 0  # constant L = 0.5: no crossovers, no violations
         obj = json.loads((tmp_path / "report.json").read_bytes())
         assert obj["l_new"]["crossovers"] == []
+        markdown = (tmp_path / "report.md").read_text().splitlines()
+        assert "No limit frequencies were evaluated." in markdown
+
+
+class _Tty(io.StringIO):
+    def isatty(self):
+        return True
+
+
+class TestTerminalColour:
+    @pytest.mark.parametrize("case, extra, verdict, colour", [
+        ("compliant-A", (), "compliant", "32"),
+        ("compliant-A", ("--pm-cau-deg", "80"), "caution", "33"),
+        ("tableII-like", (), "violation", "31"),
+    ])
+    @pytest.mark.parametrize("no_color", [False, True], ids=["tty", "no_color"])
+    def test_verdict_colour(self, tmp_path, monkeypatch, case, extra, verdict, colour, no_color):
+        paths = write_bundled_case(case, tmp_path / "in")
+        out, err = _Tty(), _Tty()
+        monkeypatch.setattr("sys.stdout", out)
+        monkeypatch.setattr("sys.stderr", err)
+        if no_color:
+            monkeypatch.setenv("MARGIN_GATE_NO_COLOR", "1")
+        else:
+            monkeypatch.delenv("MARGIN_GATE_NO_COLOR", raising=False)
+        main(check_args(paths, tmp_path / "out", *extra))
+        line = f"overall verdict: {verdict}"
+        assert out.getvalue() == (line if no_color else f"\x1b[{colour}m{line}\x1b[0m") + "\n"
+        err_lines = err.getvalue().splitlines()
+        assert len(err_lines) == (verdict == "violation")
+        prefix = "violation at" if no_color else "\x1b[31mviolation at"
+        assert all(err_line.startswith(prefix) for err_line in err_lines)
 
 
 class TestParser:

@@ -8,7 +8,10 @@ from margingate.errors import KindMismatch, ZeroMagnitudeSample
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid, normalize_deg
 from margingate.loopgain import loop_gain, rho, update_loop_gain
 from margingate.margins import (
+    _MERGE_RTOL,
+    GAIN_MAG_TOL,
     CrossoverPoint,
+    _merge_close,
     decompose_margins,
     find_crossovers,
     summarize_margins,
@@ -67,6 +70,15 @@ class TestFindCrossovers:
         # seven poles reach -630: crossings at -180 and -540
         cps2 = find_crossovers(l2, "phase")
         assert len(cps2) == 2
+
+    def test_merge_boundary(self):
+        # 15625 * 1e-6 rounds to 2**-6, so the gap below sits exactly at the
+        # merge tolerance and merges; the next float above it does not
+        lo, hi = 15625.0, 15625.015625
+        assert hi - lo == _MERGE_RTOL * lo
+        assert _merge_close([hi, lo]) == [lo]
+        above = math.nextafter(hi, math.inf)
+        assert _merge_close([lo, above]) == [lo, above]
 
     def test_zero_magnitude_rejected(self):
         g = FrequencyGrid([1.0, 2.0])
@@ -133,6 +145,19 @@ class TestCrossoverPoint:
             CrossoverPoint("phase", 10.0, unit_angle(-90.0))
         cp = CrossoverPoint("phase", 10.0, -0.5 + 0j)
         assert (cp.gm_lin, cp.pm_deg) == (2.0, None)
+
+    def test_gain_tolerance_on_each_side(self):
+        # the floats either side of | |L| - 1 | = GAIN_MAG_TOL, above and
+        # below the unit circle; no float |L| sits on the boundary itself
+        for sign in (1.0, -1.0):
+            refused = 1.0 + sign * GAIN_MAG_TOL
+            if abs(refused - 1.0) < GAIN_MAG_TOL:
+                refused = math.nextafter(refused, 1.0 + sign)
+            accepted = math.nextafter(refused, 1.0)
+            assert abs(accepted - 1.0) < GAIN_MAG_TOL <= abs(refused - 1.0)
+            assert CrossoverPoint("gain", 10.0, complex(accepted, 0.0)).pm_deg == 180.0
+            with pytest.raises(KindMismatch):
+                CrossoverPoint("gain", 10.0, complex(refused, 0.0))
 
 
 class TestDecompose:

@@ -332,6 +332,26 @@ class TestJson:
         with pytest.raises(InconsistentInputs, match="malformed report.*is not a report value"):
             parse_report(json.dumps(obj).encode())
 
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda o: o["encirclements"]["l_old"].update(winding=False), "key 'encirclements'"),
+        (lambda o: o.update(consistency_error=True), "key 'consistency_error'"),
+        (lambda o: [o[s]["policy"].update(gm_min_db=True) for s in ("l_old", "l_new")],
+         "malformed report.*not booleans"),
+        (lambda o: o.update(consistency_error="x"), "malformed report: ValueError"),
+        (lambda o: o.update(inputs=list(o["inputs"].items())), "key 'inputs'"),
+    ], ids=["winding_false", "consistency_true", "gm_min_true", "consistency_string",
+            "inputs_list"])
+    def test_values_of_another_json_type_do_not_parse(self, violation_obj, tamper, message):
+        # in Python false == 0 and true == 1 == 1.0, so only the JSON text
+        # or the stored type tells these from the values render writes
+        import copy
+        import json
+
+        obj = copy.deepcopy(violation_obj)
+        tamper(obj)
+        with pytest.raises(InconsistentInputs, match=message):
+            parse_report(json.dumps(obj).encode())
+
 
 class TestMarkdown:
     def test_table_one_row_rendering(self):

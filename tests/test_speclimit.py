@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from margingate.errors import NonpositiveImpedanceMagnitude, OutOfRange
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid
+from margingate.margins import CrossoverPoint
 from margingate.speclimit import (
     FLAG_PREEXISTING,
     FLAG_R_CAVEAT,
@@ -79,6 +80,29 @@ class TestPolicy:
         assert MarginPolicy().gm_circle_radius == pytest.approx(
             10.0 ** (-15.0 / 20.0), abs=1e-15
         )
+
+    def test_equal_minimum_and_caution_thresholds(self):
+        # 0 < pm_min <= pm_cau: equal thresholds are a policy, and a PM at
+        # them is compliant; just below is critical
+        policy = MarginPolicy(15.0, 15.0, 15.0)
+        assert policy.pm_region(15.0) == "compliant"
+        assert policy.pm_region(math.nextafter(15.0, 0.0)) == "critical"
+
+    def test_zero_gain_margin_floor(self):
+        # gm_min_db >= 0: a 0 dB floor is the unit circle, and a phase
+        # crossover at -1 (0 dB) is on it, so compliant
+        policy = MarginPolicy(15.0, 30.0, 0.0)
+        assert policy.gm_circle_radius == 1.0
+        cp = CrossoverPoint("phase", 100.0, -1.0 + 0j)
+        assert cp.gm_db == 0.0
+        assert policy.region(cp) == "compliant"
+
+    @pytest.mark.parametrize("field", ["pm_min_deg", "pm_cau_deg", "gm_min_db"])
+    def test_boolean_threshold_refused(self, field):
+        # True == 1 would pass the range checks
+        values = {"pm_min_deg": 1.0, "pm_cau_deg": 30.0, "gm_min_db": 15.0, field: True}
+        with pytest.raises(ValueError, match="not booleans"):
+            MarginPolicy(**values)
 
 
 class TestPmOldAt:
@@ -213,6 +237,11 @@ class TestLimitCurveBuilder:
         lc = limit_curve(l_old, z_net, [100.0], POLICY, ratio)
         assert FLAG_R_CAVEAT in lc.flags[0]
         assert lc.r_diag[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_r_caveat_boundary(self):
+        # the caveat is r < 1: r exactly 1 carries no flag, the float below does
+        lc = LimitCurve((100.0, 200.0), (60.0, 60.0), (10.0, 10.0), (1.0, math.nextafter(1.0, 0.0)))
+        assert lc.flags == (frozenset(), frozenset({FLAG_R_CAVEAT}))
 
     def test_sorted_and_lengths(self):
         g = log_grid(10, 1000, 100)

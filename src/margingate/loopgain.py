@@ -110,9 +110,12 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
     denom = one_plus(ratio).samples
     if float(np.min(np.abs(denom))) <= _SENSITIVITY_ATOL:
         raise SingularSensitivity("|1+rho| vanishes on the grid")
+    inv = 1.0 / denom
+    # the product goes into the reciprocal's buffer: one full-grid temporary
+    np.multiply(l_old.samples, inv, out=inv)
     resp = FrequencyResponse(
         grid=l_old.grid,
-        samples=l_old.samples * (1.0 / denom),
+        samples=inv,
         unit="dimensionless",
         label="L_new",
         **_merged_meta(l_old, ratio),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveImpedanceMagnitude
+from .errors import NonFiniteValue, NonpositiveImpedanceMagnitude
 from .freqresp import FrequencyResponse, value_at, values_at
 from .loopgain import one_plus
 from .margins import MarginPolicy, pm_deg
@@ -47,18 +47,18 @@ def _sin_deg(x: float) -> float:
     return 0.5 if x == 30.0 else math.sin(math.radians(x))
 
 
-def _check_z_net_old(z_net_old_mag: float) -> None:
-    if not (math.isfinite(z_net_old_mag) and z_net_old_mag > 0.0):
-        raise NonpositiveImpedanceMagnitude(
-            f"|Z_net,old| must be positive, got {z_net_old_mag!r}"
-        )
-
-
 def _limit_rule(
     delta_pm: float, z_net_old_mag: float, r: float | None = None
 ) -> tuple[float | None, frozenset[str]]:
     """The limit and flags at one frequency, read off the headroom,
-    |Z_net,old| and, when known, r = |1+rho|."""
+    |Z_net,old| and, when known, r = |1+rho|. Refuses a |Z_net,old| that
+    is not positive and finite, and a headroom that is not finite."""
+    if not (math.isfinite(z_net_old_mag) and z_net_old_mag > 0.0):
+        raise NonpositiveImpedanceMagnitude(
+            f"|Z_net,old| must be positive, got {z_net_old_mag!r}"
+        )
+    if not math.isfinite(delta_pm):
+        raise NonFiniteValue(f"phase-margin headroom must be finite, got {delta_pm!r}")
     flags = frozenset({FLAG_R_CAVEAT}) if r is not None and r < 1.0 else frozenset()
     if delta_pm <= 0.0:
         return None, flags | {FLAG_PREEXISTING}
@@ -85,8 +85,7 @@ class LimitCurve:
         for name in ("delta_pm_deg", "z_net_old_mag_ohm", "r_diag"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length must match freqs")
-        for zn in self.z_net_old_mag_ohm:
-            _check_z_net_old(zn)
+        self._rows()  # every row must pass the limit rule
 
     def _rows(self) -> list[tuple[float | None, frozenset[str]]]:
         return [
@@ -146,7 +145,6 @@ def impedance_limit(
     |Z_net,old|/2) so the bound stays monotone-conservative, flagged
     ``unconstrained``.
     """
-    _check_z_net_old(z_net_old_mag)
     delta_pm = pm_old_deg - policy.pm_min_deg
     z_limit, flags = _limit_rule(delta_pm, z_net_old_mag)
     return z_limit, delta_pm, flags

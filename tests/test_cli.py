@@ -424,10 +424,11 @@ class TestSubcommands:
                 "--out", str(out_file),
             ]
         )
-        text = out_file.read_text()
-        assert text.splitlines()[0] == "freq_hz,z_new_ohm,z_limit_ohm,verdict"
-        assert len(text.splitlines()) == 3
-        assert code in (0, 1)
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == "freq_hz,z_new_ohm,z_limit_ohm,verdict"
+        # |Z_new| 12.0 and 4.0 ohm against limits of 15.97 and 16.57 ohm
+        assert [row.split(",")[-1] for row in lines[1:]] == ["compliant", "compliant"]
+        assert code == 0
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
     def test_limit_table_without_z_new(self, compliant_dir, tmp_path, capsys, to_file):

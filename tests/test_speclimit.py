@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margingate.errors import NonpositiveImpedanceMagnitude, OutOfRange
+from margingate.errors import NonFiniteValue, NonpositiveImpedanceMagnitude, OutOfRange
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid
 from margingate.margins import CrossoverPoint
 from margingate.speclimit import (
@@ -261,3 +261,11 @@ class TestLimitCurveBuilder:
                 LimitCurve((1.0,), (60.0,), (z_net_old,), (None,))
         # a record's verdict is read off its magnitudes: 5 > 4
         assert ComplianceRecord(1.0, 5.0, 4.0).verdict == "violation"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_headroom_is_refused(self, bad):
+        # a NaN headroom would give a NaN limit with no flag
+        with pytest.raises(NonFiniteValue, match="headroom must be finite"):
+            impedance_limit(10.0, bad, MarginPolicy())
+        with pytest.raises(NonFiniteValue, match="headroom must be finite"):
+            LimitCurve((100.0,), (bad,), (10.0,), (None,))

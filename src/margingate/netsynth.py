@@ -161,7 +161,7 @@ class Series(_Branches):
 
 @dataclass(frozen=True)
 class Parallel(_Branches):
-    """Children in parallel: their impedances combine through ``par``."""
+    """Children in parallel: their admittances add (``_par_sum``)."""
 
 
 # the element table: an element's JSON type tag is its class name in lower case
@@ -183,32 +183,64 @@ def _tag(desc: NetworkElement) -> str:
 # algebra
 # ---------------------------------------------------------------------------
 
-def par(z1, z2, f=None):
-    """Parallel combination Z1*Z2 / (Z1+Z2).
+def _par_sum(branches, f=None):
+    """Impedance 1 / sum_k Y_k of parallel branches.
 
-    Raises ``ResonanceSingular`` when |Z1+Z2| falls below
-    1e-12 * max(|Z1|, |Z2|) (genuine antiresonance, not rounding); given
-    the sample frequencies ``f``, the message names the first bad one.
-    Equal operands return Z/2 exactly. The operands are never written to.
+    ``branches`` yields each impedance as (real, imag) parts, arrays of one
+    shape or a float real part, and may be a generator: each admittance
+    Y_k = conj(Z_k) / |Z_k|^2 is added in real arithmetic (r/d and x/d,
+    d = r^2 + x^2) as its branch arrives. The operands are never written to.
+
+    Raises ``ResonanceSingular`` where |sum_k Y_k| <= 1e-12 * max_k |Y_k|
+    (genuine antiresonance, not rounding) or where some |Z_k|^2 is zero;
+    given the sample frequencies ``f``, the message names the first bad
+    one. |Z_k| must lie within about 1e-154..1e154 ohm for |Z_k|^2 to be a
+    float64.
     """
-    a = np.asarray(z1, dtype=complex)
-    b = np.asarray(z2, dtype=complex)
-    s = a + b
-    # |s| goes into the |b| buffer: each fresh temporary costs page faults
-    ref = np.abs(a, out=np.empty(np.shape(s)))
-    mag = np.abs(b, out=np.empty(np.shape(s)))
-    np.maximum(ref, mag, out=ref)
-    ref *= _SINGULAR_RTOL
-    bad = np.abs(s, out=mag) <= ref
-    if np.any(bad):
-        near = "" if f is None else f" near {np.ravel(f)[np.argmax(bad)]} Hz"
-        raise ResonanceSingular(f"parallel branches cancel: |Z1+Z2| ~ 0{near}")
-    out = np.multiply(a, b, out=np.empty(np.shape(s), dtype=complex))
-    out /= s
-    same = a == b
-    if np.any(same):
-        np.divide(a, 2.0, out=out, where=same)
-    return complex(out) if out.ndim == 0 else out
+    g = None
+    for r, x in branches:
+        if g is None:
+            g, s, d_min, d, t = np.empty((5,) + x.shape)
+            g.fill(-0.0)  # -0.0 + y is y, signed zeros included
+            s.fill(-0.0)
+            d_min.fill(np.inf)
+        np.multiply(x, x, out=d)
+        d += np.square(r)
+        np.minimum(d_min, d, out=d_min)
+        with np.errstate(divide="ignore", invalid="ignore"):  # d = 0 fails the guard
+            g += np.divide(r, d, out=t)
+            s += np.divide(x, d, out=t)
+    # |sum Y|^2 * min_k |Z_k|^2 is (|sum Y| / max_k |Y_k|)^2; a NaN fails too
+    np.multiply(g, g, out=d)
+    d += np.multiply(s, s, out=t)
+    with np.errstate(invalid="ignore"):
+        ok = np.multiply(d, d_min, out=t) > _SINGULAR_RTOL**2
+    if not ok.all():
+        i = int(np.argmin(ok))
+        near = "" if f is None else f" near {np.ravel(f)[i]} Hz"
+        if d_min[i] == 0.0:
+            raise ResonanceSingular(f"parallel branch has |Z| ~ 0{near}")
+        raise ResonanceSingular(f"parallel branches cancel: |sum of 1/Z| ~ 0{near}")
+    # 1 / (g - js) = (g + js) / (g^2 + s^2)
+    out = np.empty(x.shape, dtype=complex)
+    np.divide(g, d, out=out.real)
+    np.divide(s, d, out=out.imag)
+    return out
+
+
+def par(z1, z2, f=None):
+    """Parallel combination of two impedances: the guarded admittance sum
+    ``_par_sum`` that ``Parallel`` nodes use.
+
+    Raises ``ResonanceSingular`` where |1/Z1 + 1/Z2| <= 1e-12 *
+    max(1/|Z1|, 1/|Z2|), in exact arithmetic |Z1+Z2| <= 1e-12 *
+    max(|Z1|, |Z2|), or where an operand is zero; given the sample
+    frequencies ``f``, the message names the first bad one. The operands
+    are never written to.
+    """
+    zs = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+    out = _par_sum(((z.real, z.imag) for z in map(np.atleast_1d, zs)), f)
+    return complex(out[0]) if zs[0].ndim == 0 else out
 
 
 def _leaf_imag(desc: NetworkElement, w: np.ndarray) -> np.ndarray:
@@ -225,25 +257,44 @@ def _leaf_imag(desc: NetworkElement, w: np.ndarray) -> np.ndarray:
     return w * desc.l_henry
 
 
-def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Samples of ``desc`` at ``f`` (``w = 2*pi*f``), always a fresh array.
+def _lumped_parts(desc: NetworkElement, w: np.ndarray):
+    """For a lumped leaf, or a Series of lumped leaves only, the real part
+    (a float) and the imaginary part (a fresh array), each summed in child
+    order: numpy's complex addition is componentwise, so these are the
+    bits of the complex sum. None for any other element."""
+    kids = desc.children if isinstance(desc, Series) else (desc,)
+    if not all(isinstance(k, _Lumped) for k in kids):
+        return None
+    re = float(getattr(kids[0], "r_ohm", 0.0))
+    im = _leaf_imag(kids[0], w)
+    for k in kids[1:]:
+        re += float(getattr(k, "r_ohm", 0.0))
+        im += _leaf_imag(k, w)
+    return re, im
 
-    A lumped leaf, or a Series of lumped leaves only, sums its real parts
-    and its imaginary parts separately in child order: numpy's complex
-    addition is componentwise, so this keeps the bits of the complex sum.
-    """
+
+def _branch(desc: NetworkElement, f: np.ndarray, w: np.ndarray):
+    """A Parallel child's (real, imag) parts, as ``_par_sum`` takes them."""
+    parts = _lumped_parts(desc, w)
+    if parts is None:
+        z = _eval_tree(desc, f, w)
+        parts = z.real, z.imag
+    return parts
+
+
+def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Samples of ``desc`` at ``f`` (``w = 2*pi*f``), always a fresh array."""
     kind = _tag(desc)
-    kids = desc.children if kind == "series" else (desc,)
-    if all(isinstance(k, _Lumped) for k in kids):
-        re = float(getattr(kids[0], "r_ohm", 0.0))
-        im = _leaf_imag(kids[0], w)
-        for k in kids[1:]:
-            re += float(getattr(k, "r_ohm", 0.0))
-            im += _leaf_imag(k, w)
+    parts = _lumped_parts(desc, w)
+    if parts is not None:
         out = np.empty(f.size, dtype=complex)
-        out.real = re
-        out.imag = im
+        out.real, out.imag = parts
         return out
+    if kind == "parallel":
+        try:
+            return _par_sum((_branch(c, f, w) for c in desc.children), f)
+        except ResonanceSingular as exc:
+            raise SingularAtFrequency(str(exc)) from None
     if kind == "rational":
         s = 1j * w
         for p in desc.poles_rad_s:
@@ -263,14 +314,7 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray
         return num
     acc = _eval_tree(desc.children[0], f, w)
     for child in desc.children[1:]:
-        v = _eval_tree(child, f, w)
-        if kind == "series":
-            acc += v
-        else:
-            try:
-                acc = par(acc, v, f)
-            except ResonanceSingular as exc:
-                raise SingularAtFrequency(str(exc)) from None
+        acc += _eval_tree(child, f, w)
     return acc
 
 

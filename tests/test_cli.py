@@ -132,6 +132,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error [stage=loopgain] overflow encountered in divide\n"
 
+    @pytest.mark.parametrize("exp2, code", [(500, 0), (-510, 0), (540, 2), (-540, 2), (-560, 2)])
+    def test_impedances_outside_the_float_range_of_par_exit_2(
+        self, compliant_dir, tmp_path, capsys, exp2, code
+    ):
+        # every curve scaled by one power of two keeps L and rho to the bit;
+        # |Z|^2 in the parallel admittance sum needs |Z| within about
+        # 1e-154..1e154 ohm (bundled |Z| spans about 1-100 ohm), and past
+        # that the run stops in a named stage instead of giving a verdict
+        paths = {}
+        for role, path in compliant_dir.items():
+            curve = parse_response(path.read_bytes())
+            paths[role] = tmp_path / path.name
+            paths[role].write_bytes(write_response(curve.with_samples(curve.samples * 2.0**exp2)))
+        assert main(check_args(paths, tmp_path / "out")) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error [stage=loopgain] ") and err.count("\n") == 1, err
+
     def test_preexisting_violation_names_missing_headroom(
         self, compliant_dir, tmp_path, capsys
     ):

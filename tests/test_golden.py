@@ -39,94 +39,94 @@ SVG = "{http://www.w3.org/2000/svg}"
 GOLDEN = {
     "compliant-A": {
         "z_ppm_existing": "ae906cdbe1fe80fd82ff689e6d3de4eef434bf31272d9c1ebdbe5cef457d37d4",
-        "z_net_old": "b6881c575a452b27ad6313c2dea763fdab0fae0fac9a518dcddf51118e9285dd",
+        "z_net_old": "1b5fa6dc2c26ad056e9959bbe8f96098e7821fe6000786b0d92cf07912357e08",
         "z_ppm_new": "260e8822a56bd3452f2027132cc3e5a8f0b25669db8372a4e39a97ca1ca491ed",
-        "json": "145d3df8dfae2f76bc6ebfd70b2375df6d5c5e28d9f762eef742d8a99fe1ecfa",
-        "markdown": "8f530d3c0ff490be99811ba84c24cf3600de96cea5e32c562c49d54e58393fea",
+        "json": "5911e98e2a0ba1fa4f321616916328d7b97e721f1e3c06363365163fa4b9e7a7",
+        "markdown": "a16b30985c0f0ef011301601e8a0f71ff58b4ed71436e3338dbfc73f7e88a93b",
     },
     "tableII-like": {
         "z_ppm_existing": "ae906cdbe1fe80fd82ff689e6d3de4eef434bf31272d9c1ebdbe5cef457d37d4",
-        "z_net_old": "b6881c575a452b27ad6313c2dea763fdab0fae0fac9a518dcddf51118e9285dd",
-        "z_ppm_new": "51c8d14837d4c704793a2bd6d8c81adc5817ae02812f19e15791e723072f4f95",
-        "json": "cc7c56f36aeb3c42c4e21d8e1e0af8ed2f7ca2ab73304c934480d25597374bf3",
-        "markdown": "c73a86bbed3b14bd19fc8e6c25e17f9df596264b8c233b69b75779cda5f1866c",
+        "z_net_old": "1b5fa6dc2c26ad056e9959bbe8f96098e7821fe6000786b0d92cf07912357e08",
+        "z_ppm_new": "3f5249835556bc71cd8a0e28a8807989d917a21a54b118265cc56cf473c94b42",
+        "json": "f19d627baddc3f86fb61970ef3cedf27135f24ef1bb97f804b497dd64732419c",
+        "markdown": "e3e25ece2ca0bbb0f4fd34567d96371b7d06c0df53bba8f1a3c08ae290328c88",
     },
     "seed-0": {
-        "z_ppm_existing": "d0a886c78feb24474f7ca0788cd4ff87bd3ef7f78833dd309f923934b180db1c",
-        "z_net_old": "39736c34ca1566c90e4d80dd100294c7e9f4abc0d76165dbe8d515d810050736",
-        "z_ppm_new": "4f17dee6482d3a967630b9e6061eddeb25086963fe1eb4622256c58e5727d340",
-        "json": "6417dcd0332ab860e3ae6b840183d87c56d4cdaf4e5fc279ae9bf81495ec6921",
-        "markdown": "7ce20b8d85d6317c2d7f28aaead63588b1a049ede8d4ac6570c3efa4f294294b",
+        "z_ppm_existing": "3e88683812758332b8cec3d7bf77319cf56b5d664f136d7d7cbadc52f007b2a4",
+        "z_net_old": "b32134b3772f67ea49cbed93f250242268994831ea103891c09e213217bb63f4",
+        "z_ppm_new": "cab37d1fac5e7d8235ba2a3141c1bd0523252d857c8b9246feb6f1f23ab5d7dc",
+        "json": "3d659ba64983809cc7c4f575fcbb3df1df6d718db600795115555b7b3055c6de",
+        "markdown": "239ed9e391088a6ec65d6224f06329359a3525331a7f0be2b7215d4f50a2e778",
     },
     "seed-1": {
-        "z_ppm_existing": "9d2b3040aa00181280bda22cc2194694d3b1fc9f6baf192f4b124531bfcd2bcf",
-        "z_net_old": "5e08c3797b0d77fb4d3dfc30cb78b151d06b33819d682e324a806e369f5cc1d9",
-        "z_ppm_new": "94c9d9f0bf23cf707016567a6b5069b0fe3330b0b64a70e308f9c97e44e483e3",
-        "json": "608f0a61e25e15fa7eee6750e02f8f6966a6ac86c15a6853a2f77da11384566e",
-        "markdown": "0571a2d8f167368a9e6cccdee44a83fceb5d0c7229fc13f8dfe55cbad083b775",
+        "z_ppm_existing": "e1c8a660ef521aef72fa33070ac88a6a433ce028e0d0b73157caf44e13ee37e8",
+        "z_net_old": "158c889eba342e4f594e3e404b52ad32c5733543ce1affdad99161f8f89934e9",
+        "z_ppm_new": "e3dac34da985f3258ba9a98d471f6597ec7a6e62e9d6a71e5e35cc7386c84631",
+        "json": "0b1e84ffb790dd64027212d16d650262b8c8e6e132b4f5e491d923df43c78279",
+        "markdown": "f0e0a9206f9168dc764139f53bfc3ee15e76a6712f9254bd9b714b65508d7e04",
     },
     "seed-2": {
-        "z_ppm_existing": "691447b9cea8810e0be508369bdf8ba567a436ea56a2dd90800e576d744c5c71",
-        "z_net_old": "101ea9b1eb691b17bba0e9f59bb1fe5c9bc67b4341ce4ec5f83b7713090eacdb",
-        "z_ppm_new": "19f1e912a439b131f44c8d5354f18679976f17574afe1b59546930f23de890e7",
-        "json": "a19ad18cce34802830a8b6c50c823b1cd5c891f1110bf907f958d3d40c57cdbc",
-        "markdown": "0800a0911ee354cb47a0edf2af07ce1c2abac59f1fb7cc1382f6a1236cf34cb8",
+        "z_ppm_existing": "b1aeeaa3cf343bd1259682e976eec12d055cf18c8ecc8b17051ea431ab98142d",
+        "z_net_old": "b1eabfb3c354a6c11f58594f653263b42049559ffa55237a53dfe14625605e27",
+        "z_ppm_new": "cae9f2ab78f49cded57bb04b2c62aa8a10e34b36041988aeda3af1c6906a5b47",
+        "json": "52ca9650e030553bab5d358d4315fe3aa88881038a1f67137ffeec9e68d49e2a",
+        "markdown": "3251d894276fc7b28a7840630398e7a57558c359d890f73070fec685f8764c4c",
     },
     "seed-3": {
-        "z_ppm_existing": "72106aed8a686b8be3bb7871fd7528682b0ee919a34361c36a1bdfc5c0c6fac0",
-        "z_net_old": "db17d0750e5178b34ec1e0216a92402f5c7781aee63b6131df799a1447a1866d",
-        "z_ppm_new": "a214afa73ffb9213b631e332a282dcc052d8338696cf70a2bbe9f6f2395a33ae",
-        "json": "d661eaa40a5554c51bf05e05aeb23aef29019520db3d185a55b1889c44964efd",
-        "markdown": "818b27ea1700bc2967813cd33a2ca064b6e842c1bd0e44b8d8f9b1dae2eab69b",
+        "z_ppm_existing": "4f60d6ab3c8e923b649f8fac3b17e6f6cacce257e7abd95695357d7aa711ae19",
+        "z_net_old": "a83b213b3b39d5522f7c983ddf777c4abc694d3022d3f252bf8fe48271ffd9ae",
+        "z_ppm_new": "93651a3ff677b4c42a2670885fc9f72a9281865e5f4eb4d3b4195a8a3537b972",
+        "json": "7c301d863a1f36d284add2c61ed5c1188e5e1ff5fc66cd7da8264945bdfbdb0d",
+        "markdown": "065e32a7198ccc58bc9542dc886a200e58c82cd35e70f8c66d44a66b0377e869",
     },
     "seed-4": {
-        "z_ppm_existing": "1f04383a91adc20be91bedfbea7f67f2659fb6fcd57b5c75dc3749977fdc2fde",
-        "z_net_old": "e02898ecf9fef2e1a9b890c4b5551ab53da609858f0cf38bd5ef316f095480c0",
-        "z_ppm_new": "74a1513c3e61209b9b7aea7713116b83115d7323e2c4a9b00b939ac3aad03b79",
-        "json": "5f3ab031e423dc88627ec455706405adb1baa44ebde1afbf15a53cc50f32ab05",
-        "markdown": "d914404112a3cad6c778f69df009cab763a6b01486773c0b94a4fd85853c366d",
+        "z_ppm_existing": "9b27e23f7db0cc7712572ce7132c951b70d22126b2ff1c641cc01a5740df7b6c",
+        "z_net_old": "74803448b983b15c84531cb74d5195863ad01adbda54f56abe3423818a30d5e4",
+        "z_ppm_new": "0732f9ca48b1f673c4c105d2fc3c935f5bb88d8cc0e3bca91ec1955d949b4a43",
+        "json": "89f756a8a0673e3447a9d744a1dccc5b416b15f69a2201bb53311309afca74d4",
+        "markdown": "3ae9a26062f7a298722915a91d49c240080bf65e6b9bf4ec02d0ff9cc1d77832",
     },
     "seed-5": {
-        "z_ppm_existing": "8d5ef5d9db69d9f7eae10e6e1c69413b8b146937f9beb488d7014305b202827e",
-        "z_net_old": "8cb72a12202eca3cbcda5faa775ac894cdebb8e15a85e7396fcc7bd3cbb15541",
-        "z_ppm_new": "5030dcabc82f852f96114b3ac085650977e7c525e28bbcb6bac58b1cf8f71e7c",
-        "json": "78577b8c5efa206bed928aa5a11f1a7cc4788cf20d1ca1841a8bbb7f6855ecaa",
-        "markdown": "fa9eea0410fd5af8897a69827c017835ff6874051ad5bc2555ebb9a1fcf4f79a",
+        "z_ppm_existing": "95079204910a2a82618ab8bf92491bfd74c1b7cd010fcf35d73226c91c09af36",
+        "z_net_old": "710fa36b9c242667a5148830cb425e2ad7204da9e229698257ac9cc3c4ed2868",
+        "z_ppm_new": "9631a8745035b323d6966e7c6f507583933a0964115fabab27716b273f03909c",
+        "json": "76701ccf2a4f1444552f7bcf14a67a9bd8b6623639fbeb55729adf7903e03524",
+        "markdown": "de666f801b1de6eeccdf8677931fdcf6a97c2e9173e31607537b08303a467700",
     },
     "seed-6": {
-        "z_ppm_existing": "ed43762917786706291a7f82a32f959a3d8cab27bfc12fe77fdef4834f0b655f",
-        "z_net_old": "5b00647f84e99277b102f1267946aa0def96d3b06b8c226e75589ebd0b138428",
-        "z_ppm_new": "1030f1aa4f2fbe4091ab12683132417f78685f982c366c27313451aad80e0a73",
-        "json": "2ee61d2c212ac70501eb910449da1ca8122a61cc09ee9449d2963efee61e4e44",
-        "markdown": "14584eb3676a40faf364d82ce6ebbd1e7bfda3518cb2643df0c420c066d70b54",
+        "z_ppm_existing": "cb4385d929f817767a5b8cea34e6116c2ecba7ce19973185d45e58c6329541f1",
+        "z_net_old": "46b0cc9e68908f78017adf55d457528eee75fec39a6b13bae7713f575f5b1bfb",
+        "z_ppm_new": "12a587ecf9473b1360a6f48675bb69528054c62dfd763cab2077d22bf8fb76ab",
+        "json": "8dd88ca05fd4a80900c573564db178bdbae5c8df9a1e55993e3bb3c4f754d12a",
+        "markdown": "26015b5eea203c73ed41621c5f7ec53eefffd1d934fadd554d3a28c62a91b255",
     },
     "seed-7": {
-        "z_ppm_existing": "47966033e8b3faede987f2a9987eeda3aa05fc3d258a9b02d7eb9dad9f1aa8c4",
-        "z_net_old": "5f3bc0bab490c048c49198150fc426292ea1167e19b61eb8be2a8bf16dabacf9",
-        "z_ppm_new": "9efa3ee49ab3f9ea38ba75e58bba93dd6af7ff6d79342e8ab5f1b31e78e9075d",
-        "json": "85bc4d29221ce37861048f401e07fa0ce2c6901b5092a17c99f8ec1e8ff47f4c",
-        "markdown": "de9f622010cf7b9f625429a943cbfc381b450ef84db9dbd2f1a817b917fc6d62",
+        "z_ppm_existing": "35047eebb2463d3555787fe1b6d7ef85e29b87ea8520bd81494bb3992278e066",
+        "z_net_old": "13397d4d52815066fb6907f9ef4c47fdc0b408d93b4bdb1fc86e60bdaf67c773",
+        "z_ppm_new": "3077ce15d974d44d9b643ecb1498eb085b4ef53ea6f2aa2cb6106347df755321",
+        "json": "05e5090d30eeffaedce7c776a340a538e2e212acf6cc12eff5809b510f6b8a0c",
+        "markdown": "0bc4ffe3d00be91ca4778085e095ce3cc5bb21f48c7114118804f8303e4ac727",
     },
     "seed-8": {
-        "z_ppm_existing": "c58647e9fdca524f4f81d0f70500defb65f1d7de031610d18bbc08590d24f376",
-        "z_net_old": "507ea7e243b4fd0b59e26e7889c336afa0e04454a0221117bedff4d1cadf6e74",
-        "z_ppm_new": "cfb49e8dd510492400e8e038891a223d0275899897eba27abb085ef1b73583db",
-        "json": "fd8a4577dbd2fc7627a5572bba597d0b3b9fb2515c01c7435de7a8077c7006fb",
-        "markdown": "bcdb00b7c6bd21f7d1829b7519b72868654e7e533b2c8ddcab6930079849184c",
+        "z_ppm_existing": "0db1aacebeb20d6e7f4c2276476b616dda522bd09da55b21b424d135d26a019d",
+        "z_net_old": "b67b9879409d2eca810d3dda8536378d576154b3cebad27b423d59bbfd8945dd",
+        "z_ppm_new": "cf71a867273a07d314ee8ca3f71d78db4b94c11047d385b2e3de4c509c806a71",
+        "json": "7908c5b91ae75a06a7465ee93c2ebecda6618a39e1a85955e04e2c1d45fcc40b",
+        "markdown": "440c5e5b08a05555f889f67830918c77a0ffe57cc38898e8419d72824fb07916",
     },
     "seed-9": {
-        "z_ppm_existing": "66962cf2af5580038ac17be20625cb41fdba6cb843c649ed9c3b7e07fbc2ea50",
-        "z_net_old": "887b7b4902cd8145756abba5e0e2db3f68aaf5ffff93032b110fbd0185e6c2a9",
-        "z_ppm_new": "11f358d96e28e34a7b0c49f3431d84a1dab1469503229a97342e1cbb6cd7b141",
-        "json": "40b96064f86b49236cce2e08314e88fbdf3e4596cd3b26b945b31d4164ecf590",
-        "markdown": "4d67155a197216b0c1e071a6cd1ad57dace5b2c56368e44902d96d4cef8b8f00",
+        "z_ppm_existing": "6cf57021f62cb49e4b49c0cd6ad5c6fa2d759282cdd05b742c1c55fec266f7b9",
+        "z_net_old": "05196b2bcdeffe5cd3d943b59a9dcb34ceb43b9b91deba6b16336941d1e86a1b",
+        "z_ppm_new": "0a117ed88a91d779be79da09c2534cdfbc78ed609418ae6876084c226685db2c",
+        "json": "6ba2f661632f0169220b9a732f344c27eeb8c31ca423643ad6a124f1dfc2a4d5",
+        "markdown": "b8a714bbac91726f9ccdfe0af93131bf21b03fec9c4c39a6fb994635c5f2d7b6",
     },
     "converter": {
         "z_ppm_existing": "9e510c7818b77a293081835d15bd78b1531d79da65804177bf9b1dafd7ce06bc",
-        "z_net_old": "a6a6be47021e7b101af9be71c70868a610fdf8f9d827a1490e5dc9bce128d17a",
+        "z_net_old": "9013d4026768493535d00154a108ed997bfcbc71113a3c890f16287298d3c7ba",
         "z_ppm_new": "c46624549a031915f68cfb7272f835b8038d75f85a4c24b804f3c15d2d3dc013",
-        "json": "2092e824aee989ee20eeb76e0339386be3ce822788a6762d9f2e734a7e324885",
-        "markdown": "630a3d7316fa08c323bd54addfe1f77cac8e2951c9f41029352a569f1ecc0fec",
+        "json": "410238803c561f4a02d0d324aac9dc3974e1e80865a7b8baa3c3480cf4eff8cc",
+        "markdown": "ae79ba7234af367fd5533e3ae1d0740bdec6079f5b78215b588cc40365267dcf",
     },
 }
 
@@ -205,7 +205,7 @@ NETWORK_GOLDEN = {
         "z_ppm_new": "8dccd2dea8f10c37604ea64b1c06cc5dfcda272e1c8255a5e62d3b58857b635c",
     },
     "seed-0": {
-        "z_ppm_existing": "38dcb3a5a933af35f4665003ecb28122a3c6324c6ae187c05b28e227fdeb88f2",
+        "z_ppm_existing": "1019d01949ea178e9ee2a243df9321610deee124bf4364b2dd1766fe6c4436a1",
         "z_net_old": "3c77ed7ab5399d5aa63d2202a3fa52e84d99954c220b7441c61918f2d9ae5021",
         "z_ppm_new": "640c12b104c239acf50bba75d5d31b321fa78f1f1ea5ca71e8a4236fce75ec6e",
     },
@@ -215,34 +215,34 @@ NETWORK_GOLDEN = {
         "z_ppm_new": "401449ee13d0bcc0edb62437871280bd95ad0539e757c5119cee53de7ec0878d",
     },
     "seed-2": {
-        "z_ppm_existing": "897b6f89de475d167fe811a60daf7956875fd9e454d2eb779e60798d02797606",
+        "z_ppm_existing": "d6dfff3c1fa795aa52dbf90dbcfedcf88f2d75d854e25a5c5ed047af9ab35f9e",
         "z_net_old": "745303350876b7dadcfbe64abfaaef3e2ffc9fc57a7ab560034ea15864696549",
         "z_ppm_new": "59e6c7cc88e17e7bae8e097fbf9ae0f24cd7807a376f2fefaeabe9ddc255b473",
     },
     "seed-3": {
-        "z_ppm_existing": "80f49ad20cf1a380cfd062a8c8b7c96f2629c1afa9f28fc47fac8e2c29e4d40a",
+        "z_ppm_existing": "d657c58ea9dd95d7f844a97f589a47aaa84a78ccb05eece73017b9d201bf3a45",
         "z_net_old": "5b784df01a633516beefd5957bd7b55b4f99e0409a131adfa0f2a4f1943e6917",
         "z_ppm_new": "59beedbe247b7e799d1cb5664c0c215ccec82163b5aefb8cd1df43a8225cc04e",
     },
     "seed-4": {
-        "z_ppm_existing": "a8f42f21559b5058317d95c69385d1b2792c6c63da64e89e0357b05718b9fba9",
+        "z_ppm_existing": "458e9672852dda83b398fd92962694adb5c19995e057f190bc59e4402b5bddd5",
         "z_net_old": "a8ae74b73993a1623e7bc7de710b5edf4116f391819fdff517ab9c3959dc3528",
         "z_ppm_new": "e9406ad53e89a8056a9b8ac87041d315a614752c7b562ed011a2e3ddf2a9d8c1",
     },
     "seed-5": {
-        "z_ppm_existing": "b6787e8b2e24c9f059d0a25b812bd81aab960ad969597fddf8ad0c14ef832c47",
+        "z_ppm_existing": "2b53cd4ab06093838e85274c01791f9894c454fdee5cb76fb86d8e5100f23507",
         "z_net_old": "490fafc640382052c01a8df75fe1b8a9bbcdc132538787a8a72d98610bbebd61",
         "z_ppm_new": "0f1bf9699ebda981ae7a47fe953dcc33ba4e04b83987b1bc780bcd8b407d4352",
     },
     "seed-6": {
-        "z_ppm_existing": "2dc2c6626aec270c8315220e8b616fb90f3139c7ae33a41377c07b1757f4c4dc",
+        "z_ppm_existing": "c119e2df9bbf5966ce77c3595b582d1c8383306b2e7bcbd3390bdfb620104155",
         "z_net_old": "4b0ce9e7b96ecca8f09d3245a611ce99f35d089bbaa8f54bf127ed03962cc823",
         "z_ppm_new": "46de0f69bbc2fd18f13c04b91fcc09116abdaef6c8098f68f753739382d560d8",
     },
     "seed-7": {
-        "z_ppm_existing": "015c5acf27991871a99c7e712904e721b01baac5a5ce1f551340b2cf9c25b498",
+        "z_ppm_existing": "8db833c735d65937d23ad954b333678d4dcb140074e865a67cdbfda9f2f69bf6",
         "z_net_old": "057df484c39484c5a6bba64fed9b3fa53cf2051c98f3df76913a9b2f4bb9a898",
-        "z_ppm_new": "3dc685edf0967c43d21bd5f46c9ab942b2f8e2170d692434a65e63054107e981",
+        "z_ppm_new": "981a0f1bde550af7a96f0e6c503a5fbb00248208601f1943b18526243488d952",
     },
     "seed-8": {
         "z_ppm_existing": "a24267e777e9d38ed6dbf6e3395e7bc9ab1c124a5442b3aeb7083d3c3688be77",

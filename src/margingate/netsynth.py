@@ -57,7 +57,7 @@ def _check_positive(name: str, value: float) -> None:
 
 class _Lumped(NetworkElement):
     """An R, L, C or Thevenin leaf: every field is a positive finite
-    number, and its impedance has a closed form (``_leaf_imag``)."""
+    number, and its impedance has a closed form (``_lumped_parts``)."""
 
     def __post_init__(self):
         for fld in fields(self):
@@ -243,33 +243,43 @@ def par(z1, z2, f=None):
     return complex(out[0]) if zs[0].ndim == 0 else out
 
 
-def _leaf_imag(desc: NetworkElement, w: np.ndarray) -> np.ndarray:
-    """Imaginary part of an R, L, C or Thevenin leaf, a fresh array; its
-    real part is ``getattr(desc, "r_ohm", 0.0)``.
-
-    These are the bits of numpy's complex j*w*L = 0 + j*fl(w*L) and
-    1/(j*w*C) = +0 - j/fl(w*C), without the complex arithmetic.
-    """
-    if isinstance(desc, Resistor):
-        return np.zeros(w.size)
-    if isinstance(desc, Capacitor):
-        return -1.0 / (w * desc.c_farad)
-    return w * desc.l_henry
-
-
 def _lumped_parts(desc: NetworkElement, w: np.ndarray):
     """For a lumped leaf, or a Series of lumped leaves only, the real part
     (a float) and the imaginary part (a fresh array), each summed in child
     order: numpy's complex addition is componentwise, so these are the
-    bits of the complex sum. None for any other element."""
+    bits of the complex sum. None for any other element.
+
+    The terms are the bits of numpy's complex j*w*L = 0 + j*fl(w*L) and
+    1/(j*w*C) = +0 - j/fl(w*C), the latter subtracted in place. A
+    Resistor's imaginary part, +0.0, is never built: adding it changes
+    nothing but a -0.0 sum, which needs every term to be -0.0 (each
+    capacitor's w*C overflowing), so it is added once where no inductive
+    leaf makes the sum positive.
+    """
     kids = desc.children if isinstance(desc, Series) else (desc,)
     if not all(isinstance(k, _Lumped) for k in kids):
         return None
-    re = float(getattr(kids[0], "r_ohm", 0.0))
-    im = _leaf_imag(kids[0], w)
-    for k in kids[1:]:
+    re, im = 0.0, None
+    for k in kids:
         re += float(getattr(k, "r_ohm", 0.0))
-        im += _leaf_imag(k, w)
+        if isinstance(k, Resistor):
+            continue
+        if isinstance(k, Capacitor):
+            x = w * k.c_farad
+            if im is None:
+                im = np.divide(-1.0, x, out=x)
+            else:
+                im -= np.divide(1.0, x, out=x)
+        elif im is None:
+            im = w * k.l_henry
+        else:
+            im += w * k.l_henry
+    if im is None:
+        return re, np.zeros(w.size)
+    if any(isinstance(k, Resistor) for k in kids) and all(
+        isinstance(k, (Resistor, Capacitor)) for k in kids
+    ):
+        im += 0.0
     return re, im
 
 
@@ -297,19 +307,20 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray
             raise SingularAtFrequency(str(exc)) from None
     if kind == "rational":
         s = 1j * w
+        den = np.ones(f.size, dtype=complex)
         for p in desc.poles_rad_s:
-            close = np.abs(s - p) <= _SINGULAR_RTOL * np.maximum(np.abs(s), abs(p))
+            d = s - p
+            # |s| = w exactly: hypot(0, w)
+            close = np.abs(d) <= _SINGULAR_RTOL * np.maximum(w, abs(p))
             if np.any(close):
                 f_bad = f[np.argmax(close)]
                 raise SingularAtFrequency(
                     f"rational pole {p} on the evaluated axis near {f_bad} Hz"
                 )
+            den *= d
         num = np.full(f.size, desc.gain, dtype=complex)
         for z in desc.zeros_rad_s:
             num *= s - z
-        den = np.ones(f.size, dtype=complex)
-        for p in desc.poles_rad_s:
-            den *= s - p
         num /= den
         return num
     acc = _eval_tree(desc.children[0], f, w)

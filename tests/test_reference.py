@@ -554,6 +554,26 @@ def test_mixed_trees_match_reference(grid):
         assert isinstance(assert_same_evaluation(desc, grid), bytes)
 
 
+def test_overflowing_capacitors_keep_the_sign_of_a_zero_reactance():
+    # above about 1e6 Hz, w*C overflows for C = 1e300 F, so 1/(jwC) is
+    # -0.0j; a series resistor's +0.0j turns the sum into +0.0j, wherever it
+    # stands, and an inductor's reactance is never -0.0
+    big = Capacitor(1e300)
+    grid = log_grid(1e3, 1e12, 64)
+    trees = (
+        big, Series((big, big)), Series((big, Resistor(1.0))), Series((Resistor(1.0), big)),
+        Series((big, Capacitor(1e299), Resistor(2.0))), Series((big, Inductor(1e-300))),
+        Series((Resistor(1.0), Resistor(2.0))),
+    )
+    signs = set()
+    with np.errstate(over="ignore", divide="ignore"):
+        for desc in trees:
+            got = eval_network(desc, grid).samples
+            assert got.tobytes() == reference_eval_tree(desc, grid.points).tobytes(), desc
+            signs.add(bool(np.signbit(got.imag[-1])))
+    assert signs == {True, False}  # both signs of zero are reached
+
+
 @pytest.mark.parametrize("grid", _GRIDS, ids=len)
 def test_duplicated_children_take_the_half_branch(grid):
     # Parallel((x, x)) is x/2: the admittance sum doubles 1/x exactly, and

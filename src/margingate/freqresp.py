@@ -54,6 +54,7 @@ _COMMA, _NEWLINE = ord(","), ord("\n")
 _ROW_SEPS = np.array([_COMMA, _COMMA, _NEWLINE], dtype=np.uint8)
 _BLOCK_ROWS = 2048
 _BLOCK_POINTS = 16384  # frequencies per block of a blocked stage (256 KiB of complex)
+_BRACKET = np.array([[1], [0]])  # hi - _BRACKET: rows of lower and upper bracket ends
 
 
 def normalize_deg(angle: float) -> float:
@@ -70,12 +71,18 @@ def principal_angle_deg(z: complex) -> float:
 
 
 def _phase_steps_deg(principal: np.ndarray) -> np.ndarray:
-    """Steps of a principal-phase series (degrees), wrapped to [-180, 180).
+    """Steps of a principal-phase series (degrees), wrapped to [-180, 180)
+    by ``_wrap_steps_deg``."""
+    return _wrap_steps_deg(np.diff(principal))
+
+
+def _wrap_steps_deg(d: np.ndarray) -> np.ndarray:
+    """Wrap differences of principal phases (degrees) to [-180, 180), in
+    place; returns ``d``.
 
     A step of exactly 180 deg resolves toward the negative side
     (capacitive-to-inductive transitions wrap downward).
     """
-    d = np.diff(principal)
     turns = d + 180.0
     turns /= 360.0
     np.floor(turns, out=turns)
@@ -223,11 +230,13 @@ class FrequencyResponse:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Interpolation tables: (log f, log |Z|, unwrapped phase deg).
+        """Whole-curve tables: (log f, log |Z|, unwrapped phase deg).
 
+        Built on first use by the crossover search and the Bode chart, the
+        readers that need every sample; ``values_at`` reads only brackets.
         Writeable, because ``np.interp`` copies a read-only table in full on
         every call; the tables are never handed out, so no caller can change
-        the interpolation.
+        the crossover search.
         """
         mag = np.abs(self.samples)
         if np.any(mag == 0.0):
@@ -373,9 +382,11 @@ def value_at(resp: FrequencyResponse, f: float) -> complex:
     """Evaluate the curve at ``f`` Hz.
 
     Returns the stored sample bit-for-bit when ``f`` is a grid point.
-    Between points, log-magnitude and unwrapped phase are interpolated
-    linearly in log-frequency (Bode-plot behavior) and recombined. No
-    extrapolation: ``f`` outside the grid span raises ``OutOfRange``.
+    Between points, log-magnitude and phase are interpolated linearly in
+    log-frequency (Bode-plot behavior) and recombined; the phase runs from
+    the lower sample's principal phase by the step ``_phase_steps_deg``
+    takes to the upper one. No extrapolation: ``f`` outside the grid span
+    raises ``OutOfRange``.
     """
     return complex(values_at(resp, [f])[0])
 
@@ -383,23 +394,56 @@ def value_at(resp: FrequencyResponse, f: float) -> complex:
 def values_at(resp: FrequencyResponse, freqs) -> np.ndarray:
     """Vectorized ``value_at``; the first frequency outside the span (or NaN) is named.
 
-    A scalar frequency is taken as a one-element sequence.
+    A scalar frequency is taken as a one-element sequence. Each frequency
+    reads only the two samples around it: the cost is O(K log N) for K
+    frequencies on N points, and only a zero-magnitude sample at either
+    end of a bracket that is interpolated raises ``ZeroMagnitudeSample``.
+    In exact arithmetic this is the interpolant on the whole-curve tables
+    (``FrequencyResponse._tables``), whose unwrapped phase differs from the
+    bracket's by whole turns.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     g = resp.grid.points
-    outside = ~((f >= g[0]) & (f <= g[-1]))
-    if np.any(outside):
-        raise OutOfRange(f"{float(f[outside][0])} Hz outside span [{g[0]}, {g[-1]}] Hz")
-    idx = np.searchsorted(g, f)  # < g.size: every f is in the span
-    hit = g[idx] == f
-    if np.all(hit):
-        return resp.samples[idx].astype(complex)
-    logf, logmag, phase = resp._tables
-    x = np.log(f)
-    m = np.exp(np.interp(x, logf, logmag))
-    p = np.radians(np.interp(x, logf, phase))
-    out = m * np.cos(p) + 1j * m * np.sin(p)
-    out[hit] = resp.samples[idx[hit]]
+    inside = (f >= g[0]) & (f <= g[-1])
+    if not inside.all():
+        raise OutOfRange(f"{float(f[~inside][0])} Hz outside span [{g[0]}, {g[-1]}] Hz")
+    idx = g.searchsorted(f)  # < g.size: every f is in the span
+    out = resp.samples[idx]  # a fresh array
+    miss = g[idx] != f
+    if miss.any():
+        out[miss] = _bracket_values(resp, f[miss], idx[miss])
+    return out
+
+
+def _bracket_values(resp: FrequencyResponse, f: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The interpolant at each ``f`` strictly inside (g[hi - 1], g[hi]), by
+    the formula ``np.interp`` applies to the tables:
+    y_lo + (y_hi - y_lo) / (u_hi - u_lo) * (u - u_lo), with u = log f.
+
+    Whole-array calls on (2, K) arrays only, so one frequency costs a fixed
+    number of numpy calls."""
+    ends = hi - _BRACKET
+    z = resp.samples[ends]
+    mag = np.abs(z)
+    if not mag.all():
+        raise ZeroMagnitudeSample(
+            "curve has a zero-magnitude sample; log interpolation undefined"
+        )
+    u = np.log(resp.grid.points[ends])
+    # rows: log|z| and principal phase (deg); columns: lower and upper end
+    y = np.empty((2,) + z.shape)
+    np.log(mag, out=y[0])
+    np.degrees(np.arctan2(z.imag, z.real), out=y[1])
+    step = y[:, 1] - y[:, 0]
+    _wrap_steps_deg(step[1])
+    step /= u[1] - u[0]
+    step *= np.log(f) - u[0]
+    step += y[:, 0]
+    m = np.exp(step[0])
+    p = np.radians(step[1])
+    out = np.empty(f.size, dtype=complex)
+    np.multiply(m, np.cos(p), out=out.real)
+    np.multiply(m, np.sin(p), out=out.imag)
     return out
 
 
@@ -446,8 +490,10 @@ def unwrap_phase(resp: FrequencyResponse) -> np.ndarray:
 
     Starts at the principal phase of the first sample; each subsequent
     value is chosen within +-180 deg of its predecessor by
-    ``_phase_steps_deg``. This is a copy of the phase table the curve
-    interpolates with.
+    ``_phase_steps_deg``. This is a copy of the phase table the crossover
+    search solves on. ``values_at`` reads the phase of the two samples
+    around a frequency instead, which agrees with this table up to whole
+    turns and the rounding the table's running sum carries.
     """
     phase = resp._tables[2].copy()  # raises ZeroMagnitudeSample
     phase.setflags(write=False)

@@ -15,6 +15,7 @@ from margingate.errors import (
     UnknownHeader,
     ZeroMagnitudeSample,
 )
+from margingate.fixtures import bundled_case
 from margingate.freqresp import (
     FrequencyGrid,
     FrequencyResponse,
@@ -27,6 +28,9 @@ from margingate.freqresp import (
     values_at,
     write_response,
 )
+from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
+from margingate.margins import MarginPolicy, decompose_margins, find_crossovers, summarize_margins
+from margingate.speclimit import check_compliance, limit_curve
 
 
 def resp(freqs, samples, **kw):
@@ -200,11 +204,11 @@ class TestValueAt:
         ang = math.degrees(math.atan2(v.imag, v.real))
         assert abs(normalize_deg(ang - 180.0)) < 1e-9
 
-    def test_values_at_does_not_copy_the_tables(self):
-        # np.interp copies a read-only table in full on every call
+    def test_point_readers_build_no_whole_curve_table(self):
+        # a read costs O(K log N): on 100,000 points it allocates no table
         g = log_grid(1.0, 1e4, 100_000)
         r = FrequencyResponse(g, 1.0 / (1.0 + 1j * g.points / 100.0))
-        values_at(r, [3.3])  # builds the tables
+        values_at(r, [3.3])
         tracemalloc.start()
         try:
             values_at(r, [3.3, 777.7])
@@ -212,6 +216,31 @@ class TestValueAt:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+        assert "_tables" not in r.__dict__
+        # the stages that read curves at the L_new crossovers only; fresh
+        # curves, since the bundled ones are shared within the process
+        z_ppm, z_net, z_new = (c.with_samples(c.samples) for c in bundled_case("compliant-A"))
+        l_old = loop_gain(z_net, z_ppm).response
+        ratio = rho(z_net, z_new)
+        crossovers = summarize_margins(update_loop_gain(l_old, ratio).response, MarginPolicy())
+        assert crossovers.crossovers
+        for cp in crossovers.crossovers:
+            decompose_margins(l_old, ratio, cp.f_hz, cp.kind)
+        freqs = [cp.f_hz for cp in crossovers.crossovers]
+        check_compliance(z_new, limit_curve(l_old, z_net, freqs, MarginPolicy(), ratio))
+        for curve in (z_net, z_new, one_plus(ratio)):
+            assert "_tables" not in curve.__dict__, curve.label
+
+    def test_zero_sample_raises_only_inside_the_bracket(self):
+        r = resp([1.0, 2.0, 4.0, 8.0], [1 + 1j, 2.0, 0j, 1j])
+        assert values_at(r, [1.5, 4.0]).tolist() == [value_at(r, 1.5), 0j]
+        for f in (3.0, 5.0):  # the zero sample ends the bracket
+            with pytest.raises(ZeroMagnitudeSample):
+                value_at(r, f)
+        with pytest.raises(ZeroMagnitudeSample):
+            values_at(r, [1.5, 3.0])
+        with pytest.raises(ZeroMagnitudeSample):
+            find_crossovers(r.with_samples(r.samples, unit="dimensionless"), "gain")
 
     def test_vectorized_matches_scalar(self):
         g = log_grid(1, 1000, 50)

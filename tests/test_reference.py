@@ -2,11 +2,13 @@
 network evaluator and the blocked assessment stages against the code
 they replaced.
 
-``bisect_level`` (a bisection on the interpolant), ``scalar_value_at``
-(a scalar copy of the interpolation), ``mirrored_winding_number`` (the
-count on an explicitly mirrored contour, with its segment-distance helper)
-and ``reference_scale_network`` (the per-type scaling) are kept verbatim
-as references. ``reference_eval_tree`` (the network evaluator that built a
+``bisect_level`` (a bisection on the interpolant),
+``mirrored_winding_number`` (the count on an explicitly mirrored contour,
+with its segment-distance helper) and ``reference_scale_network`` (the
+per-type scaling) are kept verbatim as references. So is
+``table_value_at``, the interpolant on whole-curve tables that
+``values_at`` read before it read only the two samples around a
+frequency; ``scalar_value_at`` is a scalar copy of that bracket rule. ``reference_eval_tree`` (the network evaluator that built a
 fresh array at every node) is kept too, with ``reference_par`` giving each
 Parallel node the admittance rule whole-grid and unblocked: all children
 evaluated, then 1 / sum_k Y_k with Y_k = conj(Z_k) / |Z_k|^2. So is
@@ -34,6 +36,11 @@ and were set before the closed form and the array evaluator were written:
   u_lo) / |y_hi - y_lo|, carries that floor through the slope.
 * Both evaluators return the stored sample on a grid point; between
   points they round exp, cos and sin, so they agree within 4 eps relative.
+* The whole-table interpolant agrees with the bracket rule within 8 eps
+  (each rounds exp, cos and sin) plus the phase by which the table has
+  drifted from each bracket end's principal phase (plus whole turns), the
+  rounding its running sum of steps carries, plus 4 eps of the larger
+  phase at the two ends, which each side rounds.
 """
 import dataclasses
 import functools
@@ -54,6 +61,7 @@ from margingate.errors import (
     OutOfRange,
     ResonanceSingular,
     SingularAtFrequency,
+    ZeroMagnitudeSample,
 )
 from margingate.freqresp import (
     _BLOCK_POINTS,
@@ -144,21 +152,43 @@ def scalar_value_at(resp: FrequencyResponse, f: float) -> complex:
     """Evaluate the curve at ``f`` Hz.
 
     Returns the stored sample bit-for-bit when ``f`` is a grid point.
-    Between points, log-magnitude and unwrapped phase are interpolated
-    linearly in log-frequency (Bode-plot behavior) and recombined. No
-    extrapolation: ``f`` outside the grid span raises ``OutOfRange``.
+    Between points, log-magnitude and phase are interpolated linearly in
+    log-frequency (Bode-plot behavior) and recombined: the phase runs from
+    the lower sample's principal phase by the step, wrapped to [-180, 180),
+    to the upper sample's. No extrapolation: ``f`` outside the grid span
+    raises ``OutOfRange``.
+
+    log|z| and the principal phase come from numpy's abs, log and arctan2,
+    as the whole-curve tables read them: libm differs from these by an ulp
+    now and then, and an ulp of a phase near 180 deg is 2.2 eps of z.
     """
     g = resp.grid.points
     if not (g[0] <= f <= g[-1]):
         raise OutOfRange(f"{f} Hz outside span [{g[0]}, {g[-1]}] Hz")
     i = int(np.searchsorted(g, f))
-    if i < g.size and g[i] == f:
+    if g[i] == f:
         return complex(resp.samples[i])
-    logf, logmag, phase = resp._tables
-    x = math.log(f)
-    m = math.exp(float(np.interp(x, logf, logmag)))
-    p = math.radians(float(np.interp(x, logf, phase)))
+    z = resp.samples[i - 1:i + 1]
+    if not np.all(z):
+        raise ZeroMagnitudeSample(f"zero-magnitude sample next to {f} Hz")
+    (y_lo, y_hi), (p_lo, p_hi) = np.log(np.abs(z)).tolist(), np.degrees(np.angle(z)).tolist()
+    step = p_hi - p_lo
+    step -= 360.0 * math.floor((step + 180.0) / 360.0)
+    u_lo, u_hi = math.log(g[i - 1]), math.log(g[i])
+    x = math.log(f) - u_lo
+    m = math.exp((y_hi - y_lo) / (u_hi - u_lo) * x + y_lo)
+    p = math.radians(step / (u_hi - u_lo) * x + p_lo)
     return complex(m * math.cos(p), m * math.sin(p))
+
+
+def table_value_at(resp: FrequencyResponse, freqs) -> np.ndarray:
+    """The interpolant on whole-curve tables: log|Z| and the phase unwrapped
+    along the whole curve, read with ``np.interp`` (grid points excluded)."""
+    logf, logmag, phase = resp._tables
+    x = np.log(freqs)
+    m = np.exp(np.interp(x, logf, logmag))
+    p = np.radians(np.interp(x, logf, phase))
+    return m * np.cos(p) + 1j * m * np.sin(p)
 
 
 def root_tolerance(u_lo, u_hi, y_lo, y_hi, c) -> float:
@@ -279,6 +309,28 @@ def test_value_at_matches_scalar_reference(name):
         for f in probes.tolist():
             ref = scalar_value_at(curve, f)
             assert abs(value_at(curve, f) - ref) <= 4.0 * EPS * abs(ref), f
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_values_at_matches_the_whole_table_interpolant(name):
+    # the table's phase is a running sum of steps, which drifts from each
+    # sample's principal phase plus whole turns; the bracket rule's does not
+    rng = np.random.default_rng(13)
+    for curve in fixture_curves(name):
+        g = curve.grid.points
+        probes = rng.uniform(g[0], g[-1], 2000)
+        probes = probes[~np.isin(probes, g)]
+        got, ref = values_at(curve, probes), table_value_at(curve, probes)
+        phase = curve._tables[2]
+        turns = phase - np.degrees(np.angle(curve.samples))
+        drift = np.abs(turns - 360.0 * np.round(turns / 360.0))
+        hi = np.searchsorted(g, probes)
+        lo = hi - 1
+        slack_deg = np.maximum(drift[lo], drift[hi]) + 4.0 * EPS * np.maximum(
+            np.abs(phase[lo]), np.abs(phase[hi])
+        )
+        bound = (8.0 * EPS + np.radians(slack_deg)) * np.abs(ref)
+        assert np.all(np.abs(got - ref) <= bound), curve.label
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))

@@ -73,8 +73,9 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
     conjugate mirror for negative frequencies and straight closure
     segments at both ends. The mirror is not built: by conjugate symmetry
     each mirrored step repeats the angle of a positive step and each
-    mirrored segment is a positive one traversed backwards, so only the N
-    positive samples are walked. The angle sum must resolve to an integer
+    mirrored segment is the conjugate of a positive one, at the same
+    distance from -1, so only the N positive samples are walked and each
+    segment is scanned once. The angle sum must resolve to an integer
     number of turns within 0.01, else ``AmbiguousWinding``.
     """
     z = l.samples + 1.0
@@ -102,19 +103,15 @@ def winding_number(l: FrequencyResponse) -> EncirclementResult:
     closures, _ = _segment_min_dist(ends, np.conj(ends))
     warn = np.abs(steps) > _STEP_WARN_DEG
     warn[[0, -1]] |= closures < _CLOSURE_WARN_DIST
-    # the segments z_k -> z_k+1, forward and mirrored, one block at a time;
-    # a segment longer than its distance from -1 may have gone round -1
-    # between its samples, whatever its angle step
-    forward_min, mirrored_min = [], []
+    # the segments z_k -> z_k+1, one block at a time; each mirrored segment
+    # is a conjugate, at the same distance from the origin, so it is not
+    # scanned. A segment longer than its distance from -1 may have gone
+    # round -1 between its samples, whatever its angle step
+    min_dist = float(np.min(closures))
     for block in _blocks(z.size - 1):
-        a, b = z[block], z[block.start + 1:block.stop + 1]
-        mirrored_min.append(np.min(_segment_min_dist(b, a)[0]))
-        forward, l2 = _segment_min_dist(a, b)
-        forward_min.append(np.min(forward))
-        warn[block.start + 1:block.stop + 1] |= l2 > forward**2
-    min_dist = min(
-        float(np.min(forward_min)), float(np.min(mirrored_min)), float(np.min(closures))
-    )
+        dist, l2 = _segment_min_dist(z[block], z[block.start + 1:block.stop + 1])
+        min_dist = min(min_dist, float(np.min(dist)))
+        warn[block.start + 1:block.stop + 1] |= l2 > dist**2
     edges = np.concatenate(([0.0], l.grid.points, [math.inf]))
 
     return EncirclementResult(

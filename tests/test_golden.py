@@ -41,36 +41,36 @@ GOLDEN = {
         "z_ppm_existing": "ae906cdbe1fe80fd82ff689e6d3de4eef434bf31272d9c1ebdbe5cef457d37d4",
         "z_net_old": "1b5fa6dc2c26ad056e9959bbe8f96098e7821fe6000786b0d92cf07912357e08",
         "z_ppm_new": "260e8822a56bd3452f2027132cc3e5a8f0b25669db8372a4e39a97ca1ca491ed",
-        "json": "5911e98e2a0ba1fa4f321616916328d7b97e721f1e3c06363365163fa4b9e7a7",
-        "markdown": "a16b30985c0f0ef011301601e8a0f71ff58b4ed71436e3338dbfc73f7e88a93b",
+        "json": "8be1c098c1e9aa37669e105d52a09632d66ea45eb0222a588c1eb5843ddc8fa9",
+        "markdown": "3f147f101464e523c400499645ab4c51a61e581e4c95c01f1dcf0e5d7d1cba0b",
     },
     "tableII-like": {
         "z_ppm_existing": "ae906cdbe1fe80fd82ff689e6d3de4eef434bf31272d9c1ebdbe5cef457d37d4",
         "z_net_old": "1b5fa6dc2c26ad056e9959bbe8f96098e7821fe6000786b0d92cf07912357e08",
-        "z_ppm_new": "3f5249835556bc71cd8a0e28a8807989d917a21a54b118265cc56cf473c94b42",
-        "json": "f19d627baddc3f86fb61970ef3cedf27135f24ef1bb97f804b497dd64732419c",
-        "markdown": "e3e25ece2ca0bbb0f4fd34567d96371b7d06c0df53bba8f1a3c08ae290328c88",
+        "z_ppm_new": "75290d25d7a70d2cbe1d64aee336ec8c184a41a1e4f6a1fb889349b84b9da399",
+        "json": "dad1afce9ce52b580baa1f41bd58d1e7061edfe7d7a73e6858b2261656e5c7a7",
+        "markdown": "113e8cbbb0f331eb88193ec378049c365b0833b243c9f9b358e23bae07cbbc6f",
     },
     "seed-0": {
         "z_ppm_existing": "3e88683812758332b8cec3d7bf77319cf56b5d664f136d7d7cbadc52f007b2a4",
         "z_net_old": "b32134b3772f67ea49cbed93f250242268994831ea103891c09e213217bb63f4",
         "z_ppm_new": "cab37d1fac5e7d8235ba2a3141c1bd0523252d857c8b9246feb6f1f23ab5d7dc",
-        "json": "3d659ba64983809cc7c4f575fcbb3df1df6d718db600795115555b7b3055c6de",
-        "markdown": "239ed9e391088a6ec65d6224f06329359a3525331a7f0be2b7215d4f50a2e778",
+        "json": "9a41e7d89edaf6a8caa4d0721a39b6d974c40e130d142cbfe5fef89c47d5a0fa",
+        "markdown": "37355f913c1d94107585d237fc407acf49537fe497bae5861aebd9bb7e15a3c3",
     },
     "seed-1": {
         "z_ppm_existing": "e1c8a660ef521aef72fa33070ac88a6a433ce028e0d0b73157caf44e13ee37e8",
         "z_net_old": "158c889eba342e4f594e3e404b52ad32c5733543ce1affdad99161f8f89934e9",
         "z_ppm_new": "e3dac34da985f3258ba9a98d471f6597ec7a6e62e9d6a71e5e35cc7386c84631",
-        "json": "0b1e84ffb790dd64027212d16d650262b8c8e6e132b4f5e491d923df43c78279",
-        "markdown": "f0e0a9206f9168dc764139f53bfc3ee15e76a6712f9254bd9b714b65508d7e04",
+        "json": "f10417684f25a3fb7cb73696d3ef06f5353c6d6c6c93cd8266bc8400380d8714",
+        "markdown": "2ca07863a577eeb7782aebd3937068f9591c90ace96584ad1f7f874a10ff72d0",
     },
     "seed-2": {
         "z_ppm_existing": "b1aeeaa3cf343bd1259682e976eec12d055cf18c8ecc8b17051ea431ab98142d",
         "z_net_old": "b1eabfb3c354a6c11f58594f653263b42049559ffa55237a53dfe14625605e27",
         "z_ppm_new": "cae9f2ab78f49cded57bb04b2c62aa8a10e34b36041988aeda3af1c6906a5b47",
-        "json": "52ca9650e030553bab5d358d4315fe3aa88881038a1f67137ffeec9e68d49e2a",
-        "markdown": "3251d894276fc7b28a7840630398e7a57558c359d890f73070fec685f8764c4c",
+        "json": "6ee5ff25fff0d7cae5c2007199e692d9d90faae1a9bca9e5445924456bb3497d",
+        "markdown": "a82af5bc72fc06dfb243f1df9d5ad278931ee9977b533eb132e28ea6d9f91152",
     },
     "seed-3": {
         "z_ppm_existing": "4f60d6ab3c8e923b649f8fac3b17e6f6cacce257e7abd95695357d7aa711ae19",
@@ -83,50 +83,50 @@ GOLDEN = {
         "z_ppm_existing": "9b27e23f7db0cc7712572ce7132c951b70d22126b2ff1c641cc01a5740df7b6c",
         "z_net_old": "74803448b983b15c84531cb74d5195863ad01adbda54f56abe3423818a30d5e4",
         "z_ppm_new": "0732f9ca48b1f673c4c105d2fc3c935f5bb88d8cc0e3bca91ec1955d949b4a43",
-        "json": "89f756a8a0673e3447a9d744a1dccc5b416b15f69a2201bb53311309afca74d4",
-        "markdown": "3ae9a26062f7a298722915a91d49c240080bf65e6b9bf4ec02d0ff9cc1d77832",
+        "json": "3f9927cc207b9d98b82a021f64b0c2e033890b617e2410c752b357c6d7c465ae",
+        "markdown": "f893d9d87b9e2a326b2d1e8f38503d86b4b82d14bdc856e3b0c0d91fa5fe0fa9",
     },
     "seed-5": {
         "z_ppm_existing": "95079204910a2a82618ab8bf92491bfd74c1b7cd010fcf35d73226c91c09af36",
         "z_net_old": "710fa36b9c242667a5148830cb425e2ad7204da9e229698257ac9cc3c4ed2868",
         "z_ppm_new": "9631a8745035b323d6966e7c6f507583933a0964115fabab27716b273f03909c",
-        "json": "76701ccf2a4f1444552f7bcf14a67a9bd8b6623639fbeb55729adf7903e03524",
-        "markdown": "de666f801b1de6eeccdf8677931fdcf6a97c2e9173e31607537b08303a467700",
+        "json": "655119adcd5e5d1390325fc1b1d9285f2c7116f976e2a0e6323136ca4cec2098",
+        "markdown": "4f42c3afe134d61c02e105594ee50391da1206b148ab88521272220bb94f5e67",
     },
     "seed-6": {
         "z_ppm_existing": "cb4385d929f817767a5b8cea34e6116c2ecba7ce19973185d45e58c6329541f1",
         "z_net_old": "46b0cc9e68908f78017adf55d457528eee75fec39a6b13bae7713f575f5b1bfb",
         "z_ppm_new": "12a587ecf9473b1360a6f48675bb69528054c62dfd763cab2077d22bf8fb76ab",
-        "json": "8dd88ca05fd4a80900c573564db178bdbae5c8df9a1e55993e3bb3c4f754d12a",
-        "markdown": "26015b5eea203c73ed41621c5f7ec53eefffd1d934fadd554d3a28c62a91b255",
+        "json": "33277e744edde529b079aa9cba96f7f3b1482b2b7bab083ef2cf678bb5ec2475",
+        "markdown": "0f771d4b360c80bda8258bf17fdb9880cbc846e6f06e7b2d2cf4698abb1e3f6e",
     },
     "seed-7": {
         "z_ppm_existing": "35047eebb2463d3555787fe1b6d7ef85e29b87ea8520bd81494bb3992278e066",
         "z_net_old": "13397d4d52815066fb6907f9ef4c47fdc0b408d93b4bdb1fc86e60bdaf67c773",
         "z_ppm_new": "3077ce15d974d44d9b643ecb1498eb085b4ef53ea6f2aa2cb6106347df755321",
-        "json": "05e5090d30eeffaedce7c776a340a538e2e212acf6cc12eff5809b510f6b8a0c",
-        "markdown": "0bc4ffe3d00be91ca4778085e095ce3cc5bb21f48c7114118804f8303e4ac727",
+        "json": "4e067205d6a819a4db915ac9750b29ea1eaeb64d106ba4baa1f3fccbff6b679b",
+        "markdown": "2bfb3d4a6ef03f48f6c552cd45426bc963c32ac039ce33dd44dcd8624e24eb64",
     },
     "seed-8": {
         "z_ppm_existing": "0db1aacebeb20d6e7f4c2276476b616dda522bd09da55b21b424d135d26a019d",
         "z_net_old": "b67b9879409d2eca810d3dda8536378d576154b3cebad27b423d59bbfd8945dd",
         "z_ppm_new": "cf71a867273a07d314ee8ca3f71d78db4b94c11047d385b2e3de4c509c806a71",
-        "json": "7908c5b91ae75a06a7465ee93c2ebecda6618a39e1a85955e04e2c1d45fcc40b",
-        "markdown": "440c5e5b08a05555f889f67830918c77a0ffe57cc38898e8419d72824fb07916",
+        "json": "35a25bc335328f6606dfe26eda049be6bea188b898dfc04dedd5d5df2ef9db6a",
+        "markdown": "43f455448555966c67936e36cd4e81afef5557fe4ba9b9fca39c62c89724df7e",
     },
     "seed-9": {
         "z_ppm_existing": "6cf57021f62cb49e4b49c0cd6ad5c6fa2d759282cdd05b742c1c55fec266f7b9",
         "z_net_old": "05196b2bcdeffe5cd3d943b59a9dcb34ceb43b9b91deba6b16336941d1e86a1b",
         "z_ppm_new": "0a117ed88a91d779be79da09c2534cdfbc78ed609418ae6876084c226685db2c",
-        "json": "6ba2f661632f0169220b9a732f344c27eeb8c31ca423643ad6a124f1dfc2a4d5",
-        "markdown": "b8a714bbac91726f9ccdfe0af93131bf21b03fec9c4c39a6fb994635c5f2d7b6",
+        "json": "e65f55b6a705c64f7b18f7426cf16c269a59acf1926c88e31ae343aad6ea548c",
+        "markdown": "cfe330aa068083f8b714965ab9f102e78c661d76def1c4c653375ca2acdecb9a",
     },
     "converter": {
         "z_ppm_existing": "9e510c7818b77a293081835d15bd78b1531d79da65804177bf9b1dafd7ce06bc",
         "z_net_old": "9013d4026768493535d00154a108ed997bfcbc71113a3c890f16287298d3c7ba",
         "z_ppm_new": "c46624549a031915f68cfb7272f835b8038d75f85a4c24b804f3c15d2d3dc013",
-        "json": "410238803c561f4a02d0d324aac9dc3974e1e80865a7b8baa3c3480cf4eff8cc",
-        "markdown": "ae79ba7234af367fd5533e3ae1d0740bdec6079f5b78215b588cc40365267dcf",
+        "json": "4ce4b0c07830ff0385f869cace1c2d11f15bea3cb8d11665d09acb95e26c6182",
+        "markdown": "e3947c5b4e6956f6fed006f9d55c434afa77b0b4cd43f7d53a0bb128f4991622",
     },
 }
 

@@ -17,9 +17,10 @@ loop-gain curves), which ``whole_grid_report`` runs on a direct L_new
 built whole to assess a case with no stage blocked. A scaled tree
 must equal its reference and serialise to the same bytes, and a case its
 whole-grid report in every format, byte for byte.
-The winding count must match its reference exactly, the whole result
-included, once the sampling guard's warnings (which the reference
-predates) are added to the reference's. The network evaluator must match
+The winding count must match its reference exactly, warnings included,
+once the sampling guard's warnings (which the reference predates) are
+added to the reference's; its minimum distance to -1, which it scans on
+the positive segments only, is within 4 ulps of the reference's. The network evaluator must match
 its reference byte for byte and raise the same error with the same
 message. That rests on numpy's complex arithmetic: a product or quotient
 whose operand has a zero real or imaginary part rounds exactly like the
@@ -450,6 +451,11 @@ def sampling_guard(l) -> set:
     return {(float(g[k]), float(g[k + 1])) for k in np.flatnonzero(long)}
 
 
+# the mirrored reference reaches each segment's distance from its other
+# end too; either way the closest point takes about four roundings
+_DIST_ULPS = 4
+
+
 def test_winding_matches_mirrored_reference():
     outcomes = []
     guarded = 0
@@ -460,6 +466,9 @@ def test_winding_matches_mirrored_reference():
             warn, guard = set(ref.resolution_warnings), sampling_guard(l)
             guarded += not guard <= warn
             ref = dataclasses.replace(ref, resolution_warnings=tuple(sorted(warn | guard)))
+            got, want = out.min_distance_to_critical_point, ref.min_distance_to_critical_point
+            assert abs(got - want) <= _DIST_ULPS * math.ulp(want), l.label
+            out = dataclasses.replace(out, min_distance_to_critical_point=want)
         assert out == ref, l.label
         outcomes.append(out)
     results = [o for o in outcomes if isinstance(o, EncirclementResult)]
@@ -841,10 +850,16 @@ def whole_grid_direct_check(z_net, z_ppm, z_new, l_factored) -> float:
 
 
 def reference_winding(l) -> EncirclementResult:
-    """The mirrored count with the sampling guard's warnings added."""
+    """The mirrored count with the sampling guard's warnings added, and the
+    distance of the positive segments and the two closures, scanned whole."""
     ref = mirrored_winding_number(l)
     warn = set(ref.resolution_warnings) | sampling_guard(l)
-    return dataclasses.replace(ref, resolution_warnings=tuple(sorted(warn)))
+    z = l.samples + 1.0
+    ends = np.array([np.conj(z[0]), z[-1]])
+    dist = _segment_min_dist(np.concatenate((z[:-1], ends)), np.concatenate((z[1:], np.conj(ends))))
+    return dataclasses.replace(
+        ref, resolution_warnings=tuple(sorted(warn)), min_distance_to_critical_point=float(np.min(dist))
+    )
 
 
 _ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")

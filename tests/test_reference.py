@@ -48,6 +48,7 @@ import functools
 import json
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,13 +124,17 @@ def bisect_level(
     """Root of the linear interpolant y(u) = level inside [u_lo, u_hi].
 
     Bisection on the interpolant; robust to the kinks of piecewise-linear
-    data and converges far below the 1e-9 relative target.
+    data and converges far below the 1e-9 relative target. The interpolant
+    is evaluated in exact rational arithmetic, so the root is the float
+    bracket of the exact one: a float slope between subnormal values rounds
+    to an absolute 2**-1075, which moved the root by that error times
+    u - u_lo, beyond the tolerance.
     """
     a, b = u_lo, u_hi
-    slope = (y_hi - y_lo) / (b - a)
+    slope = (Fraction(y_hi) - Fraction(y_lo)) / (Fraction(b) - Fraction(a))
 
-    def val(u: float) -> float:
-        return y_lo + (u - a) * slope - level
+    def val(u: float) -> Fraction:
+        return Fraction(y_lo) + (Fraction(u) - Fraction(a)) * slope - Fraction(level)
 
     lo, hi = a, b
     f_lo = val(lo)
@@ -243,6 +248,7 @@ _SUBNORMAL_Y = np.array([2.225073858507e-311, -2.225073858507e-311])
 @given(brackets())
 @example((np.array([1.0, 2.0]), _SUBNORMAL_Y, 0.0))
 @example((np.array([1.0, 258.0]), _SUBNORMAL_Y, 0.0))
+@example((np.array([0.25, 56406.0]), np.array([-2.225073858507e-311, 2.2250738585e-313]), 0.0))
 @settings(max_examples=500, deadline=None)
 def test_root_matches_bisection_inside_its_bracket(bracket):
     g, y, c = bracket

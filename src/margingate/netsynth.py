@@ -251,10 +251,9 @@ def _lumped_parts(desc: NetworkElement, w: np.ndarray):
 
     The terms are the bits of numpy's complex j*w*L = 0 + j*fl(w*L) and
     1/(j*w*C) = +0 - j/fl(w*C), the latter subtracted in place. A
-    Resistor's imaginary part, +0.0, is never built: adding it changes
-    nothing but a -0.0 sum, which needs every term to be -0.0 (each
-    capacitor's w*C overflowing), so it is added once where no inductive
-    leaf makes the sum positive.
+    Resistor's +0.0 is not built: it changes only a sum of -0.0, which
+    needs every term -0.0 (w*C overflowing), so it is added once to a sum
+    with no inductive term.
     """
     kids = desc.children if isinstance(desc, Series) else (desc,)
     if not all(isinstance(k, _Lumped) for k in kids):

@@ -360,17 +360,18 @@ class TestUnwrap:
         r = resp([1.0, 2.0, 4.0], np.exp(1j * np.radians([170.0, -170.0, -150.0])))
         ps = unwrap_phase(r)
         assert ps == pytest.approx([170.0, 190.0, 210.0], abs=1e-12)
-        with pytest.raises(ValueError):  # the interpolation cannot be corrupted
+        with pytest.raises(ValueError):  # the crossover search cannot be corrupted
             ps[0] = 0.0
-        before = values_at(r, [1.5, 3.0]).tobytes()
+        before = [cp.f_hz for cp in find_crossovers(r, "phase")]  # through 180 deg
+        assert len(before) == 1
         for arr in (ps, r.grid.points, r.samples):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         # the phase handle is a copy: even made writeable, it does not
-        # reach the interpolation tables
+        # reach the table the crossover search solves on
         ps.setflags(write=True)
         ps[:] = 0.0
-        assert values_at(r, [1.5, 3.0]).tobytes() == before
+        assert [cp.f_hz for cp in find_crossovers(r, "phase")] == before
 
 
 class TestNormalize:

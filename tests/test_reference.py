@@ -2,13 +2,14 @@
 network evaluator and the blocked assessment stages against the code
 they replaced.
 
-``bisect_level`` (a bisection on the interpolant),
-``mirrored_winding_number`` (the count on an explicitly mirrored contour,
-with its segment-distance helper) and ``reference_scale_network`` (the
-per-type scaling) are kept verbatim as references. So is
-``table_value_at``, the interpolant on whole-curve tables that
-``values_at`` read before it read only the two samples around a
-frequency; ``scalar_value_at`` is a scalar copy of that bracket rule. ``reference_eval_tree`` (the network evaluator that built a
+``bisect_level`` (a bisection on the interpolant, now evaluated in exact
+arithmetic), ``mirrored_winding_number`` (the count on an explicitly
+mirrored contour, with its segment-distance helper) and
+``reference_scale_network`` (the per-type scaling) are kept as
+references. So is ``table_value_at``, the interpolant on whole-curve
+tables that ``values_at`` read before it read only the two samples around
+a frequency; ``scalar_value_at`` is a scalar copy of that bracket rule.
+``reference_eval_tree`` (the network evaluator that built a
 fresh array at every node) is kept too, with ``reference_par`` giving each
 Parallel node the admittance rule whole-grid and unblocked: all children
 evaluated, then 1 / sum_k Y_k with Y_k = conj(Z_k) / |Z_k|^2. So is
@@ -20,11 +21,12 @@ whole-grid report in every format, byte for byte.
 The winding count must match its reference exactly, warnings included,
 once the sampling guard's warnings (which the reference predates) are
 added to the reference's; its minimum distance to -1, which it scans on
-the positive segments only, is within 4 ulps of the reference's. The network evaluator must match
-its reference byte for byte and raise the same error with the same
-message. That rests on numpy's complex arithmetic: a product or quotient
-whose operand has a zero real or imaginary part rounds exactly like the
-real operation it reduces to, and a sum is componentwise.
+the positive segments only, is within 4 ulps of the reference's. The
+network evaluator must match its reference byte for byte and raise the
+same error with the same message. That rests on numpy's complex
+arithmetic: a product or quotient whose operand has a zero real or
+imaginary part rounds exactly like the real operation it reduces to, and
+a sum is componentwise.
 The other tolerances follow from float64 rounding alone (eps = 2**-52)
 and were set before the closed form and the array evaluator were written:
 
@@ -862,9 +864,11 @@ def reference_winding(l) -> EncirclementResult:
     warn = set(ref.resolution_warnings) | sampling_guard(l)
     z = l.samples + 1.0
     ends = np.array([np.conj(z[0]), z[-1]])
-    dist = _segment_min_dist(np.concatenate((z[:-1], ends)), np.concatenate((z[1:], np.conj(ends))))
+    a, b = np.concatenate((z[:-1], ends)), np.concatenate((z[1:], np.conj(ends)))
     return dataclasses.replace(
-        ref, resolution_warnings=tuple(sorted(warn)), min_distance_to_critical_point=float(np.min(dist))
+        ref,
+        resolution_warnings=tuple(sorted(warn)),
+        min_distance_to_critical_point=float(np.min(_segment_min_dist(a, b))),
     )
 
 

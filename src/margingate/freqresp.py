@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +109,14 @@ def _blocks(n: int):
         yield slice(start, min(start + _BLOCK_POINTS, n))
 
 
+def _require_nonzero(z: np.ndarray) -> None:
+    """Raise ``ZeroMagnitudeSample`` if any value of ``z`` is zero."""
+    if not z.all():
+        raise ZeroMagnitudeSample(
+            "curve has a zero-magnitude sample; log interpolation undefined"
+        )
+
+
 def _require_finite(z: np.ndarray) -> None:
     """Raise ``NonFiniteValue`` unless every component of ``z`` is finite."""
     if not np.all(np.isfinite(z.real)) or not np.all(np.isfinite(z.imag)):
@@ -143,13 +150,6 @@ class FrequencyGrid:
     def span(self) -> tuple[float, float]:
         return float(self.points[0]), float(self.points[-1])
 
-    @cached_property
-    def _log_table(self) -> np.ndarray:
-        """Natural log of the frequencies, computed once per grid. Writeable,
-        because ``np.interp`` copies a read-only table in full on every call;
-        it is never handed out."""
-        return np.log(self.points)
-
     def __eq__(self, other):
         if not isinstance(other, FrequencyGrid):
             return NotImplemented
@@ -161,7 +161,8 @@ class FrequencyGrid:
 def log_grid(start_hz: float, stop_hz: float, points: int) -> FrequencyGrid:
     """Logarithmically spaced grid with exact endpoints."""
     pts = np.geomspace(start_hz, stop_hz, points)
-    pts[0], pts[-1] = start_hz, stop_hz
+    # slices, not indices: an empty grid must reach FrequencyGrid's check
+    pts[:1], pts[-1:] = start_hz, stop_hz
     return FrequencyGrid(pts)
 
 
@@ -227,25 +228,6 @@ class FrequencyResponse:
             unit=self.unit if unit is None else unit,
             label=self.label if label is None else label,
         )
-
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Whole-curve tables: (log f, log |Z|, unwrapped phase deg).
-
-        Built on first use by the crossover search and the Bode chart, the
-        readers that need every sample; ``values_at`` reads only brackets.
-        Writeable, because ``np.interp`` copies a read-only table in full on
-        every call; the tables are never handed out, so no caller can change
-        the crossover search.
-        """
-        mag = np.abs(self.samples)
-        if np.any(mag == 0.0):
-            raise ZeroMagnitudeSample(
-                "curve has a zero-magnitude sample; log interpolation undefined"
-            )
-        principal = np.angle(self.samples)
-        np.degrees(principal, out=principal)
-        return self.grid._log_table, np.log(mag, out=mag), _unwrap_deg(principal)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +380,8 @@ def values_at(resp: FrequencyResponse, freqs) -> np.ndarray:
     reads only the two samples around it: the cost is O(K log N) for K
     frequencies on N points, and only a zero-magnitude sample at either
     end of a bracket that is interpolated raises ``ZeroMagnitudeSample``.
-    In exact arithmetic this is the interpolant on the whole-curve tables
-    (``FrequencyResponse._tables``), whose unwrapped phase differs from the
+    In exact arithmetic this is the interpolant on log|Z| and the
+    ``unwrap_phase`` series over log f, whose phase differs from the
     bracket's by whole turns.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
@@ -425,10 +407,7 @@ def _bracket_values(resp: FrequencyResponse, f: np.ndarray, hi: np.ndarray) -> n
     ends = hi - _BRACKET
     z = resp.samples[ends]
     mag = np.abs(z)
-    if not mag.all():
-        raise ZeroMagnitudeSample(
-            "curve has a zero-magnitude sample; log interpolation undefined"
-        )
+    _require_nonzero(mag)
     u = np.log(resp.grid.points[ends])
     # rows: log|z| and principal phase (deg); columns: lower and upper end
     y = np.empty((2,) + z.shape)
@@ -490,11 +469,16 @@ def unwrap_phase(resp: FrequencyResponse) -> np.ndarray:
 
     Starts at the principal phase of the first sample; each subsequent
     value is chosen within +-180 deg of its predecessor by
-    ``_phase_steps_deg``. This is a copy of the phase table the crossover
-    search solves on. ``values_at`` reads the phase of the two samples
-    around a frequency instead, which agrees with this table up to whole
-    turns and the rounding the table's running sum carries.
+    ``_phase_steps_deg``. This is the series the phase-crossover search
+    solves on and the Bode chart draws; each call builds it afresh, and a
+    zero-magnitude sample raises ``ZeroMagnitudeSample``. ``values_at``
+    reads the phase of the two samples around a frequency instead, which
+    agrees with this series up to whole turns and the rounding its running
+    sum carries.
     """
-    phase = resp._tables[2].copy()  # raises ZeroMagnitudeSample
+    _require_nonzero(resp.samples)
+    phase = np.angle(resp.samples)
+    np.degrees(phase, out=phase)
+    _unwrap_deg(phase)
     phase.setflags(write=False)
     return phase

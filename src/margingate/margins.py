@@ -22,8 +22,10 @@ import numpy as np
 from .errors import KindMismatch, SingularSensitivity
 from .freqresp import (
     FrequencyResponse,
+    _require_nonzero,
     normalize_deg,
     principal_angle_deg,
+    unwrap_phase,
     value_at,
     values_at,
 )
@@ -201,18 +203,17 @@ def _level_root(u_lo, u_hi, y_lo, y_hi, c):
     return u_lo + (c - y_lo) * (u_hi - u_lo) / (y_hi - y_lo)
 
 
-def _detect_levels(
-    logf: np.ndarray, y: np.ndarray, levels, grid_pts: np.ndarray
-) -> list[float]:
+def _detect_levels(y: np.ndarray, levels, grid_pts: np.ndarray) -> list[float]:
     roots: list[float] = []
     for c in levels:
         r = y - c
         roots.extend(grid_pts[r == 0.0].tolist())
         s = np.sign(r)  # sign products cannot underflow like raw products
         i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
-        u = _level_root(logf[i], logf[i + 1], y[i], y[i + 1], c)
+        g_lo, g_hi = grid_pts[i], grid_pts[i + 1]
+        u = _level_root(np.log(g_lo), np.log(g_hi), y[i], y[i + 1], c)
         # a rounded root must stay in its bracket, hence inside the span
-        roots.extend(np.clip(np.exp(u), grid_pts[i], grid_pts[i + 1]).tolist())
+        roots.extend(np.clip(np.exp(u), g_lo, g_hi).tolist())
     return roots
 
 
@@ -239,19 +240,18 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
     """
     if kind not in ("gain", "phase"):
         raise ValueError(f"kind must be gain or phase, got {kind!r}")
-    logf, logmag, phase = l._tables  # raises ZeroMagnitudeSample
-    g = l.grid.points
-
     if kind == "gain":
         levels = [0.0]
-        y = logmag
+        y = np.abs(l.samples)
+        _require_nonzero(y)
+        np.log(y, out=y)
     else:
-        k_min = math.ceil((float(phase.min()) + 180.0) / 360.0)
-        k_max = math.floor((float(phase.max()) + 180.0) / 360.0)
+        y = unwrap_phase(l)  # raises ZeroMagnitudeSample
+        k_min = math.ceil((float(y.min()) + 180.0) / 360.0)
+        k_max = math.floor((float(y.max()) + 180.0) / 360.0)
         levels = [-180.0 + 360.0 * k for k in range(k_min, k_max + 1)]
-        y = phase
 
-    freqs = _merge_close(_detect_levels(logf, y, levels, g))
+    freqs = _merge_close(_detect_levels(y, levels, l.grid.points))
     return [CrossoverPoint(kind, f, lv) for f, lv in zip(freqs, values_at(l, freqs).tolist())]
 
 

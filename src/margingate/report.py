@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import InconsistentInputs, UnsupportedFormat
-from .freqresp import FrequencyResponse
+from .freqresp import FrequencyResponse, unwrap_phase
 from .margins import CrossoverPoint, MarginDecomposition, MarginPolicy, MarginSummary
 from .regions import EncirclementResult
 from .speclimit import ComplianceRecord, LimitCurve
@@ -509,10 +509,11 @@ def bode_svg_chart(curves, summaries=()) -> str:
         f_lo, f_hi = 1.0, 1000.0
     lx_lo, lx_hi = math.log10(f_lo), math.log10(f_hi)
 
-    mags, phases = [], []
+    mags, phases, logfs = [], [], []
     for _, c in curves:
         mags.append(20.0 * np.log10(np.abs(c.samples)))
-        phases.append(c._tables[2])
+        phases.append(unwrap_phase(c))
+        logfs.append(np.log(c.grid.points))
     if mags:
         m_lo = min(float(m.min()) for m in mags) - 5.0
         m_hi = max(float(m.max()) for m in mags) + 5.0
@@ -604,7 +605,7 @@ def bode_svg_chart(curves, summaries=()) -> str:
             else:
                 level = -180.0
                 if i < len(curves):
-                    p = np.interp(math.log(cp.f_hz), curves[i][1]._tables[0], phases[i])
+                    p = np.interp(math.log(cp.f_hz), logfs[i], phases[i])
                     level += 360.0 * round((float(p) + 180.0) / 360.0)
                 cy = y_ph(max(p_lo, min(p_hi, level)))
             parts.append(_el("circle", class_=f"marker-{cp.kind}", cx=x_of(cp.f_hz), cy=cy, r=4))

@@ -552,6 +552,18 @@ class TestSubcommands:
         )
         assert resp == expected
 
+    @pytest.mark.parametrize("points", ["0", "1", "-3"])
+    def test_synth_network_too_few_points(self, tmp_path, capsys, points):
+        net_file = tmp_path / "net.json"
+        net_file.write_bytes(network_to_json(Resistor(2.0)))
+        out = tmp_path / "z.csv"
+        code = main(
+            ["synth", "--network", str(net_file), "--points", points, "--out", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error [stage=io] ")
+        assert not out.exists()
+
     def test_synth_bundled(self, tmp_path):
         code = main(["synth", "--bundled", "compliant-A", "--out-dir", str(tmp_path)])
         assert code == 0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,7 +31,10 @@ from margingate.freqresp import (
 )
 from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
 from margingate.margins import MarginPolicy, decompose_margins, find_crossovers, summarize_margins
+from margingate.report import bode_svg_chart
 from margingate.speclimit import check_compliance, limit_curve
+
+from conftest import three_pole
 
 
 def resp(freqs, samples, **kw):
@@ -216,20 +220,40 @@ class TestValueAt:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert "_tables" not in r.__dict__
-        # the stages that read curves at the L_new crossovers only; fresh
-        # curves, since the bundled ones are shared within the process
+
+    def test_crossover_search_leaves_no_table_behind(self):
+        # the series it solves on are built per call and dropped with it
+        l = three_pole(20.0, 100.0, log_grid(1.0, 1e4, 100_000))
+        tracemalloc.start()
+        try:
+            summary = summarize_margins(l, MarginPolicy())
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert {cp.kind for cp in summary.crossovers} == {"gain", "phase"}
+        assert held < 64 * 1024
+
+    def test_stages_keep_no_state_on_curves(self):
+        # fresh curves, since the bundled ones are shared within the process
         z_ppm, z_net, z_new = (c.with_samples(c.samples) for c in bundled_case("compliant-A"))
         l_old = loop_gain(z_net, z_ppm).response
         ratio = rho(z_net, z_new)
-        crossovers = summarize_margins(update_loop_gain(l_old, ratio).response, MarginPolicy())
-        assert crossovers.crossovers
-        for cp in crossovers.crossovers:
+        l_new = update_loop_gain(l_old, ratio).response
+        summaries = [summarize_margins(l, MarginPolicy()) for l in (l_old, l_new)]
+        crossovers = summaries[1].crossovers
+        assert crossovers
+        for cp in crossovers:
             decompose_margins(l_old, ratio, cp.f_hz, cp.kind)
-        freqs = [cp.f_hz for cp in crossovers.crossovers]
+        freqs = [cp.f_hz for cp in crossovers]
         check_compliance(z_new, limit_curve(l_old, z_net, freqs, MarginPolicy(), ratio))
-        for curve in (z_net, z_new, one_plus(ratio)):
-            assert "_tables" not in curve.__dict__, curve.label
+        bode_svg_chart((("l_old", l_old), ("l_new", l_new)), summaries)
+        # rho keeps 1+rho, which the loop-gain update, every decomposition
+        # and the limit curve read
+        extra = {id(ratio): {"_one_plus"}}
+        for curve in (z_ppm, z_net, z_new, l_old, l_new, ratio, one_plus(ratio)):
+            for obj in (curve, curve.grid):
+                state = set(vars(obj)) - {fld.name for fld in fields(obj)}
+                assert state == extra.get(id(obj), set()), (curve.label, state)
 
     def test_zero_sample_raises_only_inside_the_bracket(self):
         r = resp([1.0, 2.0, 4.0, 8.0], [1 + 1j, 2.0, 0j, 1j])
@@ -367,8 +391,8 @@ class TestUnwrap:
         for arr in (ps, r.grid.points, r.samples):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        # the phase handle is a copy: even made writeable, it does not
-        # reach the table the crossover search solves on
+        # each call builds the series afresh: even made writeable, this one
+        # does not reach the series the crossover search solves on
         ps.setflags(write=True)
         ps[:] = 0.0
         assert [cp.f_hz for cp in find_crossovers(r, "phase")] == before

@@ -6,9 +6,10 @@ they replaced.
 arithmetic), ``mirrored_winding_number`` (the count on an explicitly
 mirrored contour, with its segment-distance helper) and
 ``reference_scale_network`` (the per-type scaling) are kept as
-references. So is ``table_value_at``, the interpolant on whole-curve
-tables that ``values_at`` read before it read only the two samples around
-a frequency; ``scalar_value_at`` is a scalar copy of that bracket rule.
+references. So is ``table_value_at``, the interpolant on the whole-curve
+tables of ``whole_curve_tables`` (log f, log|Z| and the unwrapped phase)
+that ``values_at`` read before it read only the two samples around a
+frequency; ``scalar_value_at`` is a scalar copy of that bracket rule.
 ``reference_eval_tree`` (the network evaluator that built a
 fresh array at every node) is kept too, with ``reference_par`` giving each
 Parallel node the admittance rule whole-grid and unblocked: all children
@@ -72,6 +73,7 @@ from margingate.freqresp import (
     FrequencyGrid,
     FrequencyResponse,
     log_grid,
+    unwrap_phase,
     value_at,
     values_at,
 )
@@ -167,7 +169,7 @@ def scalar_value_at(resp: FrequencyResponse, f: float) -> complex:
     raises ``OutOfRange``.
 
     log|z| and the principal phase come from numpy's abs, log and arctan2,
-    as the whole-curve tables read them: libm differs from these by an ulp
+    as ``whole_curve_tables`` reads them: libm differs from these by an ulp
     now and then, and an ulp of a phase near 180 deg is 2.2 eps of z.
     """
     g = resp.grid.points
@@ -189,10 +191,17 @@ def scalar_value_at(resp: FrequencyResponse, f: float) -> complex:
     return complex(m * math.cos(p), m * math.sin(p))
 
 
+def whole_curve_tables(curve: FrequencyResponse):
+    """(log f, log|Z|, unwrapped phase deg) over the whole curve: the series
+    the crossover search solves on, over the log frequencies it interpolates
+    in."""
+    return np.log(curve.grid.points), np.log(np.abs(curve.samples)), unwrap_phase(curve)
+
+
 def table_value_at(resp: FrequencyResponse, freqs) -> np.ndarray:
     """The interpolant on whole-curve tables: log|Z| and the phase unwrapped
     along the whole curve, read with ``np.interp`` (grid points excluded)."""
-    logf, logmag, phase = resp._tables
+    logf, logmag, phase = whole_curve_tables(resp)
     x = np.log(freqs)
     m = np.exp(np.interp(x, logf, logmag))
     p = np.radians(np.interp(x, logf, phase))
@@ -214,9 +223,9 @@ def check_bracket(*bracket):
     )
 
 
-def check_roots_in_brackets(logf, y, levels, g) -> int:
+def check_roots_in_brackets(y, levels, g) -> int:
     """Every detected root lies in a bracket of its level; returns the count."""
-    roots = np.asarray(_detect_levels(logf, y, levels, g))
+    roots = np.asarray(_detect_levels(y, levels, g))
     expected = 0
     for c in levels:
         r = y - c
@@ -256,13 +265,13 @@ def test_root_matches_bisection_inside_its_bracket(bracket):
     g, y, c = bracket
     logf = np.log(g)
     check_bracket(logf[0], logf[1], y[0], y[1], c)
-    assert check_roots_in_brackets(logf, y, [c], g) == 1
+    assert check_roots_in_brackets(y, [c], g) == 1
 
 
 def test_grid_points_on_the_level_are_exact_roots():
     g = np.array([1.0, 10.0, 100.0, 1000.0])
     y = np.array([-1.0, 0.0, 2.0, -2.0])
-    roots = sorted(_detect_levels(np.log(g), y, [0.0], g))
+    roots = sorted(_detect_levels(y, [0.0], g))
     assert roots[0] == 10.0
     assert len(roots) == 2 and 100.0 < roots[1] < 1000.0
 
@@ -276,7 +285,7 @@ def fixture_loop_gains(name):
 
 def curve_levels(curve):
     """Every (y, levels) pair the crossover search solves on a curve."""
-    logf, logmag, phase = curve._tables
+    logf, logmag, phase = whole_curve_tables(curve)
     k_min = math.ceil((float(phase.min()) + 180.0) / 360.0)
     k_max = math.floor((float(phase.max()) + 180.0) / 360.0)
     phase_levels = [-180.0 + 360.0 * k for k in range(k_min, k_max + 1)]
@@ -291,7 +300,7 @@ def test_fixture_brackets_match_bisection(name):
         logf, pairs = curve_levels(curve)
         g = curve.grid.points
         for y, levels in pairs:
-            n += check_roots_in_brackets(logf, y, levels, g)
+            n += check_roots_in_brackets(y, levels, g)
             for c in levels:
                 s = np.sign(y - c)
                 for i in np.flatnonzero(s[:-1] * s[1:] < 0.0):
@@ -330,7 +339,7 @@ def test_values_at_matches_the_whole_table_interpolant(name):
         probes = rng.uniform(g[0], g[-1], 2000)
         probes = probes[~np.isin(probes, g)]
         got, ref = values_at(curve, probes), table_value_at(curve, probes)
-        phase = curve._tables[2]
+        phase = whole_curve_tables(curve)[2]
         turns = phase - np.degrees(np.angle(curve.samples))
         drift = np.abs(turns - 360.0 * np.round(turns / 360.0))
         hi = np.searchsorted(g, probes)

@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from margingate.speclimit import (
 )
 
 from conftest import first_order, three_pole
+from test_golden import table_cell_counts
 from test_speclimit import ROWS_WITHIN_LIMIT, ROWS_EXCEEDING_LIMIT, table_limit_curve, table_z_new
 from margingate.speclimit import check_compliance
 
@@ -366,6 +368,15 @@ class TestMarkdown:
     def test_byte_stable(self):
         rep = basic_report()
         assert render(rep, "markdown") == render(rep, "markdown")
+
+    def test_readme_tables_have_one_cell_count(self):
+        # GFM splits a row at every unescaped pipe and drops cells past the
+        # header's count, so a pipe inside a cell must be written \|
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        tables = table_cell_counts(readme.read_text(encoding="utf-8"))
+        assert tables
+        for counts in tables:
+            assert set(counts) == {counts[0]}, counts
 
 
 class TestSvg:

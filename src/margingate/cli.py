@@ -50,7 +50,6 @@ __all__ = ["RunConfig", "run_assessment", "main"]
 
 _EXIT_BY_VERDICT = {"compliant": 0, "caution": 1, "violation": 1}
 _COLOR_BY_VERDICT = {"compliant": "32", "caution": "33", "violation": "31"}
-_ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 
 _ASSERTED_PRECONDITIONS = (
     "subsystems are individually stable (no right-half-plane poles); "
@@ -128,16 +127,16 @@ def _load_synth_case(path: Path):
         raise ValueError(f"grid 'points' must be a JSON integer >= 2, got {points!r}")
     grid = log_grid(float(gspec["start_hz"]), float(gspec["stop_hz"]), points)
     out = []
-    for role in _ROLES:
+    for role in _fixtures.ROLES:
         out.append(eval_network(network_from_obj(obj[role]), grid, label=role))
     return tuple(out)
 
 
 def _inputs_meta(curves, mode: str) -> dict:
     """The report's record of its three input curves, without their samples."""
-    by_role = dict(zip(_ROLES, curves))
+    by_role = dict(zip(_fixtures.ROLES, curves))
     return {
-        "labels": {role: c.label for role, c in by_role.items()},
+        "labels": {role: c.label or role for role, c in by_role.items()},
         "sequence": {role: c.sequence for role, c in by_role.items()},
         "operating_point": {role: c.operating_point for role, c in by_role.items()},
         "critical_frequency_mode": mode,
@@ -156,10 +155,7 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
             z_ppm, z_net, z_new = _load_synth_case(cfg.synth_case)
         else:
             paths = (cfg.z_ppm_existing, cfg.z_net_old, cfg.z_ppm_new)
-            z_ppm, z_net, z_new = (
-                c if c.label else c.with_samples(c.samples, label=role)
-                for c, role in zip(map(_read_response, paths), _ROLES)
-            )
+            z_ppm, z_net, z_new = map(_read_response, paths)
 
     with _stage("align"):
         z_ppm, z_net, z_new = align([z_ppm, z_net, z_new])

@@ -79,11 +79,9 @@ def loop_gain(
     return LoopGain(resp)
 
 
-def rho(
-    z_net_old: FrequencyResponse, z_new: FrequencyResponse, label: str = "rho"
-) -> FrequencyResponse:
+def rho(z_net_old: FrequencyResponse, z_new: FrequencyResponse) -> FrequencyResponse:
     """Impedance ratio Z_net,old / Z_new of the newly paralleled plant."""
-    return _quotient(z_net_old, z_new, label, "new PPM impedance")
+    return _quotient(z_net_old, z_new, "rho", "new PPM impedance")
 
 
 def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:

@@ -439,7 +439,6 @@ class CaseFixture:
     z_net_old: NetworkElement
     z_ppm_new: NetworkElement
     grid: FrequencyGrid
-    seed: int
 
     def responses(self) -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
         return (
@@ -488,7 +487,7 @@ def _rand_ppm_tree(rng) -> NetworkElement:
     return Series(tuple(parts))
 
 
-def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixture:
+def _build_case(rng, n_strings: int, grid: FrequencyGrid) -> CaseFixture:
     z_grid = Thevenin(66e3, rng.uniform(4e8, 2e9), rng.uniform(3.0, 12.0))
     strings = tuple(_rand_string_branch(rng) for _ in range(n_strings))
     z_net_old = Parallel((z_grid,) + strings)
@@ -522,7 +521,7 @@ def _build_case(rng, seed: int, n_strings: int, grid: FrequencyGrid) -> CaseFixt
         if np.max(np.abs(_phase_steps_deg(np.degrees(np.angle(z))))) > 90.0:
             raise ResonanceSingular("under-sampled phase; retry")
 
-    return CaseFixture(z_ppm, z_net_old, z_new, grid, seed)
+    return CaseFixture(z_ppm, z_net_old, z_new, grid)
 
 
 def random_case(
@@ -547,7 +546,7 @@ def random_case(
     for sub in range(16):
         rng = np.random.default_rng([int(seed), sub])
         try:
-            return _build_case(rng, int(seed), n_strings, grid)
+            return _build_case(rng, n_strings, grid)
         except (SingularAtFrequency, ResonanceSingular):
             tried.append(sub)
     raise GenerationFailed(

@@ -339,6 +339,22 @@ class TestRunConfig:
         assert report.inputs["critical_frequency_mode"] == "detected-crossovers"
         assert any("right-half-plane" in p for p in report.inputs["asserted_preconditions"])
 
+    def test_unlabelled_inputs_report_their_roles(self, tmp_path):
+        # a file without a label comment is named by its role; a labelled one keeps its label
+        z_ppm, z_net, z_new = bundled_case("compliant-A")
+        curves = (z_ppm.with_samples(z_ppm.samples, label=""), z_net,
+                  z_new.with_samples(z_new.samples, label=""))
+        paths = {role: tmp_path / f"{role}.csv" for role in ROLES}
+        for path, curve in zip(paths.values(), curves):
+            path.write_bytes(write_response(curve))
+        report, code = run_assessment(RunConfig(**paths))
+        assert code == 0
+        assert report.inputs["labels"] == {
+            "z_ppm_existing": "z_ppm_existing",
+            "z_net_old": "Z_net_old",
+            "z_ppm_new": "z_ppm_new",
+        }
+
     def test_critical_freqs_mode(self, compliant_dir):
         cfg = RunConfig(
             z_ppm_existing=compliant_dir["z_ppm_existing"],
@@ -683,6 +699,34 @@ class TestFixtures:
         with pytest.raises(ValueError):
             write_bundled_case("nope", "/tmp")
 
+    def test_invalid_header_has_no_curves(self):
+        with pytest.raises(ValueError, match="no impedance curves"):
+            bundled_case("invalid-header")
+
+    def test_tableii_is_not_sized_by_the_limit_it_checks(self, monkeypatch, tmp_path):
+        # a limit ten times too large makes the one limit row compliant; a
+        # case sized by the gate itself would sit at twice the wrong limit
+        from margingate import speclimit
+
+        caches = [obj for obj in vars(fixtures).values() if hasattr(obj, "cache_clear")]
+        real = speclimit._limit_rule
+
+        def tenfold(*row):
+            z_lim, flags = real(*row)
+            return (None if z_lim is None else 10.0 * z_lim), flags
+
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(speclimit, "_limit_rule", tenfold)
+        try:
+            report, _ = run_assessment(
+                RunConfig(**write_bundled_case("tableII-like", tmp_path))
+            )
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert [rec.verdict for rec in report.compliance] == ["compliant"]
+
     def test_tableii_targets_twice_the_limit(self):
         # dense-sweep oracle: the scaled plant sits at 2x the limit at the
         # first detected new gain crossover
@@ -699,8 +743,11 @@ class TestFixtures:
         assert gains
         f1 = gains[0].f_hz
         limits = limit_curve(l_old, z_net, [f1], MarginPolicy(), ratio)
-        assert abs(value_at(z_new, f1)) == pytest.approx(
-            2.0 * limits.z_limit_ohm[0], rel=1e-9
+        z_mag, z_lim = abs(value_at(z_new, f1)), limits.z_limit_ohm[0]
+        k_next = fixtures._TABLEII_SCALE * 2.0 * z_lim / z_mag
+        assert z_mag == pytest.approx(2.0 * z_lim, rel=1e-9), (
+            f"|Z_new| {z_mag!r} vs 2 x limit {2.0 * z_lim!r} at {f1!r} Hz; "
+            f"one update of the scale k*2*Z_limit(f1)/|Z_new(f1)| gives {k_next!r}"
         )
 
     def test_compliant_case_margins_oracle(self):
@@ -727,7 +774,6 @@ class TestFixtures:
 
         monkeypatch.setattr(fixtures, "eval_network", spy)
         fixtures._base_curves.cache_clear()
-        fixtures._tableii_scale.cache_clear()
         bundled_case("tableII-like")
         assert len(calls) == 4
         bundled_case("tableII-like")

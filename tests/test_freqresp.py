@@ -275,6 +275,21 @@ class TestValueAt:
             assert v == pytest.approx(value_at(r, float(f)), rel=1e-14)
 
 
+class TestResponseGuards:
+    @pytest.mark.parametrize(
+        "samples, meta, error, message",
+        [
+            ([1.0, np.nan], {}, NonFiniteValue, "NaN or infinite"),
+            ([1.0], {}, NonFiniteValue, "samples length must equal grid length"),
+            ([1.0, 2.0], {"unit": "volt"}, ValueError, "unit must be one of"),
+            ([1.0, 2.0], {"label": "Z\nnew"}, ValueError, "label must be a single line"),
+        ],
+    )
+    def test_post_init_refuses(self, samples, meta, error, message):
+        with pytest.raises(error, match=message):
+            resp([1.0, 10.0], samples, **meta)
+
+
 class TestAlign:
     def test_same_grid_unchanged(self):
         a = resp([1.0, 10.0], [1, 2])
@@ -290,6 +305,13 @@ class TestAlign:
         assert lo == pytest.approx(10.0)
         assert hi == pytest.approx(1000.0)
         assert out[0].grid == out[1].grid
+
+    def test_curve_on_the_union_grid_is_kept(self):
+        a = resp([1.0, 2.0, 10.0], [1, 2, 3])
+        b = resp([1.0, 10.0], [4, 5])
+        out = align([a, b])
+        assert out[0] is a
+        assert out[1].grid == a.grid
 
     def test_disjoint(self):
         a = resp([1.0, 10.0], [1, 1])

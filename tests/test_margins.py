@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from margingate.errors import KindMismatch, ZeroMagnitudeSample
+from margingate.errors import KindMismatch, SingularSensitivity, ZeroMagnitudeSample
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid, normalize_deg
 from margingate.loopgain import loop_gain, rho, update_loop_gain
 from margingate.margins import (
@@ -146,6 +146,10 @@ class TestCrossoverPoint:
         cp = CrossoverPoint("phase", 10.0, -0.5 + 0j)
         assert (cp.gm_lin, cp.pm_deg) == (2.0, None)
 
+    def test_bad_kind_refused(self):
+        with pytest.raises(ValueError, match="kind must be gain or phase"):
+            CrossoverPoint("delay", 10.0, 1.0 + 0j)
+
     def test_gain_tolerance_on_each_side(self):
         # the floats either side of | |L| - 1 | = GAIN_MAG_TOL, above and
         # below the unit circle; no float |L| sits on the boundary itself
@@ -161,6 +165,21 @@ class TestCrossoverPoint:
 
 
 class TestDecompose:
+    def test_bad_kind_refused(self, grid_2k):
+        l_old = first_order(2.0, 100.0, grid_2k)
+        with pytest.raises(ValueError, match="kind must be gain or phase"):
+            decompose_margins(l_old, l_old, 173.2, "delay")
+
+    def test_one_plus_rho_zero_at_a_grid_point(self, grid_2k):
+        # a grid frequency reads its sample as stored, so 1+rho is exactly 0
+        l_old = first_order(2.0, 100.0, grid_2k)
+        samples = np.zeros(len(grid_2k), complex)
+        samples[700] = -1.0
+        ratio = FrequencyResponse(grid_2k, samples, unit="dimensionless")
+        f = float(grid_2k.points[700])
+        with pytest.raises(SingularSensitivity, match="vanishes"):
+            decompose_margins(l_old, ratio, f, "gain")
+
     def test_rho_zero(self, grid_2k):
         l_old = first_order(2.0, 100.0, grid_2k)
         zero = FrequencyResponse(

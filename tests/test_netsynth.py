@@ -429,7 +429,7 @@ class TestRandomCase:
         f0 = 100.0
         l_h = 1e-3
         tank = Parallel((Inductor(l_h), Capacitor(1.0 / ((2 * math.pi * f0) ** 2 * l_h))))
-        case = CaseFixture(Resistor(1.0), tank, Resistor(1.0), FrequencyGrid([50.0, f0, 200.0]), 0)
+        case = CaseFixture(Resistor(1.0), tank, Resistor(1.0), FrequencyGrid([50.0, f0, 200.0]))
         with pytest.raises(SingularAtFrequency):
             case.responses()
 
@@ -455,6 +455,11 @@ class TestJson:
             )
         )
         assert network_from_json(network_to_json(net)) == net
+
+    def test_rational_root_lists_default_to_empty(self):
+        desc = network_from_json(b'{"type": "rational", "gain": 2.0, "poles_rad_s": [[-5.0, 0.0]]}')
+        assert desc == Rational(2.0, poles_rad_s=(complex(-5.0, 0.0),))
+        assert network_from_json(b'{"type": "rational", "gain": 2.0}') == Rational(2.0)
 
     def test_documented_key_names(self):
         import json

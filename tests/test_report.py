@@ -379,6 +379,13 @@ class TestMarkdown:
             assert set(counts) == {counts[0]}, counts
 
 
+class TestTicks:
+    def test_db_step_doubles_above_160_db(self):
+        # 20 dB steps give at most eight intervals; 220 dB needs 40 dB steps
+        assert report_mod._ticks_db(-100.0, 60.0) == [-100.0 + 20.0 * k for k in range(10)]
+        assert report_mod._ticks_db(-200.0, 20.0) == [-200.0 + 40.0 * k for k in range(7)]
+
+
 class TestSvg:
     def make_with_curves(self):
         g = log_grid(1, 10000, 400)

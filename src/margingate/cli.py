@@ -478,8 +478,8 @@ def _cmd_synth(args) -> int:
     with _stage(write_stage):
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for resp in curves:
-            path = out_dir / f"{resp.label}.csv"
+        for role, resp in zip(_fixtures.ROLES, curves):
+            path = out_dir / f"{role}.csv"
             path.write_bytes(write_response(resp))
             print(f"wrote {path}")
     return 0

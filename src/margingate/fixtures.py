@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .freqresp import FrequencyGrid, FrequencyResponse, log_grid, write_response
 from .netsynth import (
+    CASE_LABELS,
     Capacitor,
     Inductor,
     NetworkElement,
@@ -74,8 +75,7 @@ def _base_curves() -> tuple[FrequencyResponse, FrequencyResponse, FrequencyRespo
     """The three ``compliant-A`` curves, evaluated once per process."""
     grid = bundled_grid()
     return tuple(
-        eval_network(desc, grid, label=label)
-        for desc, label in zip(_base_networks(), ("Z_ppm_existing", "Z_net_old", "Z_ppm_new"))
+        eval_network(desc, grid, label=label) for desc, label in zip(_base_networks(), CASE_LABELS)
     )
 
 
@@ -88,7 +88,7 @@ def bundled_case(
     z_ppm, z_net, z_new = _base_curves()
     if name == "tableII-like":
         z_new_d = scale_network(_base_networks()[2], _TABLEII_SCALE)
-        z_new = eval_network(z_new_d, z_new.grid, label="Z_ppm_new")
+        z_new = eval_network(z_new_d, z_new.grid, label=CASE_LABELS[2])
     return z_ppm, z_net, z_new
 
 

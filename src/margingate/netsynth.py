@@ -28,6 +28,7 @@ __all__ = [
     "Thevenin",
     "Series",
     "Parallel",
+    "CASE_LABELS",
     "CaseFixture",
     "eval_network",
     "par",
@@ -57,7 +58,7 @@ def _check_positive(name: str, value: float) -> None:
 
 class _Lumped(NetworkElement):
     """An R, L, C or Thevenin leaf: every field is a positive finite
-    number, and its impedance has a closed form (``_lumped_parts``)."""
+    number, and its impedance has a closed form (``_parts``)."""
 
     def __post_init__(self):
         for fld in fields(self):
@@ -186,10 +187,12 @@ def _tag(desc: NetworkElement) -> str:
 def _par_sum(branches, f=None):
     """Impedance 1 / sum_k Y_k of parallel branches.
 
-    ``branches`` yields each impedance as (real, imag) parts, arrays of one
-    shape or a float real part, and may be a generator: each admittance
-    Y_k = conj(Z_k) / |Z_k|^2 is added in real arithmetic (r/d and x/d,
-    d = r^2 + x^2) as its branch arrives. The operands are never written to.
+    ``branches`` yields each impedance as (real, imag) parts, floats or
+    arrays of one shape (``f`` gives the shape where the first reactance is
+    a float), and may be a generator, as ``Parallel`` nodes hand them over:
+    each admittance Y_k = conj(Z_k) / |Z_k|^2 is added in real arithmetic
+    (r/d and x/d, d = r^2 + x^2) as its branch arrives. The operands are
+    never written to.
 
     Raises ``ResonanceSingular`` where |sum_k Y_k| <= 1e-12 * max_k |Y_k|
     (genuine antiresonance, not rounding) or where some |Z_k|^2 is zero;
@@ -200,7 +203,8 @@ def _par_sum(branches, f=None):
     g = None
     for r, x in branches:
         if g is None:
-            g, s, d_min, d, t = np.empty((5,) + x.shape)
+            # a float reactance is a resistor's +0.0: f gives the shape
+            g, s, d_min, d, t = np.empty((5,) + (x if isinstance(x, np.ndarray) else f).shape)
             g.fill(-0.0)  # -0.0 + y is y, signed zeros included
             s.fill(-0.0)
             d_min.fill(np.inf)
@@ -222,7 +226,7 @@ def _par_sum(branches, f=None):
             raise ResonanceSingular(f"parallel branch has |Z| ~ 0{near}")
         raise ResonanceSingular(f"parallel branches cancel: |sum of 1/Z| ~ 0{near}")
     # 1 / (g - js) = (g + js) / (g^2 + s^2)
-    out = np.empty(x.shape, dtype=complex)
+    out = np.empty(g.shape, dtype=complex)
     np.divide(g, d, out=out.real)
     np.divide(s, d, out=out.imag)
     return out
@@ -243,67 +247,35 @@ def par(z1, z2, f=None):
     return complex(out[0]) if zs[0].ndim == 0 else out
 
 
-def _lumped_parts(desc: NetworkElement, w: np.ndarray):
-    """For a lumped leaf, or a Series of lumped leaves only, the real part
-    (a float) and the imaginary part (a fresh array), each summed in child
-    order: numpy's complex addition is componentwise, so these are the
-    bits of the complex sum. None for any other element.
+def _parts(desc: NetworkElement, f: np.ndarray, w: np.ndarray):
+    """The (real, imag) parts of ``desc`` at ``f`` (``w = 2*pi*f``), each a
+    float or a fresh array that the caller may write to.
 
-    The terms are the bits of numpy's complex j*w*L = 0 + j*fl(w*L) and
-    1/(j*w*C) = +0 - j/fl(w*C), the latter subtracted in place. A
-    Resistor's +0.0 is not built: it changes only a sum of -0.0, which
-    needs every term -0.0 (w*C overflowing), so it is added once to a sum
-    with no inductive term.
+    Leaves are closed forms with the bits of numpy's complex arithmetic:
+    R is r + 0j, j*w*L is 0 + j*fl(w*L) and 1/(j*w*C) is +0 - j/fl(w*C).
+    A float reactance is a resistor's +0.0, and no array is built for it.
+    A Series sums its children's parts in child order, in place; numpy's
+    complex addition is componentwise, so these are the bits of the complex
+    sum. A +0.0 reactance changes only a sum of -0.0, which needs every
+    term -0.0 (w*C overflowing) and so no inductive one: it is added once,
+    at the end, to a Series with no Inductor or Thevenin child. A Parallel
+    hands its children's parts to ``_par_sum``, and a Rational returns its
+    numerator's.
     """
-    kids = desc.children if isinstance(desc, Series) else (desc,)
-    if not all(isinstance(k, _Lumped) for k in kids):
-        return None
-    re, im = 0.0, None
-    for k in kids:
-        re += float(getattr(k, "r_ohm", 0.0))
-        if isinstance(k, Resistor):
-            continue
-        if isinstance(k, Capacitor):
-            x = w * k.c_farad
-            if im is None:
-                im = np.divide(-1.0, x, out=x)
-            else:
-                im -= np.divide(1.0, x, out=x)
-        elif im is None:
-            im = w * k.l_henry
-        else:
-            im += w * k.l_henry
-    if im is None:
-        return re, np.zeros(w.size)
-    if any(isinstance(k, Resistor) for k in kids) and all(
-        isinstance(k, (Resistor, Capacitor)) for k in kids
-    ):
-        im += 0.0
-    return re, im
-
-
-def _branch(desc: NetworkElement, f: np.ndarray, w: np.ndarray):
-    """A Parallel child's (real, imag) parts, as ``_par_sum`` takes them."""
-    parts = _lumped_parts(desc, w)
-    if parts is None:
-        z = _eval_tree(desc, f, w)
-        parts = z.real, z.imag
-    return parts
-
-
-def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Samples of ``desc`` at ``f`` (``w = 2*pi*f``), always a fresh array."""
     kind = _tag(desc)
-    parts = _lumped_parts(desc, w)
-    if parts is not None:
-        out = np.empty(f.size, dtype=complex)
-        out.real, out.imag = parts
-        return out
+    if kind == "resistor":
+        return float(desc.r_ohm), 0.0
+    if kind == "capacitor":
+        x = w * desc.c_farad
+        return 0.0, np.divide(-1.0, x, out=x)
+    if kind in ("inductor", "thevenin"):
+        return float(getattr(desc, "r_ohm", 0.0)), w * desc.l_henry
     if kind == "parallel":
         try:
-            return _par_sum((_branch(c, f, w) for c in desc.children), f)
+            z = _par_sum((_parts(c, f, w) for c in desc.children), f)
         except ResonanceSingular as exc:
             raise SingularAtFrequency(str(exc)) from None
+        return z.real, z.imag
     if kind == "rational":
         s = 1j * w
         den = np.ones(f.size, dtype=complex)
@@ -321,11 +293,29 @@ def _eval_tree(desc: NetworkElement, f: np.ndarray, w: np.ndarray) -> np.ndarray
         for z in desc.zeros_rad_s:
             num *= s - z
         num /= den
-        return num
-    acc = _eval_tree(desc.children[0], f, w)
-    for child in desc.children[1:]:
-        acc += _eval_tree(child, f, w)
-    return acc
+        return num.real, num.imag
+    re = im = None
+    zero = False
+    for child in desc.children:
+        r, x = _parts(child, f, w)
+        if re is None:
+            re = r
+        elif isinstance(r, np.ndarray) and not isinstance(re, np.ndarray):
+            r += re  # a + b is b + a, bit for bit
+            re = r
+        else:
+            re += r
+        if not isinstance(x, np.ndarray):
+            zero = True  # a resistor's +0.0 reactance, added below if it matters
+        elif im is None:
+            im = x
+        else:
+            im += x
+    if im is None:
+        return re, 0.0
+    if zero and not any(isinstance(c, (Inductor, Thevenin)) for c in desc.children):
+        im += 0.0
+    return re, im
 
 
 def eval_network(
@@ -345,9 +335,9 @@ def eval_network(
     samples = np.empty(f.size, dtype=complex)
     try:
         for block in _blocks(f.size):
-            samples[block] = _eval_tree(desc, f[block], w[block])
+            samples.real[block], samples.imag[block] = _parts(desc, f[block], w[block])
     except SingularAtFrequency:
-        samples = _eval_tree(desc, f, w)
+        samples.real, samples.imag = _parts(desc, f, w)
     return FrequencyResponse(grid=grid, samples=samples, unit="ohm", label=label)
 
 
@@ -431,6 +421,10 @@ def network_from_json(data: bytes) -> NetworkElement:
 # random fixtures
 # ---------------------------------------------------------------------------
 
+# the curve labels of a study case's three networks, in CaseFixture's order
+CASE_LABELS = ("Z_ppm_existing", "Z_net_old", "Z_ppm_new")
+
+
 @dataclass(frozen=True)
 class CaseFixture:
     """Synthetic stand-in for one interconnection study case."""
@@ -441,11 +435,8 @@ class CaseFixture:
     grid: FrequencyGrid
 
     def responses(self) -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
-        return (
-            eval_network(self.z_ppm_existing, self.grid, label="Z_ppm_existing"),
-            eval_network(self.z_net_old, self.grid, label="Z_net_old"),
-            eval_network(self.z_ppm_new, self.grid, label="Z_ppm_new"),
-        )
+        trees = (self.z_ppm_existing, self.z_net_old, self.z_ppm_new)
+        return tuple(eval_network(d, self.grid, label=lb) for d, lb in zip(trees, CASE_LABELS))
 
 
 def _rand_string_branch(rng) -> NetworkElement:

@@ -592,7 +592,7 @@ class TestSubcommands:
                 ["synth", "--seed", "7", "--n-strings", "2",
                  "--span", "1:10000", "--out-dir", str(d)]
             ) == 0
-        for name in ("Z_ppm_existing.csv", "Z_net_old.csv", "Z_ppm_new.csv"):
+        for name in ("z_ppm_existing.csv", "z_net_old.csv", "z_ppm_new.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_nyquist_subcommand(self, compliant_dir, tmp_path):

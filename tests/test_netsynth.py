@@ -410,7 +410,7 @@ class TestRandomCase:
     def test_each_final_tree_is_evaluated_once(self, monkeypatch):
         # _build_case evaluates all three final trees for its guards, and
         # the fixture does not evaluate them again
-        real, depth, top = netsynth._eval_tree, [0], [0]
+        real, depth, top = netsynth._parts, [0], [0]
 
         def counting(desc, f, w):
             top[0] += depth[0] == 0
@@ -420,7 +420,7 @@ class TestRandomCase:
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(netsynth, "_eval_tree", counting)
+        monkeypatch.setattr(netsynth, "_parts", counting)
         for s in range(1, 21):
             random_case(s, 1 + s % 4, (1.0, 10000.0))
         assert top[0] == 118

@@ -624,6 +624,8 @@ def mixed_trees():
     yield Parallel((Series((r, l, c)), Series((conv, Inductor(1e-3))), th))
     yield Series((Parallel((tank, Series((Resistor(0.4), c)))), conv, l))
     yield Parallel((Series((Parallel((l, c, r)), bq)), Series((th, tank)), Capacitor(5e-6)))
+    yield Series((bq, r, c))  # a Rational first, then a resistor's +0.0 reactance
+    yield Series((Resistor(0.4), tank, c))  # lumped leaves and a Parallel, none inductive
 
 
 @pytest.mark.parametrize("grid", _GRIDS, ids=len)
@@ -642,6 +644,7 @@ def test_overflowing_capacitors_keep_the_sign_of_a_zero_reactance():
         big, Series((big, big)), Series((big, Resistor(1.0))), Series((Resistor(1.0), big)),
         Series((big, Capacitor(1e299), Resistor(2.0))), Series((big, Inductor(1e-300))),
         Series((Resistor(1.0), Resistor(2.0))),
+        Series((big, Resistor(1.0), Rational(-1.0, (0j, 0j)))),  # w^2 - 0.0j
     )
     signs = set()
     with np.errstate(over="ignore", divide="ignore"):

@@ -28,7 +28,7 @@ from .freqresp import (
     write_response,
 )
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
-from .margins import MarginPolicy, decompose_margins, summarize_margins
+from .margins import MarginPolicy, decompose_margins, summarize_margins, worst_verdict
 from .netsynth import (
     _check_positive,
     eval_network,
@@ -40,11 +40,12 @@ from .regions import winding_number
 from .report import (
     FORMATS,
     AssessmentReport,
+    _margin_text,
     build_report,
     nyquist_svg_chart,
     render,
 )
-from .speclimit import FLAG_PREEXISTING, check_compliance, limit_curve
+from .speclimit import check_compliance, limit_curve
 
 __all__ = ["RunConfig", "run_assessment", "main"]
 
@@ -222,42 +223,23 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
 # terminal output
 # ---------------------------------------------------------------------------
 
-def _style(text: str, code: str, stream) -> str:
-    if os.environ.get("MARGIN_GATE_NO_COLOR"):
-        return text
-    if not hasattr(stream, "isatty") or not stream.isatty():
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
+def _print_styled(text: str, code: str, stream) -> None:
+    """Print a line, in colour on a terminal unless MARGIN_GATE_NO_COLOR is set."""
+    if not os.environ.get("MARGIN_GATE_NO_COLOR") and hasattr(stream, "isatty") and stream.isatty():
+        text = f"\x1b[{code}m{text}\x1b[0m"
+    print(text, file=stream)
 
 
 def _print_verdict(report: AssessmentReport) -> None:
+    """The overall verdict on stdout, and one stderr line per violating check."""
     verdict = report.overall_verdict
-    print(_style(f"overall verdict: {verdict}", _COLOR_BY_VERDICT[verdict], sys.stdout))
-    if verdict == "violation":
-        offenders = [rec for rec in report.compliance if rec.verdict == "violation"]
-        for rec in offenders:
-            if rec.z_limit_ohm is None:
-                why = f", no headroom ({FLAG_PREEXISTING})"
-            else:
-                why = f" exceeds limit {rec.z_limit_ohm} ohm"
-            print(
-                _style(
-                    f"violation at {rec.f_hz} Hz: |Z_new| = {rec.z_new_mag_ohm} ohm{why}",
-                    "31",
-                    sys.stderr,
-                ),
-                file=sys.stderr,
-            )
-        if not offenders:
-            print(_style("margin or encirclement violation", "31", sys.stderr), file=sys.stderr)
+    _print_styled(f"overall verdict: {verdict}", _COLOR_BY_VERDICT[verdict], sys.stdout)
+    for c in report.checks:
+        if c.verdict == "violation":
+            _print_styled(f"violation {c.detail} [check={c.name}]", "31", sys.stderr)
 
 
-_REPORT_FILES = {
-    "json": "report.json",
-    "markdown": "report.md",
-    "nyquist_svg": "nyquist.svg",
-    "bode_svg": "bode.svg",
-}
+_REPORT_FILES = dict(zip(FORMATS, ("report.json", "report.md", "nyquist.svg", "bode.svg")))
 
 
 def _write_outputs(report: AssessmentReport, cfg: RunConfig) -> None:
@@ -400,8 +382,7 @@ def _cmd_margins(args) -> int:
     print("| f (Hz) | kind | margin |")
     print("| --- | --- | --- |")
     for cp in summary.crossovers:
-        margin = f"PM {cp.pm_deg} deg" if cp.kind == "gain" else f"GM {cp.gm_db} dB"
-        print(f"| {cp.f_hz} | {cp.kind} | {margin} |")
+        print(f"| {cp.f_hz} | {cp.kind} | {_margin_text(cp)} |")
     print(f"verdict: {summary.verdict}")
     return _EXIT_BY_VERDICT[summary.verdict]
 
@@ -421,8 +402,7 @@ def _cmd_limit(args) -> int:
             )
         limits = limit_curve(l_old, z_net, freqs, args.policy)
 
-    lines = []
-    code = 0
+    lines, records = [], ()
     if args.z_new:
         with _stage("compliance"):
             z_new = _read_response(Path(args.z_new))
@@ -431,8 +411,6 @@ def _cmd_limit(args) -> int:
         for rec in records:
             z_lim = "" if rec.z_limit_ohm is None else repr(rec.z_limit_ohm)
             lines.append(f"{rec.f_hz!r},{rec.z_new_mag_ohm!r},{z_lim},{rec.verdict}")
-        if any(rec.verdict == "violation" for rec in records):
-            code = 1
     else:
         lines.append("freq_hz,z_limit_ohm,delta_pm_deg,flags")
         for f, z_lim, dpm, flags in zip(
@@ -446,7 +424,7 @@ def _cmd_limit(args) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return code
+    return _EXIT_BY_VERDICT[worst_verdict(rec.verdict for rec in records)]
 
 
 def _cmd_synth(args) -> int:

@@ -13,12 +13,12 @@ small passive networks tuned to exercise the three exit codes:
 The cases are data: no stage of the gate runs to build them. The
 ``tableII-like`` scale is a stored constant, which
 ``test_cli.py::TestFixtures::test_tableii_targets_twice_the_limit`` checks
-against the limit it is meant to break. All generation is deterministic;
-repeated writes are byte-identical.
+against the limit it is meant to break. Nothing is cached: each
+``bundled_case`` call evaluates the three trees it returns, and no other.
+All generation is deterministic; repeated writes are byte-identical.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from pathlib import Path
 
 from .freqresp import FrequencyGrid, FrequencyResponse, log_grid, write_response
@@ -70,26 +70,15 @@ def _base_networks() -> tuple[NetworkElement, NetworkElement, NetworkElement]:
     return z_ppm, z_net_old, z_new
 
 
-@lru_cache(maxsize=1)
-def _base_curves() -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
-    """The three ``compliant-A`` curves, evaluated once per process."""
-    grid = bundled_grid()
-    return tuple(
-        eval_network(desc, grid, label=label) for desc, label in zip(_base_networks(), CASE_LABELS)
-    )
-
-
-def bundled_case(
-    name: str,
-) -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
+def bundled_case(name: str) -> tuple[FrequencyResponse, FrequencyResponse, FrequencyResponse]:
     """Impedance curves (existing PPM, old network, new PPM) for a case."""
     if name not in ("compliant-A", "tableII-like"):
         raise ValueError(f"no impedance curves for case {name!r}")
-    z_ppm, z_net, z_new = _base_curves()
+    descs = list(_base_networks())
     if name == "tableII-like":
-        z_new_d = scale_network(_base_networks()[2], _TABLEII_SCALE)
-        z_new = eval_network(z_new_d, z_new.grid, label=CASE_LABELS[2])
-    return z_ppm, z_net, z_new
+        descs[2] = scale_network(descs[2], _TABLEII_SCALE)
+    grid = bundled_grid()
+    return tuple(eval_network(d, grid, label=label) for d, label in zip(descs, CASE_LABELS))
 
 
 def write_bundled_case(name: str, out_dir) -> dict[str, Path]:

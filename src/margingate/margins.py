@@ -33,6 +33,7 @@ from .loopgain import _SENSITIVITY_ATOL, one_plus
 
 __all__ = [
     "REGIONS",
+    "VERDICTS",
     "MarginPolicy",
     "CrossoverPoint",
     "MarginSummary",
@@ -41,6 +42,7 @@ __all__ = [
     "pm_deg",
     "decompose_margins",
     "summarize_margins",
+    "worst_verdict",
 ]
 
 GAIN_MAG_TOL = 1e-9       # | |L| - 1 | at a refined gain crossover
@@ -48,6 +50,12 @@ PHASE_ANGLE_TOL = 1e-6    # deg from -180 at a refined phase crossover
 _MERGE_RTOL = 1e-6        # crossovers closer than this (relative) merge
 
 REGIONS = ("compliant", "caution", "critical")  # by increasing severity
+VERDICTS = ("compliant", "caution", "violation")  # likewise; REGIONS[i] gives VERDICTS[i]
+
+
+def worst_verdict(verdicts) -> str:
+    """The most severe of some verdicts under ``VERDICTS``; compliant with none."""
+    return max(verdicts, key=VERDICTS.index, default="compliant")
 
 
 def pm_deg(z: complex) -> float:
@@ -166,12 +174,16 @@ class MarginSummary:
         return max(phases, key=lambda c: abs(c.l_value), default=None)
 
     @property
+    def deciding(self) -> CrossoverPoint | None:
+        """The first crossover of the most severe ``MarginPolicy.region``; None with none."""
+        region = self.policy.region
+        return max(self.crossovers, key=lambda c: REGIONS.index(region(c)), default=None)
+
+    @property
     def verdict(self) -> str:
-        """The most severe ``MarginPolicy.region`` of the crossovers, with
-        critical reported as ``violation``; compliant with no crossover."""
-        regions = (self.policy.region(c) for c in self.crossovers)
-        worst = max(regions, key=REGIONS.index, default="compliant")
-        return "violation" if worst == "critical" else worst
+        """The ``deciding`` crossover's region as a verdict; compliant with none."""
+        cp = self.deciding
+        return "compliant" if cp is None else VERDICTS[REGIONS.index(self.policy.region(cp))]
 
 
 @dataclass(frozen=True)

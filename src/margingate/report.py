@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import InconsistentInputs, UnsupportedFormat
 from .freqresp import FrequencyResponse, unwrap_phase
-from .margins import CrossoverPoint, MarginDecomposition, MarginPolicy, MarginSummary
+from .margins import CrossoverPoint, MarginDecomposition, MarginPolicy, MarginSummary, worst_verdict
 from .regions import EncirclementResult
-from .speclimit import ComplianceRecord, LimitCurve
+from .speclimit import FLAG_PREEXISTING, ComplianceRecord, LimitCurve
 
 __all__ = [
     "AssessmentReport",
+    "Check",
     "build_report",
     "render",
     "parse_report",
@@ -37,6 +39,14 @@ FORMATS = ("json", "markdown", "nyquist_svg", "bode_svg")
 
 _STORED_AS = (("inputs", dict), ("decompositions", tuple), ("compliance", tuple),
               ("encirclements", dict), ("consistency_error", float), ("curves", tuple))
+
+
+# one row of the verdict table: a check's name, its verdict and a one-line detail
+Check = namedtuple("Check", ("name", "verdict", "detail"))
+
+
+def _margin_text(cp: CrossoverPoint) -> str:
+    return f"PM {cp.pm_deg} deg" if cp.kind == "gain" else f"GM {cp.gm_db} dB"
 
 
 @dataclass(frozen=True)
@@ -82,14 +92,27 @@ class AssessmentReport:
                 )
 
     @property
+    def checks(self) -> tuple[Check, ...]:
+        """The verdict table, every row gating: the L_new margins at their
+        deciding crossover, each compliance record and each winding (0 or a violation)."""
+        s, cp = self.l_new_summary, self.l_new_summary.deciding
+        at = "no crossover" if cp is None else f"at {cp.f_hz} Hz: {_margin_text(cp)}"
+        rows = [Check("l_new_margins", s.verdict, at)]
+        for rec in self.compliance:
+            lim = rec.z_limit_ohm
+            why = (f", no headroom ({FLAG_PREEXISTING})" if lim is None
+                   else f" {'exceeds' if rec.verdict == 'violation' else 'within'} limit {lim} ohm")
+            at = f"at {rec.f_hz} Hz: |Z_new| = {rec.z_new_mag_ohm} ohm{why}"
+            rows.append(Check("impedance_limit", rec.verdict, at))
+        for name, res in self.encirclements.items():
+            verdict = "violation" if res.winding else "compliant"
+            rows.append(Check(f"winding_{name}", verdict, f"winding {res.winding} about -1"))
+        return tuple(rows)
+
+    @property
     def overall_verdict(self) -> str:
-        """Violation on any compliance violation or nonzero winding, else
-        the L_new margin verdict."""
-        if any(rec.verdict == "violation" for rec in self.compliance):
-            return "violation"
-        if any(res.winding != 0 for res in self.encirclements.values()):
-            return "violation"
-        return self.l_new_summary.verdict
+        """The worst verdict of ``checks``."""
+        return worst_verdict(c.verdict for c in self.checks)
 
 
 # the one constructor; the name is kept for callers that import it
@@ -283,13 +306,10 @@ def _markdown(report: AssessmentReport) -> str:
             lines.append("| f (Hz) | kind | margin | region |")
             lines.append("| --- | --- | --- | --- |")
             for cp in summary.crossovers:
-                margin = (
-                    f"PM {_fmt(cp.pm_deg)} deg"
-                    if cp.kind == "gain"
-                    else f"GM {_fmt(cp.gm_db)} dB"
-                )
                 region = summary.policy.region(cp)
-                lines.append(f"| {_fmt(cp.f_hz)} | {cp.kind} | {margin} | {region} |")
+                lines.append(
+                    f"| {_fmt(cp.f_hz)} | {cp.kind} | {_margin_text(cp)} | {region} |"
+                )
         lines.append("")
 
     if report.decompositions:

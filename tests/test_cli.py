@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from margingate import fixtures
+from margingate import fixtures, netsynth
 from margingate.cli import RunConfig, build_parser, main, run_assessment
+from margingate.errors import ResonanceSingular
 from margingate.fixtures import BUNDLED_CASES, bundled_case, write_bundled_case
 from margingate.freqresp import (
     _BLOCK_POINTS,
@@ -26,7 +27,10 @@ from margingate.netsynth import (
     network_to_json,
     network_to_obj,
 )
+from margingate.report import parse_report
 from margingate.speclimit import FLAG_PREEXISTING, MarginPolicy, limit_curve
+
+from test_golden import case_curves
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +118,10 @@ class TestExitCodes:
         assert main(check_args(compliant_dir, tmp_path, *extra)) == 1
         obj = json.loads((tmp_path / "report.json").read_bytes())
         assert [rec["verdict"] for rec in obj["compliance"]] == ["compliant"]
-        assert capsys.readouterr().err == "margin or encirclement violation\n"
+        (cp,) = obj["l_new"]["crossovers"]
+        assert capsys.readouterr().err == (
+            f"violation at {cp['f_hz']} Hz: PM {cp['pm_deg']} deg [check=l_new_margins]\n"
+        )
 
     @pytest.mark.parametrize("action", ["default", "error"])
     def test_float_fault_exits_2_under_any_warning_filter(self, tmp_path, capsys, action):
@@ -595,6 +602,17 @@ class TestSubcommands:
         for name in ("z_ppm_existing.csv", "z_net_old.csv", "z_ppm_new.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_synth_seed_exits_2_when_every_draw_is_refused(self, tmp_path, capsys, monkeypatch):
+        def refuse(rng, n_strings, grid):
+            raise ResonanceSingular("refused")
+
+        monkeypatch.setattr(netsynth, "_build_case", refuse)
+        assert main(["synth", "--seed", "7", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error [stage=synth] no usable fixture for seed 7 after sub-seeds {list(range(16))}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_nyquist_subcommand(self, compliant_dir, tmp_path):
         lg_file = tmp_path / "lg.csv"
         main(
@@ -670,6 +688,38 @@ class TestTerminalColour:
         assert len(err_lines) == (verdict == "violation")
         prefix = "violation at" if no_color else "\x1b[31mviolation at"
         assert all(err_line.startswith(prefix) for err_line in err_lines)
+
+
+# compliant-A's L_new PM of 67 deg is below a 70 deg minimum; its one limit row is met
+MARGINS_ONLY = ("--pm-min-deg", "70", "--pm-cau-deg", "80", "--critical-freqs", "3000")
+
+
+class TestVerdictTable:
+    @pytest.mark.parametrize("case, extra, violating", [
+        ("compliant-A", (), []),
+        ("compliant-A", ("--pm-cau-deg", "80"), []),  # caution: exit 1, nothing on stderr
+        ("compliant-A", MARGINS_ONLY, ["l_new_margins"]),
+        ("tableII-like", (), ["impedance_limit"]),
+        ("converter", (), ["l_new_margins", "winding_l_old"]),
+        ("seed-0", (), ["l_new_margins"] + ["impedance_limit"] * 3),
+        ("seed-8", (), ["l_new_margins"] + ["impedance_limit"] * 4),
+    ])
+    def test_one_stderr_line_per_violating_check(self, tmp_path, capsys, case, extra, violating):
+        paths = {}
+        for role, curve in zip(fixtures.ROLES, case_curves(case)):
+            paths[role] = tmp_path / f"{role}.csv"
+            paths[role].write_bytes(write_response(curve))
+        code = main(check_args(paths, tmp_path / "out", *extra))
+        checks = parse_report((tmp_path / "out" / "report.json").read_bytes()).checks
+        rows = [c for c in checks if c.verdict == "violation"]
+        assert [c.name for c in rows] == violating
+        assert capsys.readouterr().err.splitlines() == [
+            f"violation {c.detail} [check={c.name}]" for c in rows
+        ]
+        # the exit code follows the worst row
+        verdicts = {c.verdict for c in checks}
+        assert code == (0 if verdicts == {"compliant"} else 1)
+        assert (code == 0) == (extra == () and case == "compliant-A")
 
 
 class TestParser:
@@ -764,7 +814,7 @@ class TestFixtures:
             assert all(cp.pm_deg > 30.0 for cp in gains)
 
     def test_tableii_evaluates_each_network_once(self, monkeypatch):
-        # 3 compliant-A curves plus the scaled plant; later calls reuse them
+        # each call evaluates the three trees it returns, and no other
         calls = []
         real = fixtures.eval_network
 
@@ -773,10 +823,9 @@ class TestFixtures:
             return real(desc, grid, label=label)
 
         monkeypatch.setattr(fixtures, "eval_network", spy)
-        fixtures._base_curves.cache_clear()
         bundled_case("tableII-like")
-        assert len(calls) == 4
+        assert len(calls) == 3
         bundled_case("tableII-like")
-        assert len(calls) == 5
+        assert len(calls) == 6
         bundled_case("compliant-A")
-        assert len(calls) == 5
+        assert len(calls) == 9

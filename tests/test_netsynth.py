@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from margingate import netsynth
-from margingate.errors import ResonanceSingular, SingularAtFrequency
+from margingate.errors import GenerationFailed, ResonanceSingular, SingularAtFrequency
 from margingate.freqresp import FrequencyGrid, log_grid
 from margingate.netsynth import (
     Capacitor,
@@ -406,6 +406,20 @@ class TestRandomCase:
             random_case(1, 0, (1.0, 100.0))
         with pytest.raises(ValueError):
             random_case(1, 1, (100.0, 1.0))
+
+    def test_every_draw_refused_raises_generation_failed(self, monkeypatch):
+        # each of the 16 sub-seeds gets its own generator, and both refusals are retried
+        draws = []
+
+        def refuse(rng, n_strings, grid):
+            draws.append(rng.random())
+            raise (ResonanceSingular if len(draws) % 2 else SingularAtFrequency)("refused")
+
+        monkeypatch.setattr(netsynth, "_build_case", refuse)
+        with pytest.raises(GenerationFailed) as exc:
+            random_case(7, 2, (1.0, 10000.0))
+        assert str(exc.value) == f"no usable fixture for seed 7 after sub-seeds {list(range(16))}"
+        assert draws == [np.random.default_rng([7, sub]).random() for sub in range(16)]
 
     def test_each_final_tree_is_evaluated_once(self, monkeypatch):
         # _build_case evaluates all three final trees for its guards, and

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -13,11 +14,13 @@ from margingate.errors import InconsistentInputs, UnsupportedFormat
 from margingate.fixtures import write_bundled_case
 from margingate.freqresp import FrequencyResponse, log_grid
 from margingate.margins import (
+    VERDICTS,
     CrossoverPoint,
     MarginDecomposition,
     MarginSummary,
     decompose_margins,
     summarize_margins,
+    worst_verdict,
 )
 from margingate.regions import EncirclementResult
 from margingate.report import (
@@ -146,6 +149,86 @@ class TestBuild:
                 encirclements={},
                 consistency_error=0.0,
             )
+
+
+def with_l_new(report, crossovers):
+    """``report`` with these L_new crossovers, each with a decomposition."""
+    return dataclasses.replace(
+        report,
+        l_new_summary=MarginSummary(tuple(crossovers), POLICY),
+        decompositions=[MarginDecomposition(c.f_hz, c.kind, 0.0, 0.0, 1.0, 1.0) for c in crossovers],
+    )
+
+
+def gain_at(f_hz, pm):
+    return CrossoverPoint("gain", f_hz, unit_angle(pm - 180.0))
+
+
+def phase_at(f_hz, gm_lin):
+    return CrossoverPoint("phase", f_hz, complex(-1.0 / gm_lin, 0.0))
+
+
+class TestChecks:
+    @pytest.mark.parametrize("pm", [60.0, 20.0, 10.0])  # compliant, caution, critical
+    @pytest.mark.parametrize("rows", [ROWS_WITHIN_LIMIT, [r[:3] for r in ROWS_EXCEEDING_LIMIT]])
+    @pytest.mark.parametrize("windings", [(0, 0), (1, 0), (0, -2)])
+    def test_overall_verdict_is_the_worst_row(self, pm, rows, windings):
+        rep = with_l_new(basic_report(rows, windings=windings), [gain_at(120.0, pm)])
+        checks = rep.checks
+        assert [c.name for c in checks] == [
+            "l_new_margins", *["impedance_limit"] * len(rows), "winding_l_old", "winding_l_new"
+        ]
+        assert [c.verdict for c in checks] == [
+            rep.l_new_summary.verdict,
+            *(rec.verdict for rec in rep.compliance),
+            *("compliant" if w == 0 else "violation" for w in windings),
+        ]
+        verdicts = {c.verdict for c in checks}
+        assert rep.overall_verdict == next(
+            v for v in ("violation", "caution", "compliant") if v in verdicts
+        )
+
+    def test_one_severity_order(self):
+        assert VERDICTS == ("compliant", "caution", "violation")
+        assert worst_verdict([]) == "compliant"
+        assert worst_verdict(["caution", "compliant"]) == "caution"
+        assert worst_verdict(["compliant", "violation", "caution"]) == "violation"
+
+    def test_limit_row_details(self):
+        # a 60 deg headroom makes each limit |Z_net,old| itself: 10 ohm
+        limit = LimitCurve((100.0, 200.0, 300.0), (60.0, 60.0, -5.0), (10.0,) * 3, (None,) * 3)
+        compliance = (ComplianceRecord(100.0, 12.5, 10.0), ComplianceRecord(200.0, 8.0, 10.0),
+                      ComplianceRecord(300.0, 8.0, None))
+        rep = dataclasses.replace(basic_report(), limit_curve=limit, compliance=compliance)
+        assert [c[1:] for c in rep.checks if c.name == "impedance_limit"] == [
+            ("violation", "at 100.0 Hz: |Z_new| = 12.5 ohm exceeds limit 10.0 ohm"),
+            ("compliant", "at 200.0 Hz: |Z_new| = 8.0 ohm within limit 10.0 ohm"),
+            ("violation", f"at 300.0 Hz: |Z_new| = 8.0 ohm, no headroom ({FLAG_PREEXISTING})"),
+        ]
+
+    def test_winding_row_details(self):
+        rep = basic_report(windings=(0, -2))
+        assert [tuple(c) for c in rep.checks[-2:]] == [
+            ("winding_l_old", "compliant", "winding 0 about -1"),
+            ("winding_l_new", "violation", "winding -2 about -1"),
+        ]
+
+    @pytest.mark.parametrize("crossovers, detail", [
+        ([], "no crossover"),
+        # the first crossover of the most severe region decides, not the smallest margin
+        ([gain_at(50.0, 20.0), gain_at(100.0, 10.0), phase_at(150.0, 1.5), gain_at(200.0, 5.0)],
+         f"at 100.0 Hz: PM {gain_at(100.0, 10.0).pm_deg} deg"),
+        ([gain_at(50.0, 20.0), phase_at(150.0, 1.5), gain_at(200.0, 5.0)],
+         f"at 150.0 Hz: GM {phase_at(150.0, 1.5).gm_db} dB"),
+        ([gain_at(50.0, 40.0), gain_at(80.0, 20.0), gain_at(90.0, 25.0)],
+         f"at 80.0 Hz: PM {gain_at(80.0, 20.0).pm_deg} deg"),
+    ])
+    def test_margins_row_reads_the_deciding_crossover(self, crossovers, detail):
+        rep = with_l_new(basic_report(), crossovers)
+        row = rep.checks[0]
+        assert row == ("l_new_margins", rep.l_new_summary.verdict, detail)
+        deciding = rep.l_new_summary.deciding
+        assert (deciding is None) == (not crossovers)
 
 
 _FLIPPED = {"compliant": "violation", "violation": "compliant"}

@@ -42,6 +42,7 @@ from .report import (
     AssessmentReport,
     _margin_text,
     build_report,
+    limit_checks,
     nyquist_svg_chart,
     render,
 )
@@ -92,12 +93,7 @@ class RunConfig:
 
 
 class StageFailure(Exception):
-    """Pipeline failure annotated with the stage that raised it."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[stage={stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
+    """Pipeline failure; its message names the stage that raised it."""
 
 
 @contextlib.contextmanager
@@ -107,7 +103,7 @@ def _stage(name: str):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except (MarginGateError, OSError, ValueError, KeyError, MemoryError, ArithmeticError) as exc:
-        raise StageFailure(name, exc) from exc
+        raise StageFailure(f"[stage={name}] {exc}") from exc
 
 
 def _read_response(path: Path) -> FrequencyResponse:
@@ -230,13 +226,12 @@ def _print_styled(text: str, code: str, stream) -> None:
     print(text, file=stream)
 
 
-def _print_verdict(report: AssessmentReport) -> None:
-    """The overall verdict on stdout, and one stderr line per violating check."""
-    verdict = report.overall_verdict
-    _print_styled(f"overall verdict: {verdict}", _COLOR_BY_VERDICT[verdict], sys.stdout)
-    for c in report.checks:
+def _gate(checks) -> int:
+    """One stderr line per violating check; returns the exit code of the worst check."""
+    for c in checks:
         if c.verdict == "violation":
             _print_styled(f"violation {c.detail} [check={c.name}]", "31", sys.stderr)
+    return _EXIT_BY_VERDICT[worst_verdict(c.verdict for c in checks)]
 
 
 _REPORT_FILES = dict(zip(FORMATS, ("report.json", "report.md", "nyquist.svg", "bode.svg")))
@@ -342,23 +337,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    cfg = RunConfig(
-        z_ppm_existing=Path(args.z_ppm) if args.z_ppm else None,
-        z_net_old=Path(args.z_net_old) if args.z_net_old else None,
-        z_ppm_new=Path(args.z_ppm_new) if args.z_ppm_new else None,
-        synth_case=Path(args.synth) if args.synth else None,
-        policy=args.policy,
-        critical_freqs=(
-            None if args.critical_freqs is None else _parse_freq_list(args.critical_freqs)
-        ),
-        out_dir=Path(args.out_dir),
-        formats=tuple(f.strip() for f in args.format.split(",") if f.strip()),
-    )
-    report, code = run_assessment(cfg)
+    with _stage("config"):
+        cfg = RunConfig(
+            z_ppm_existing=Path(args.z_ppm) if args.z_ppm else None,
+            z_net_old=Path(args.z_net_old) if args.z_net_old else None,
+            z_ppm_new=Path(args.z_ppm_new) if args.z_ppm_new else None,
+            synth_case=Path(args.synth) if args.synth else None,
+            policy=args.policy,
+            critical_freqs=(
+                None if args.critical_freqs is None else _parse_freq_list(args.critical_freqs)
+            ),
+            out_dir=Path(args.out_dir),
+            formats=tuple(f.strip() for f in args.format.split(",") if f.strip()),
+        )
+    report, _ = run_assessment(cfg)
     with _stage("io"):
         _write_outputs(report, cfg)
-    _print_verdict(report)
-    return code
+    verdict = report.overall_verdict
+    _print_styled(f"overall verdict: {verdict}", _COLOR_BY_VERDICT[verdict], sys.stdout)
+    return _gate(report.checks)
 
 
 def _cmd_loopgain(args) -> int:
@@ -402,11 +399,12 @@ def _cmd_limit(args) -> int:
             )
         limits = limit_curve(l_old, z_net, freqs, args.policy)
 
-    lines, records = [], ()
+    lines, rows = [], ()
     if args.z_new:
         with _stage("compliance"):
             z_new = _read_response(Path(args.z_new))
             records = check_compliance(z_new, limits)
+        rows = limit_checks(records)
         lines.append("freq_hz,z_new_ohm,z_limit_ohm,verdict")
         for rec in records:
             z_lim = "" if rec.z_limit_ohm is None else repr(rec.z_limit_ohm)
@@ -424,11 +422,12 @@ def _cmd_limit(args) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return _EXIT_BY_VERDICT[worst_verdict(rec.verdict for rec in records)]
+    return _gate(rows)
 
 
 def _cmd_synth(args) -> int:
-    span = _parse_span(args.span)
+    with _stage("config"):
+        span = _parse_span(args.span)
     if args.network:
         with _stage("parse"):
             desc = network_from_json(Path(args.network).read_bytes())
@@ -493,16 +492,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if "pm_min_deg" in args:  # a bad policy fails as config, before any stage
-            args.policy = MarginPolicy(args.pm_min_deg, args.pm_cau_deg, args.gm_min_db)
+            with _stage("config"):
+                args.policy = MarginPolicy(args.pm_min_deg, args.pm_cau_deg, args.gm_min_db)
         return _COMMANDS[args.cmd](args)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)
-        return 2
-    except MarginGateError as exc:
-        print(f"error [stage={args.cmd}] {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error [stage=config] {exc}", file=sys.stderr)
         return 2
 
 

@@ -136,8 +136,14 @@ class FrequencyGrid:
         if not np.all(np.isfinite(pts)):
             raise NonFiniteValue("grid contains non-finite frequencies")
         if pts[0] <= 0.0 or np.any(np.diff(pts) <= 0.0):
+            if pts[0] <= 0.0:
+                where = f"point 1 ({float(pts[0])!r} Hz) is not positive"
+            else:
+                k = int(np.argmax(np.diff(pts) <= 0.0)) + 2  # 1-based point index
+                where = (f"point {k} ({float(pts[k - 1])!r} Hz) is not above "
+                         f"point {k - 1} ({float(pts[k - 2])!r} Hz)")
             raise NonMonotonicFrequency(
-                "frequencies must be positive and strictly increasing"
+                f"frequencies must be positive and strictly increasing; {where}"
             )
         pts = pts.copy()
         pts.setflags(write=False)

@@ -90,8 +90,8 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
     Margin decomposition and the r = |1+rho| diagnostic must interpolate
     1+rho itself (not add 1 to interpolated rho) to stay consistent with
     the factored loop-gain curve between grid points. Built once per ratio
-    and kept on the (immutable) ratio, like its interpolation tables: the
-    loop-gain update, every decomposition and the limit curve share it.
+    and kept on the (immutable) ratio: the loop-gain update, every
+    decomposition and the limit curve share it.
     """
     memo = ratio.__dict__
     if "_one_plus" not in memo:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,7 +174,7 @@ class MarginSummary:
         phases = (c for c in self.crossovers if c.kind == "phase")
         return max(phases, key=lambda c: abs(c.l_value), default=None)
 
-    @property
+    @cached_property
     def deciding(self) -> CrossoverPoint | None:
         """The first crossover of the most severe ``MarginPolicy.region``; None with none."""
         region = self.policy.region

@@ -13,6 +13,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ __all__ = [
     "AssessmentReport",
     "Check",
     "build_report",
+    "limit_checks",
     "render",
     "parse_report",
     "nyquist_svg_chart",
@@ -47,6 +49,18 @@ Check = namedtuple("Check", ("name", "verdict", "detail"))
 
 def _margin_text(cp: CrossoverPoint) -> str:
     return f"PM {cp.pm_deg} deg" if cp.kind == "gain" else f"GM {cp.gm_db} dB"
+
+
+def limit_checks(records) -> tuple[Check, ...]:
+    """The ``impedance_limit`` rows of the verdict table, one per compliance record."""
+    rows = []
+    for rec in records:
+        lim = rec.z_limit_ohm
+        why = (f", no headroom ({FLAG_PREEXISTING})" if lim is None
+               else f" {'exceeds' if rec.verdict == 'violation' else 'within'} limit {lim} ohm")
+        at = f"at {rec.f_hz} Hz: |Z_new| = {rec.z_new_mag_ohm} ohm{why}"
+        rows.append(Check("impedance_limit", rec.verdict, at))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -91,23 +105,18 @@ class AssessmentReport:
                     f"does not match limit {f} Hz ({z_lim} ohm)"
                 )
 
-    @property
+    @cached_property
     def checks(self) -> tuple[Check, ...]:
-        """The verdict table, every row gating: the L_new margins at their
+        """The verdict table, built once, every row gating: the L_new margins at their
         deciding crossover, each compliance record and each winding (0 or a violation)."""
         s, cp = self.l_new_summary, self.l_new_summary.deciding
         at = "no crossover" if cp is None else f"at {cp.f_hz} Hz: {_margin_text(cp)}"
-        rows = [Check("l_new_margins", s.verdict, at)]
-        for rec in self.compliance:
-            lim = rec.z_limit_ohm
-            why = (f", no headroom ({FLAG_PREEXISTING})" if lim is None
-                   else f" {'exceeds' if rec.verdict == 'violation' else 'within'} limit {lim} ohm")
-            at = f"at {rec.f_hz} Hz: |Z_new| = {rec.z_new_mag_ohm} ohm{why}"
-            rows.append(Check("impedance_limit", rec.verdict, at))
-        for name, res in self.encirclements.items():
-            verdict = "violation" if res.winding else "compliant"
-            rows.append(Check(f"winding_{name}", verdict, f"winding {res.winding} about -1"))
-        return tuple(rows)
+        windings = (
+            Check(f"winding_{name}", "violation" if res.winding else "compliant",
+                  f"winding {res.winding} about -1")
+            for name, res in self.encirclements.items()
+        )
+        return (Check("l_new_margins", s.verdict, at), *limit_checks(self.compliance), *windings)
 
     @property
     def overall_verdict(self) -> str:

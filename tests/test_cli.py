@@ -222,6 +222,50 @@ class TestExitCodes:
         assert code == 2
         assert "exactly one input mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, message", [
+        *[(cmd, "need 0 < pm_min_deg <= pm_cau_deg < 180, got (40.0, 30.0)")
+          for cmd in ("check", "margins", "limit", "nyquist")],
+        ("check --format pdf", "unknown formats ['pdf']; "
+                               "choose from ('json', 'markdown', 'nyquist_svg', 'bode_svg')"),
+        ("synth --span 10", "could not convert string to float: ''"),
+    ])
+    def test_config_error_is_one_stderr_line(self, compliant_dir, tmp_path, capsys,
+                                             command, message):
+        bad_policy = ("--pm-min-deg", "40", "--pm-cau-deg", "30")
+        args = {
+            "check": check_args(compliant_dir, tmp_path, *bad_policy),
+            "margins": ["margins", "--loop-gain", "lg.csv", *bad_policy],
+            "limit": ["limit", "--l-old", "lg.csv", "--z-net-old", "z.csv",
+                      "--critical-freqs", "150", *bad_policy],
+            "nyquist": ["nyquist", "--loop-gain", "lg.csv", "--out", "ny.svg", *bad_policy],
+            "check --format pdf": check_args(compliant_dir, tmp_path, "--format", "pdf"),
+            "synth --span 10": ["synth", "--seed", "0", "--span", "10",
+                                "--out-dir", str(tmp_path)],
+        }[command]
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", f"error [stage=config] {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mutation", ["duplicated", "swapped"])
+    def test_out_of_order_row_named_at_parse_stage(self, compliant_dir, tmp_path, capsys,
+                                                  mutation):
+        # data points 3 and 4 of the existing PPM file, duplicated or swapped
+        lines = compliant_dir["z_ppm_existing"].read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line[0].isdigit())
+        third, fourth = lines[first + 2:first + 4]
+        lines[first + 2:first + 4] = (
+            [third, third, fourth] if mutation == "duplicated" else [fourth, third]
+        )
+        paths = {**compliant_dir, "z_ppm_existing": tmp_path / "z_ppm_existing.csv"}
+        paths["z_ppm_existing"].write_text("".join(lines))
+        assert main(check_args(paths, tmp_path / "out")) == 2
+        f3, f4 = (float(line.split(",")[0]) for line in (third, fourth))
+        above = f3 if mutation == "duplicated" else f4
+        assert capsys.readouterr().err == (
+            "error [stage=parse] frequencies must be positive and strictly increasing; "
+            f"point 4 ({f3!r} Hz) is not above point 3 ({above!r} Hz)\n"
+        )
+
 
 ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 
@@ -722,6 +766,55 @@ class TestVerdictTable:
         assert (code == 0) == (extra == () and case == "compliant-A")
 
 
+class TestLimitRows:
+    """``limit --z-new`` prints its violating rows as ``check`` prints them."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, tmp_path_factory):
+        out = {}
+        for name in ("compliant-A", "tableII-like"):
+            paths = write_bundled_case(name, tmp_path_factory.mktemp(name))
+            paths["l_old"] = paths["z_net_old"].with_name("l_old.csv")
+            assert main(["loopgain", "--z-net", str(paths["z_net_old"]),
+                         "--z-ppm", str(paths["z_ppm_existing"]),
+                         "--out", str(paths["l_old"])]) == 0
+            out[name] = paths
+        return out
+
+    @staticmethod
+    def limit_args(paths, *extra):
+        return ["limit", "--l-old", str(paths["l_old"]), "--z-net-old", str(paths["z_net_old"]),
+                "--critical-freqs", "150,500", *extra]
+
+    # a 60 deg minimum leaves no headroom at 500 Hz (PM_old 52 deg)
+    @pytest.mark.parametrize("case, extra, rows", [
+        ("compliant-A", (), 0),
+        ("tableII-like", (), 2),
+        ("compliant-A", ("--pm-min-deg", "60", "--pm-cau-deg", "70"), 1),
+        ("tableII-like", ("--pm-min-deg", "60", "--pm-cau-deg", "70"), 2),
+    ], ids=["compliant-A", "tableII-like", "compliant-A-no-headroom", "tableII-like-no-headroom"])
+    def test_limit_stderr_is_checks_limit_lines(self, cases, tmp_path, capsys, case, extra,
+                                               rows):
+        paths = cases[case]
+        main(check_args(paths, tmp_path, "--critical-freqs", "150,500", *extra))
+        from_check = [line for line in capsys.readouterr().err.splitlines(keepends=True)
+                      if line.endswith("[check=impedance_limit]\n")]
+        assert len(from_check) == rows
+        code = main(self.limit_args(paths, "--z-new", str(paths["z_ppm_new"]), *extra))
+        assert capsys.readouterr().err == "".join(from_check)
+        assert code == (1 if rows else 0)
+        if extra:
+            assert from_check[-1].startswith("violation at 500.0 Hz: ")
+            assert from_check[-1].endswith(
+                f" ohm, no headroom ({FLAG_PREEXISTING}) [check=impedance_limit]\n"
+            )
+
+    def test_limit_without_z_new_prints_no_stderr(self, cases, capsys):
+        paths = cases["tableII-like"]
+        assert main(self.limit_args(paths, "--pm-min-deg", "60", "--pm-cau-deg", "70")) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestParser:
     def test_policy_flags(self):
         args = build_parser().parse_args(
@@ -758,23 +851,16 @@ class TestFixtures:
         # case sized by the gate itself would sit at twice the wrong limit
         from margingate import speclimit
 
-        caches = [obj for obj in vars(fixtures).values() if hasattr(obj, "cache_clear")]
+        # fixtures caches nothing, so no case built before the patch can leak into it
+        assert [name for name, obj in vars(fixtures).items() if hasattr(obj, "cache_clear")] == []
         real = speclimit._limit_rule
 
         def tenfold(*row):
             z_lim, flags = real(*row)
             return (None if z_lim is None else 10.0 * z_lim), flags
 
-        for cache in caches:
-            cache.cache_clear()
         monkeypatch.setattr(speclimit, "_limit_rule", tenfold)
-        try:
-            report, _ = run_assessment(
-                RunConfig(**write_bundled_case("tableII-like", tmp_path))
-            )
-        finally:
-            for cache in caches:
-                cache.cache_clear()
+        report, _ = run_assessment(RunConfig(**write_bundled_case("tableII-like", tmp_path)))
         assert [rec.verdict for rec in report.compliance] == ["compliant"]
 
     def test_tableii_targets_twice_the_limit(self):

@@ -1,10 +1,11 @@
 """Command-line margin gate.
 
-Wires the assessment pipeline over impedance files: parse -> align ->
-loop gains (direct and factored, cross-checked) -> crossovers and margins
--> decompositions -> impedance limit -> compliance -> Nyquist regions ->
-report. Exit codes are CI-friendly: 0 compliant, 1 caution or violation,
-2 input/processing error.
+Every subcommand runs the same steps: config (flags become values) ->
+parse (one reader) -> align -> loop gains (direct and factored,
+cross-checked) -> crossovers and margins -> decompositions -> impedance
+limit -> compliance -> Nyquist regions -> report, each step only when its
+inputs are given, and then renders what they produced. Exit codes are
+CI-friendly: 0 compliant, 1 caution or violation, 2 input/processing error.
 """
 from __future__ import annotations
 
@@ -20,31 +21,15 @@ import numpy as np
 
 from . import fixtures as _fixtures
 from .errors import MarginGateError
-from .freqresp import (
-    FrequencyResponse,
-    align,
-    log_grid,
-    parse_response,
-    write_response,
-)
+from .freqresp import align, log_grid, parse_response, write_response
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
 from .margins import MarginPolicy, decompose_margins, summarize_margins, worst_verdict
 from .netsynth import (
-    _check_positive,
-    eval_network,
-    network_from_json,
-    network_from_obj,
-    random_case,
+    _check_positive, eval_network, network_from_json, network_from_obj, random_case
 )
 from .regions import winding_number
 from .report import (
-    FORMATS,
-    AssessmentReport,
-    _margin_text,
-    build_report,
-    limit_checks,
-    nyquist_svg_chart,
-    render,
+    FORMATS, AssessmentReport, _margin_text, build_report, limit_checks, nyquist_svg_chart, render
 )
 from .speclimit import check_compliance, limit_curve
 
@@ -106,27 +91,47 @@ def _stage(name: str):
         raise StageFailure(f"[stage={name}] {exc}") from exc
 
 
-def _read_response(path: Path) -> FrequencyResponse:
-    return parse_response(Path(path).read_bytes())
-
-
 def _load_synth_case(path: Path):
     obj = json.loads(Path(path).read_bytes().decode("utf-8"))
     gspec = obj.get("grid") if isinstance(obj, dict) else None
     if not isinstance(gspec, dict) or not {"start_hz", "stop_hz", "points"} <= gspec.keys():
-        raise ValueError(
-            "case must be an object whose 'grid' has start_hz, stop_hz and points"
-        )
+        raise ValueError("case must be an object whose 'grid' has start_hz, stop_hz and points")
     for key in ("start_hz", "stop_hz"):
         _check_positive(f"grid {key!r}", gspec[key])
     points = gspec["points"]
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise ValueError(f"grid 'points' must be a JSON integer >= 2, got {points!r}")
+    missing = [role for role in _fixtures.ROLES if role not in obj]
+    if missing:
+        raise ValueError(f"case file {str(path)!r} has no {' or '.join(missing)} network")
     grid = log_grid(float(gspec["start_hz"]), float(gspec["stop_hz"]), points)
-    out = []
-    for role in _fixtures.ROLES:
-        out.append(eval_network(network_from_obj(obj[role]), grid, label=role))
-    return tuple(out)
+    return tuple(
+        eval_network(network_from_obj(obj[role]), grid, label=role) for role in _fixtures.ROLES
+    )
+
+
+def _read(paths: dict) -> dict:
+    """The one reader: each input file by role, in the order given, under the parse stage.
+
+    A file is an impedance or loop-gain table, except a ``synth_case`` (read
+    as its three impedances), a ``network`` description, and ``loop_gains``,
+    several tables read as (name, curve) pairs named by label or file stem.
+    """
+    v = {}
+    with _stage("parse"):
+        for role, path in paths.items():
+            if role == "synth_case":
+                v.update(zip(_fixtures.ROLES, _load_synth_case(path)))
+            elif role == "network":
+                v[role] = network_from_json(Path(path).read_bytes())
+            elif role == "loop_gains":
+                v[role] = []
+                for p in map(Path, path):
+                    curve = parse_response(p.read_bytes())
+                    v[role].append((curve.label or p.stem, curve))
+            else:
+                v[role] = parse_response(Path(path).read_bytes())
+    return v
 
 
 def _inputs_meta(curves, mode: str) -> dict:
@@ -141,77 +146,81 @@ def _inputs_meta(curves, mode: str) -> dict:
     }
 
 
-def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
-    """Execute the pipeline; returns the report and the process exit code.
+def _run(paths: dict, policy: MarginPolicy = MarginPolicy(), critical_freqs=None) -> dict:
+    """Run each step that the inputs (see ``_read``) allow; returns what the steps made.
 
-    Failures raise ``StageFailure`` naming the failing stage (exit 2 in
-    ``main``).
+    All three impedances give the assessment and its report; those of the
+    existing plant and the network alone give their loop gain ``L``; an
+    ``l_old`` file with ``z_net_old`` gives the limit, checked against
+    ``z_ppm_new`` if given; each of ``loop_gains`` gets its margins. The
+    limit is taken at ``critical_freqs``, else at the gain crossovers of
+    the last loop gain. Each curve is dropped after the last step that reads it.
     """
-    with _stage("parse"):
-        if cfg.synth_case is not None:
-            z_ppm, z_net, z_new = _load_synth_case(cfg.synth_case)
-        else:
-            paths = (cfg.z_ppm_existing, cfg.z_net_old, cfg.z_ppm_new)
-            z_ppm, z_net, z_new = map(_read_response, paths)
-
-    with _stage("align"):
-        z_ppm, z_net, z_new = align([z_ppm, z_net, z_new])
-
-    # the report keeps the inputs' metadata, not their samples: each curve
-    # below is dropped after the last stage that reads it
-    inputs = _inputs_meta(
-        (z_ppm, z_net, z_new),
-        "detected-crossovers" if cfg.critical_freqs is None else "operator-specified",
-    )
-
-    with _stage("loopgain"):
-        l_old = loop_gain(z_net, z_ppm, label="L_old").response
-        ratio = rho(z_net, z_new)
-        l_new = update_loop_gain(l_old, ratio).response
-        cons_err = consistency_error(z_net, z_ppm, z_new, l_new)
-    del z_ppm
+    v = _read(paths)
+    full = "z_ppm_existing" in v and "z_ppm_new" in v
+    if "z_ppm_existing" in v:  # the impedances are combined point by point
+        roles = [role for role in _fixtures.ROLES if role in v]
+        with _stage("align"):
+            v.update(zip(roles, align([v[role] for role in roles])))
+        if full:
+            mode = "detected-crossovers" if critical_freqs is None else "operator-specified"
+            v["inputs"] = _inputs_meta([v[role] for role in roles], mode)
+        with _stage("loopgain"):
+            label = "L_old" if full else "L"
+            v["l_old"] = loop_gain(v["z_net_old"], v["z_ppm_existing"], label=label).response
+            if full:
+                v["ratio"] = rho(v["z_net_old"], v["z_ppm_new"])
+                l_new = update_loop_gain(v["l_old"], v["ratio"]).response
+                v["consistency_error"] = consistency_error(
+                    v["z_net_old"], v["z_ppm_existing"], v["z_ppm_new"], l_new
+                )
+                v["loop_gains"] = [("L_old", v["l_old"]), ("L_new", l_new)]
+        del v["z_ppm_existing"]
 
     with _stage("margins"):
-        s_old = summarize_margins(l_old, cfg.policy)
-        s_new = summarize_margins(l_new, cfg.policy)
+        v["summaries"] = [summarize_margins(c, policy) for _, c in v.get("loop_gains", ())]
 
-    with _stage("decompose"):
-        decomps = tuple(
-            decompose_margins(l_old, ratio, cp.f_hz, cp.kind)
-            for cp in s_new.crossovers
-        )
+    if full:
+        with _stage("decompose"):
+            v["decompositions"] = tuple(
+                decompose_margins(v["l_old"], v["ratio"], cp.f_hz, cp.kind)
+                for cp in v["summaries"][-1].crossovers
+            )
 
-    with _stage("limit"):
-        if cfg.critical_freqs is not None:
-            freqs = cfg.critical_freqs
-        else:
-            freqs = tuple(cp.f_hz for cp in s_new.crossovers if cp.kind == "gain")
-        limits = limit_curve(l_old, z_net, freqs, cfg.policy, ratio)
-    del z_net, ratio
+    if "l_old" in v and (critical_freqs or v["summaries"]):
+        with _stage("limit"):
+            freqs = critical_freqs or tuple(
+                cp.f_hz for cp in v["summaries"][-1].crossovers if cp.kind == "gain"
+            )
+            v["limits"] = limit_curve(v["l_old"], v["z_net_old"], freqs, policy, v.get("ratio"))
+    for role in ("z_net_old", "ratio"):
+        v.pop(role, None)
 
-    with _stage("compliance"):
-        compliance = check_compliance(z_new, limits)
-    del z_new
+    if "limits" in v and "z_ppm_new" in v:
+        with _stage("compliance"):
+            v["compliance"] = check_compliance(v.pop("z_ppm_new"), v["limits"])
 
-    with _stage("regions"):
-        encirclements = {
-            "l_old": winding_number(l_old),
-            "l_new": winding_number(l_new),
-        }
+    if full:
+        (_, l_old), (_, l_new) = v["loop_gains"]
+        with _stage("regions"):
+            encirclements = {"l_old": winding_number(l_old), "l_new": winding_number(l_new)}
+        with _stage("report"):
+            v["report"] = build_report(
+                inputs=v["inputs"], l_old_summary=v["summaries"][0],
+                l_new_summary=v["summaries"][1], decompositions=v["decompositions"],
+                limit_curve=v["limits"], compliance=v["compliance"], encirclements=encirclements,
+                consistency_error=v["consistency_error"], curves=tuple(v["loop_gains"]),
+            )
+    return v
 
-    with _stage("report"):
-        report = build_report(
-            inputs=inputs,
-            l_old_summary=s_old,
-            l_new_summary=s_new,
-            decompositions=decomps,
-            limit_curve=limits,
-            compliance=compliance,
-            encirclements=encirclements,
-            consistency_error=cons_err,
-            curves=(("L_old", l_old), ("L_new", l_new)),
-        )
 
+def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
+    """Run the whole assessment; returns the report and the process exit code.
+
+    Failures raise ``StageFailure`` naming the failing stage (exit 2 in ``main``).
+    """
+    roles = ("synth_case",) if cfg.synth_case is not None else _fixtures.ROLES
+    report = _run({r: getattr(cfg, r) for r in roles}, cfg.policy, cfg.critical_freqs)["report"]
     return report, _EXIT_BY_VERDICT[report.overall_verdict]
 
 
@@ -266,7 +275,30 @@ def _parse_freq_list(text: str) -> tuple[float, ...]:
 
 def _parse_span(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
+    lo, hi = float(lo), float(hi)
+    if not 0 < lo < hi < float("inf"):
+        raise ValueError(f"span must be lo:hi with 0 < lo < hi Hz, got {text!r}")
+    return lo, hi
+
+
+def _at_least(flag: str, least: int):
+    def value(n: int) -> int:
+        if n < least:
+            raise ValueError(f"{flag} must be >= {least}, got {n}")
+        return n
+    return value
+
+
+# flag -> its value, for each flag whose value can be wrong; main turns
+# each one into its value under the config stage, before any file is read
+_VALUES = {
+    "critical_freqs": _parse_freq_list,
+    "format": lambda text: tuple(f.strip() for f in text.split(",") if f.strip()),
+    "span": _parse_span,
+    "points": _at_least("--points", 2),
+    "n_strings": _at_least("--n-strings", 1),
+    "seed": _at_least("--seed", 0),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,18 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> int:
     with _stage("config"):
-        cfg = RunConfig(
-            z_ppm_existing=Path(args.z_ppm) if args.z_ppm else None,
-            z_net_old=Path(args.z_net_old) if args.z_net_old else None,
-            z_ppm_new=Path(args.z_ppm_new) if args.z_ppm_new else None,
-            synth_case=Path(args.synth) if args.synth else None,
-            policy=args.policy,
-            critical_freqs=(
-                None if args.critical_freqs is None else _parse_freq_list(args.critical_freqs)
-            ),
-            out_dir=Path(args.out_dir),
-            formats=tuple(f.strip() for f in args.format.split(",") if f.strip()),
-        )
+        files = (args.z_ppm, args.z_net_old, args.z_ppm_new, args.synth)
+        roles = (*_fixtures.ROLES, "synth_case")
+        cfg = RunConfig(**{role: Path(f) for role, f in zip(roles, files) if f},
+                        policy=args.policy, critical_freqs=args.critical_freqs,
+                        out_dir=Path(args.out_dir), formats=args.format)
     report, _ = run_assessment(cfg)
     with _stage("io"):
         _write_outputs(report, cfg)
@@ -359,23 +384,15 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_loopgain(args) -> int:
-    with _stage("parse"):
-        z_net = _read_response(Path(args.z_net))
-        z_ppm = _read_response(Path(args.z_ppm))
-    with _stage("loopgain"):
-        z_net, z_ppm = align([z_net, z_ppm])
-        lg = loop_gain(z_net, z_ppm, label="L")
+    l_old = _run({"z_net_old": args.z_net, "z_ppm_existing": args.z_ppm})["l_old"]
     with _stage("io"):
-        Path(args.out).write_bytes(write_response(lg.response))
+        Path(args.out).write_bytes(write_response(l_old))
     print(f"wrote {args.out} (direct construction)")
     return 0
 
 
 def _cmd_margins(args) -> int:
-    with _stage("parse"):
-        l = _read_response(Path(args.loop_gain))
-    with _stage("margins"):
-        summary = summarize_margins(l, args.policy)
+    summary = _run({"loop_gains": [args.loop_gain]}, args.policy)["summaries"][0]
     print("| f (Hz) | kind | margin |")
     print("| --- | --- | --- |")
     for cp in summary.crossovers:
@@ -384,95 +401,71 @@ def _cmd_margins(args) -> int:
     return _EXIT_BY_VERDICT[summary.verdict]
 
 
-def _cmd_limit(args) -> int:
-    with _stage("parse"):
-        l_old = _read_response(Path(args.l_old))
-        z_net = _read_response(Path(args.z_net_old))
-    with _stage("limit"):
-        if args.critical_freqs is not None:
-            freqs = _parse_freq_list(args.critical_freqs)
-        else:
-            l_probe = _read_response(Path(args.detect_from))
-            freqs = tuple(
-                cp.f_hz for cp in summarize_margins(l_probe, args.policy).crossovers
-                if cp.kind == "gain"
-            )
-        limits = limit_curve(l_old, z_net, freqs, args.policy)
-
-    lines, rows = [], ()
-    if args.z_new:
-        with _stage("compliance"):
-            z_new = _read_response(Path(args.z_new))
-            records = check_compliance(z_new, limits)
-        rows = limit_checks(records)
-        lines.append("freq_hz,z_new_ohm,z_limit_ohm,verdict")
-        for rec in records:
-            z_lim = "" if rec.z_limit_ohm is None else repr(rec.z_limit_ohm)
-            lines.append(f"{rec.f_hz!r},{rec.z_new_mag_ohm!r},{z_lim},{rec.verdict}")
+def _limit_table(limits, records) -> str:
+    """The ``limit`` table: the limit curve, or with a new plant its compliance records."""
+    if records is None:
+        flags = ("|".join(sorted(f)) for f in limits.flags)
+        rows = [("freq_hz", "z_limit_ohm", "delta_pm_deg", "flags"),
+                *zip(limits.freqs, limits.z_limit_ohm, limits.delta_pm_deg, flags)]
     else:
-        lines.append("freq_hz,z_limit_ohm,delta_pm_deg,flags")
-        for f, z_lim, dpm, flags in zip(
-            limits.freqs, limits.z_limit_ohm, limits.delta_pm_deg, limits.flags
-        ):
-            z_txt = "" if z_lim is None else repr(z_lim)
-            lines.append(f"{f!r},{z_txt},{dpm!r},{'|'.join(sorted(flags))}")
-    text = "\n".join(lines) + "\n"
+        rows = [("freq_hz", "z_new_ohm", "z_limit_ohm", "verdict"),
+                *((r.f_hz, r.z_new_mag_ohm, r.z_limit_ohm, r.verdict) for r in records)]
+
+    def cell(x) -> str:
+        return "" if x is None else x if isinstance(x, str) else repr(x)
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
+def _cmd_limit(args) -> int:
+    paths = {"l_old": args.l_old, "z_net_old": args.z_net_old}
+    if args.detect_from is not None:
+        paths["loop_gains"] = [args.detect_from]
+    if args.z_new:
+        paths["z_ppm_new"] = args.z_new
+    v = _run(paths, args.policy, args.critical_freqs)
+    text = _limit_table(v["limits"], v.get("compliance"))
     if args.out:
         with _stage("io"):
             Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    return _gate(rows)
+    return _gate(limit_checks(v.get("compliance", ())))
 
 
 def _cmd_synth(args) -> int:
-    with _stage("config"):
-        span = _parse_span(args.span)
-    if args.network:
-        with _stage("parse"):
-            desc = network_from_json(Path(args.network).read_bytes())
-        with _stage("io"):
-            grid = log_grid(span[0], span[1], args.points)
-            resp = eval_network(desc, grid)
-            out = Path(args.out or "network.csv")
-            out.write_bytes(write_response(resp))
-        print(f"wrote {out}")
-        return 0
-    if args.bundled:
+    if args.bundled is not None:
         with _stage("io"):
             paths = _fixtures.write_bundled_case(args.bundled, Path(args.out_dir))
         for role, path in paths.items():
             print(f"wrote {path} ({role})")
         return 0
-    if args.case:
-        with _stage("parse"):
-            curves = _load_synth_case(Path(args.case))
-        write_stage = "io"
-    else:  # --seed: random fixture
+    if args.network is not None:
+        desc = _read({"network": args.network})["network"]
         with _stage("synth"):
-            curves = random_case(args.seed, args.n_strings, span).responses()
-        write_stage = "synth"
-    with _stage(write_stage):
+            grid = log_grid(*args.span, args.points)
+            files = {Path(args.out or "network.csv"): eval_network(desc, grid)}
+    else:
+        if args.seed is not None:
+            with _stage("synth"):
+                curves = random_case(args.seed, args.n_strings, args.span).responses()
+        else:
+            v = _read({"synth_case": args.case})
+            curves = [v[role] for role in _fixtures.ROLES]
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for role, resp in zip(_fixtures.ROLES, curves):
-            path = out_dir / f"{role}.csv"
-            path.write_bytes(write_response(resp))
+        files = {out_dir / f"{role}.csv": c for role, c in zip(_fixtures.ROLES, curves)}
+    with _stage("io"):
+        for path, curve in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(write_response(curve))
             print(f"wrote {path}")
     return 0
 
 
 def _cmd_nyquist(args) -> int:
-    with _stage("parse"):
-        curves = []
-        for path in args.loop_gain:
-            resp = _read_response(Path(path))
-            curves.append((resp.label or Path(path).stem, resp))
-    with _stage("margins"):
-        summaries = [summarize_margins(resp, args.policy) for _, resp in curves]
+    v = _run({"loop_gains": args.loop_gain}, args.policy)
     with _stage("io"):
         Path(args.out).write_text(
-            nyquist_svg_chart(args.policy, curves, summaries), encoding="utf-8"
+            nyquist_svg_chart(args.policy, v["loop_gains"], v["summaries"]), encoding="utf-8"
         )
     print(f"wrote {args.out}")
     return 0
@@ -491,9 +484,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if "pm_min_deg" in args:  # a bad policy fails as config, before any stage
-            with _stage("config"):
+        with _stage("config"):  # every flag value is checked before any file is read
+            if "pm_min_deg" in args:
                 args.policy = MarginPolicy(args.pm_min_deg, args.pm_cau_deg, args.gm_min_db)
+            for dest, value in _VALUES.items():
+                if getattr(args, dest, None) is not None:
+                    setattr(args, dest, value(getattr(args, dest)))
         return _COMMANDS[args.cmd](args)
     except StageFailure as exc:
         print(f"error {exc}", file=sys.stderr)

@@ -228,19 +228,40 @@ class TestExitCodes:
         ("check --format pdf", "unknown formats ['pdf']; "
                                "choose from ('json', 'markdown', 'nyquist_svg', 'bode_svg')"),
         ("synth --span 10", "could not convert string to float: ''"),
+        # each flag below is checked before the missing input file is read
+        ("check --critical-freqs ,", "no frequency in critical-frequency list ','"),
+        ("limit --critical-freqs ,", "no frequency in critical-frequency list ','"),
+        ("limit --critical-freqs abc", "could not convert string to float: 'abc'"),
+        ("synth --points 0", "--points must be >= 2, got 0"),
+        ("synth --n-strings 0", "--n-strings must be >= 1, got 0"),
+        ("synth --span 5000:10", "span must be lo:hi with 0 < lo < hi Hz, got '5000:10'"),
+        ("synth --network --span 5000:10",
+         "span must be lo:hi with 0 < lo < hi Hz, got '5000:10'"),
+        ("synth --seed -1", "--seed must be >= 0, got -1"),
     ])
     def test_config_error_is_one_stderr_line(self, compliant_dir, tmp_path, capsys,
                                              command, message):
         bad_policy = ("--pm-min-deg", "40", "--pm-cau-deg", "30")
+        missing = {role: tmp_path / "missing" / f"{role}.csv" for role in ROLES}
+        limit = ["limit", "--l-old", "lg.csv", "--z-net-old", "z.csv", "--critical-freqs"]
+        network = ["synth", "--network", "net.json", "--out", str(tmp_path / "z.csv")]
+        seed = ["synth", "--seed", "0", "--out-dir", str(tmp_path)]
         args = {
             "check": check_args(compliant_dir, tmp_path, *bad_policy),
             "margins": ["margins", "--loop-gain", "lg.csv", *bad_policy],
-            "limit": ["limit", "--l-old", "lg.csv", "--z-net-old", "z.csv",
-                      "--critical-freqs", "150", *bad_policy],
+            "limit": [*limit, "150", *bad_policy],
             "nyquist": ["nyquist", "--loop-gain", "lg.csv", "--out", "ny.svg", *bad_policy],
             "check --format pdf": check_args(compliant_dir, tmp_path, "--format", "pdf"),
             "synth --span 10": ["synth", "--seed", "0", "--span", "10",
                                 "--out-dir", str(tmp_path)],
+            "check --critical-freqs ,": check_args(missing, tmp_path, "--critical-freqs", ","),
+            "limit --critical-freqs ,": [*limit, ","],
+            "limit --critical-freqs abc": [*limit, "abc"],
+            "synth --points 0": [*network, "--points", "0"],
+            "synth --n-strings 0": [*seed, "--n-strings", "0"],
+            "synth --span 5000:10": [*seed, "--span", "5000:10"],
+            "synth --network --span 5000:10": [*network, "--span", "5000:10"],
+            "synth --seed -1": ["synth", "--seed", "-1", "--out-dir", str(tmp_path)],
         }[command]
         assert main(args) == 2
         assert capsys.readouterr() == ("", f"error [stage=config] {message}\n")
@@ -331,6 +352,20 @@ class TestMalformedNetworkJson:
         err = capsys.readouterr().err
         assert "[stage=parse]" in err
         assert named in err
+
+
+class TestCaseMissingARole:
+    @pytest.mark.parametrize("command, flag", [("check", "--synth"), ("synth", "--case")])
+    def test_exit_2_names_the_role_and_the_file(self, tmp_path, capsys, command, flag):
+        case = synth_case({"start_hz": 10.0, "stop_hz": 1000.0, "points": 16})
+        del case["z_net_old"]
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case))
+        assert main([command, flag, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error [stage=parse] case file {str(path)!r} has no z_net_old network\n"
+        )
+        assert not (tmp_path / "out").exists()
 
 
 class TestCancellingPlant:
@@ -628,7 +663,7 @@ class TestSubcommands:
             ["synth", "--network", str(net_file), "--points", points, "--out", str(out)]
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error [stage=io] ")
+        assert capsys.readouterr().err.startswith("error [stage=config] ")
         assert not out.exists()
 
     def test_synth_bundled(self, tmp_path):
@@ -656,6 +691,15 @@ class TestSubcommands:
             f"error [stage=synth] no usable fixture for seed 7 after sub-seeds {list(range(16))}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_synth_seed_writes_at_io_stage(self, tmp_path, capsys):
+        # generating the case is the synth stage; writing its files is io
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert main(["synth", "--seed", "0", "--out-dir", str(not_a_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [stage=io] ") and str(not_a_dir) in err, err
+        assert not_a_dir.read_text() == ""
 
     def test_nyquist_subcommand(self, compliant_dir, tmp_path):
         lg_file = tmp_path / "lg.csv"

@@ -2,9 +2,10 @@
 
 The loop gain is the ratio of network-side impedance to PPM impedance.
 Adding a plant in parallel updates it through the impedance ratio rho:
-L_new = L_old / (1 + rho). The factored update is cross-checked against
-the direct quotient (Z_net || Z_new) / Z_ppm, which is built one block of
-frequencies at a time and never kept.
+L_new = L_old / (1 + rho), formed one block of frequencies at a time, so
+no whole-grid 1+rho or reciprocal is held. The factored update is
+cross-checked against the direct quotient (Z_net || Z_new) / Z_ppm, which
+is built the same way and never kept.
 """
 from __future__ import annotations
 
@@ -89,9 +90,10 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
 
     Margin decomposition and the r = |1+rho| diagnostic must interpolate
     1+rho itself (not add 1 to interpolated rho) to stay consistent with
-    the factored loop-gain curve between grid points. Built once per ratio
-    and kept on the (immutable) ratio: the loop-gain update, every
-    decomposition and the limit curve share it.
+    the factored loop-gain curve between grid points. Built on first use
+    and kept on the (immutable) ratio: every decomposition and the limit
+    curve share it. The loop-gain update forms 1+rho block by block and
+    neither builds nor reads it.
     """
     memo = ratio.__dict__
     if "_one_plus" not in memo:
@@ -102,18 +104,24 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
 def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> LoopGain:
     """Updated loop gain L_old * (1 / (1 + rho)).
 
-    Raises ``SingularSensitivity`` where |1+rho| falls below 1e-12.
+    Formed one block of frequencies at a time straight into one output
+    array, with the bits of the whole-grid product. Raises
+    ``SingularSensitivity`` naming the first grid frequency where |1+rho|
+    falls to 1e-12 or below.
     """
     _require_same_grid(l_old, ratio)
-    denom = one_plus(ratio).samples
-    if float(np.min(np.abs(denom))) <= _SENSITIVITY_ATOL:
-        raise SingularSensitivity("|1+rho| vanishes on the grid")
-    inv = 1.0 / denom
-    # the product goes into the reciprocal's buffer: one full-grid temporary
-    np.multiply(l_old.samples, inv, out=inv)
+    f = l_old.grid.points
+    samples = np.empty(f.size, dtype=complex)
+    for block in _blocks(f.size):
+        opr = 1.0 + ratio.samples[block]
+        small = np.abs(opr) <= _SENSITIVITY_ATOL
+        if small.any():
+            raise SingularSensitivity(f"|1+rho| vanishes at {f[block][np.argmax(small)]} Hz")
+        np.divide(1.0, opr, out=opr)  # its reciprocal, in place
+        np.multiply(l_old.samples[block], opr, out=samples[block])
     resp = FrequencyResponse(
         grid=l_old.grid,
-        samples=inv,
+        samples=samples,
         unit="dimensionless",
         label="L_new",
         **_merged_meta(l_old, ratio),

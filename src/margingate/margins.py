@@ -219,10 +219,11 @@ def _level_root(u_lo, u_hi, y_lo, y_hi, c):
 def _detect_levels(y: np.ndarray, levels, grid_pts: np.ndarray) -> list[float]:
     roots: list[float] = []
     for c in levels:
-        r = y - c
-        roots.extend(grid_pts[r == 0.0].tolist())
-        s = np.sign(r)  # sign products cannot underflow like raw products
-        i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+        # y - c is 0 exactly where y == c and negative where y < c, so
+        # comparisons find the roots and sign changes without a difference
+        roots.extend(grid_pts[y == c].tolist())
+        below, above = y < c, y > c
+        i = np.flatnonzero((below[:-1] & above[1:]) | (above[:-1] & below[1:]))
         g_lo, g_hi = grid_pts[i], grid_pts[i + 1]
         u = _level_root(np.log(g_lo), np.log(g_hi), y[i], y[i + 1], c)
         # a rounded root must stay in its bracket, hence inside the span

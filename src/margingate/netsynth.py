@@ -324,20 +324,21 @@ def eval_network(
     """Evaluate an element tree to an impedance curve on the grid.
 
     The tree is evaluated one block of frequencies at a time
-    (``freqresp._blocks``), so every temporary is a cache-sized block, and
-    each block is written into one output array; the bits are those of a
-    whole-grid evaluation. Blocks meet faults in frequency order, so a singular tree
-    is evaluated again on the whole grid, which raises for the first
-    faulty node in evaluation order at its first bad frequency.
+    (``freqresp._blocks``), so every temporary, w = 2*pi*f included, is a
+    cache-sized block, and each block is written into one output array; the
+    bits are those of a whole-grid evaluation. Blocks meet faults in
+    frequency order, so a singular tree is evaluated again on the whole
+    grid, which raises for the first faulty node in evaluation order at its
+    first bad frequency.
     """
     f = grid.points
-    w = 2.0 * math.pi * f
     samples = np.empty(f.size, dtype=complex)
     try:
         for block in _blocks(f.size):
-            samples.real[block], samples.imag[block] = _parts(desc, f[block], w[block])
+            fb = f[block]
+            samples.real[block], samples.imag[block] = _parts(desc, fb, 2.0 * math.pi * fb)
     except SingularAtFrequency:
-        samples.real, samples.imag = _parts(desc, f, w)
+        samples.real, samples.imag = _parts(desc, f, 2.0 * math.pi * f)
     return FrequencyResponse(grid=grid, samples=samples, unit="ohm", label=label)
 
 

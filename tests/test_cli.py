@@ -31,6 +31,7 @@ from margingate.report import parse_report
 from margingate.speclimit import FLAG_PREEXISTING, MarginPolicy, limit_curve
 
 from test_golden import case_curves
+from test_reference import offshore_case
 
 
 @pytest.fixture(scope="module")
@@ -454,29 +455,45 @@ class TestRunConfig:
         assert len(report.compliance) == 2
 
 
+def traced_peak(case: dict, tmp_path) -> tuple:
+    """The report of a synthetic case and the traced peak of its run above
+    the run's start, in N complex samples (16 bytes each)."""
+    n = case["grid"]["points"]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case))
+    cfg = RunConfig(synth_case=path)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report, _ = run_assessment(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return report, peak / (n * 16)
+
+
 class TestWorkingSet:
     def test_traced_peak_of_a_two_block_run(self, tmp_path):
         # 2 blocks + 1 point, so every blocked stage crosses two block edges;
-        # the whole-grid pipeline peaked at about 20.8 N complex samples
-        # (16 bytes each), the blocked one at about 12.0 N
+        # the whole-grid pipeline peaked at about 20.8 N complex samples,
+        # the blocked one at 9.3 N, and 8.3 N once the loop-gain update
+        # streams 1+rho and the evaluator forms w per block
         n = 2 * _BLOCK_POINTS + 1
         case = {"grid": {"start_hz": 1.0, "stop_hz": 10000.0, "points": n}}
         case.update(zip(ROLES, map(network_to_obj, fixtures._base_networks())))
-        path = tmp_path / "case.json"
-        path.write_text(json.dumps(case))
-        cfg = RunConfig(synth_case=path)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            report, _ = run_assessment(cfg)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        report, peak = traced_peak(case, tmp_path)
         assert report.overall_verdict == "compliant"
-        assert peak <= 14 * n * 16, f"traced peak {peak / (n * 16):.1f} N complex samples"
+        assert peak <= 8.8, f"traced peak {peak:.2f} N complex samples"
+
+    def test_traced_peak_of_a_100000_point_offshore_run(self, tmp_path):
+        # the 24-string offshore case peaked at 8.6 N before the loop-gain
+        # update streamed 1+rho and the evaluator formed w per block, 7.5 N after
+        report, peak = traced_peak(offshore_case(log_grid(10.0, 5000.0, 100_000)), tmp_path)
+        assert report.overall_verdict == "violation"
+        assert peak <= 8.0, f"traced peak {peak:.2f} N complex samples"
 
 
 class TestReportContents:

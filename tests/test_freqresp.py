@@ -247,8 +247,7 @@ class TestValueAt:
         freqs = [cp.f_hz for cp in crossovers]
         check_compliance(z_new, limit_curve(l_old, z_net, freqs, MarginPolicy(), ratio))
         bode_svg_chart((("l_old", l_old), ("l_new", l_new)), summaries)
-        # rho keeps 1+rho, which the loop-gain update, every decomposition
-        # and the limit curve read
+        # rho keeps 1+rho, which every decomposition and the limit curve read
         extra = {id(ratio): {"_one_plus"}}
         for curve in (z_ppm, z_net, z_new, l_old, l_new, ratio, one_plus(ratio)):
             for obj in (curve, curve.grid):

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from margingate.errors import GridMismatch, SingularSensitivity, ZeroDenominator
-from margingate.freqresp import FrequencyResponse, log_grid
+from margingate.freqresp import _BLOCK_POINTS, FrequencyResponse, log_grid
 from margingate.loopgain import (
     consistency_error,
     loop_gain,
@@ -88,12 +90,24 @@ class TestUpdate:
         upd = update_loop_gain(l_old, r)
         product = upd.response.samples * (1.0 + r.samples)
         assert np.max(np.abs(product - l_old.samples)) < 1e-12
+        assert "_one_plus" not in vars(r)  # the update builds no 1+rho curve
 
     def test_singular_sensitivity(self, grid):
         l_old = FrequencyResponse(grid, np.ones(64, complex), unit="dimensionless")
         minus_one = FrequencyResponse(grid, np.full(64, -1.0 + 0j), unit="dimensionless")
-        with pytest.raises(SingularSensitivity):
+        with pytest.raises(SingularSensitivity, match=re.escape(f"vanishes at {grid.points[0]} Hz")):
             update_loop_gain(l_old, minus_one)
+        # the first bad frequency is named, also when it lies past a block edge
+        wide = log_grid(1.0, 1e4, 2 * _BLOCK_POINTS + 1)
+        n = len(wide)
+        ratio = np.ones(n, complex)
+        ratio[[_BLOCK_POINTS + 5, n - 1]] = -1.0 + 1e-13j  # |1+rho| = 1e-13
+        ratio[_BLOCK_POINTS - 1] = -1.0 + 2e-12j  # above the 1e-12 floor
+        with pytest.raises(SingularSensitivity, match=re.escape(f"at {wide.points[_BLOCK_POINTS + 5]} Hz")):
+            update_loop_gain(
+                FrequencyResponse(wide, np.ones(n, complex), unit="dimensionless"),
+                FrequencyResponse(wide, ratio, unit="dimensionless"),
+            )
 
 
 class TestConsistency:

@@ -16,7 +16,9 @@ Parallel node the admittance rule whole-grid and unblocked: all children
 evaluated, then 1 / sum_k Y_k with Y_k = conj(Z_k) / |Z_k|^2. So is
 ``whole_grid_consistency_error`` (the consistency check between two whole
 loop-gain curves), which ``whole_grid_report`` runs on a direct L_new
-built whole to assess a case with no stage blocked. A scaled tree
+built whole to assess a case with no stage blocked, and
+``whole_grid_update`` (the loop-gain update through a whole-grid 1+rho
+and its reciprocal), which it runs for L_new. A scaled tree
 must equal its reference and serialise to the same bytes, and a case its
 whole-grid report in every format, byte for byte.
 The winding count must match its reference exactly, warnings included,
@@ -274,6 +276,49 @@ def test_grid_points_on_the_level_are_exact_roots():
     roots = sorted(_detect_levels(y, [0.0], g))
     assert roots[0] == 10.0
     assert len(roots) == 2 and 100.0 < roots[1] < 1000.0
+
+
+def reference_detect_levels(y, levels, grid_pts) -> list[float]:
+    """The level search as it was: exact roots where y - c is zero, and
+    brackets where the signs of y - c at two neighbours multiply below 0."""
+    roots: list[float] = []
+    for c in levels:
+        r = y - c
+        roots.extend(grid_pts[r == 0.0].tolist())
+        s = np.sign(r)
+        i = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+        g_lo, g_hi = grid_pts[i], grid_pts[i + 1]
+        u = _level_root(np.log(g_lo), np.log(g_hi), y[i], y[i + 1], c)
+        roots.extend(np.clip(np.exp(u), g_lo, g_hi).tolist())
+    return roots
+
+
+_LEVELS = [0.0] + [-180.0 + 360.0 * k for k in range(-3, 4)]
+
+
+@st.composite
+def level_samples(draw):
+    """(y, c): samples around a level c that hit it, straddle it by an ulp,
+    hold signed zeros and subnormals, or reach 1e300."""
+    c = draw(st.sampled_from(_LEVELS))
+    near = [c, np.nextafter(c, -np.inf), np.nextafter(c, np.inf), 0.0, -0.0, TINY, -TINY]
+    value = st.one_of(
+        st.sampled_from(near),
+        st.floats(-1e300, 1e300),
+        st.floats(-2.0**-1022, 2.0**-1022),  # subnormals and the zeros
+        st.floats(-720.0, 720.0),
+    )
+    return np.array(draw(st.lists(value, min_size=2, max_size=40))), c
+
+
+@given(level_samples())
+@example((np.array([0.0, -0.0, TINY, -TINY, 0.0]), 0.0))
+@example((np.array([np.nextafter(-180.0, 0.0), -180.0, np.nextafter(-180.0, -1e3)]), -180.0))
+@settings(max_examples=500, deadline=None)
+def test_level_detection_matches_sign_products(samples):
+    y, c = samples
+    g = np.geomspace(1.0, 1e4, y.size)
+    assert _detect_levels(y, [c], g) == reference_detect_levels(y, [c], g)
 
 
 def fixture_loop_gains(name):
@@ -869,6 +914,30 @@ def whole_grid_direct_check(z_net, z_ppm, z_new, l_factored) -> float:
     return whole_grid_consistency_error(l_direct, l_factored)
 
 
+def whole_grid_update(l_old, ratio) -> FrequencyResponse:
+    """L_old * (1 / (1 + rho)) with 1+rho and its reciprocal built whole.
+
+    The product keeps L_old as its first operand: with fused multiply-adds
+    a complex product need not be commutative bit for bit, and numpy
+    evaluates ``l_old * (temporary)`` as the temporary times L_old, in
+    place, once the temporary reaches 256 KiB (16,384 complex samples).
+    """
+    inv = 1.0 / (1.0 + ratio.samples)
+    return l_old.with_samples(np.multiply(l_old.samples, inv), label="L_new")
+
+
+@pytest.mark.parametrize("grid", _BLOCK_GRIDS, ids=len)
+def test_update_loop_gain_matches_whole_grid(grid):
+    rng = np.random.default_rng(4)
+    n = len(grid)
+    l_old, ratio = (
+        FrequencyResponse(grid, rng.normal(size=n) + 1j * rng.normal(size=n), unit="dimensionless")
+        for _ in range(2)
+    )
+    got = update_loop_gain(l_old, ratio).response
+    assert got == whole_grid_update(l_old, ratio)
+
+
 def reference_winding(l) -> EncirclementResult:
     """The mirrored count with the sampling guard's warnings added, and the
     distance of the positive segments and the two closures, scanned whole."""
@@ -896,7 +965,7 @@ def whole_grid_report(case: dict, policy=MarginPolicy()):
     z_ppm, z_net, z_new = curves
     l_old = loop_gain(z_net, z_ppm, label="L_old").response
     ratio = rho(z_net, z_new)
-    l_new = update_loop_gain(l_old, ratio).response
+    l_new = whole_grid_update(l_old, ratio)
     cons_err = whole_grid_direct_check(z_net, z_ppm, z_new, l_new)
     s_old, s_new = summarize_margins(l_old, policy), summarize_margins(l_new, policy)
     decomps = [decompose_margins(l_old, ratio, cp.f_hz, cp.kind) for cp in s_new.crossovers]

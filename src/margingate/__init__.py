@@ -13,7 +13,6 @@ from .errors import (
     NonFiniteValue,
     NonMonotonicFrequency,
     NonpositiveImpedanceMagnitude,
-    NotOnUnitCircle,
     OutOfRange,
     ResonanceSingular,
     SingularAtFrequency,
@@ -69,11 +68,7 @@ from .netsynth import (
     random_case,
     scale_network,
 )
-from .regions import (
-    EncirclementResult,
-    classify_crossing,
-    winding_number,
-)
+from .regions import EncirclementResult, winding_number
 from .report import (
     AssessmentReport,
     build_report,

@@ -29,7 +29,8 @@ from .netsynth import (
 )
 from .regions import winding_number
 from .report import (
-    FORMATS, AssessmentReport, _margin_text, build_report, limit_checks, nyquist_svg_chart, render
+    FORMATS, AssessmentReport, _margin_text, build_report, limit_checks, margin_check,
+    nyquist_svg_chart, render,
 )
 from .speclimit import check_compliance, limit_curve
 
@@ -58,8 +59,6 @@ class RunConfig:
     synth_case: Path | None = None
     policy: MarginPolicy = MarginPolicy()
     critical_freqs: tuple[float, ...] | None = None
-    out_dir: Path = Path(".")
-    formats: tuple[str, ...] = ("json",)
 
     def __post_init__(self):
         file_mode = all(
@@ -72,9 +71,6 @@ class RunConfig:
             )
         if self.critical_freqs is not None and not self.critical_freqs:
             raise ValueError("critical_freqs needs a frequency; None detects them")
-        unknown = set(self.formats) - set(FORMATS)
-        if unknown:
-            raise ValueError(f"unknown formats {sorted(unknown)}; choose from {FORMATS}")
 
 
 class StageFailure(Exception):
@@ -246,11 +242,10 @@ def _gate(checks) -> int:
 _REPORT_FILES = dict(zip(FORMATS, ("report.json", "report.md", "nyquist.svg", "bode.svg")))
 
 
-def _write_outputs(report: AssessmentReport, cfg: RunConfig) -> None:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in cfg.formats:
-        data = render(report, fmt)
-        (cfg.out_dir / _REPORT_FILES[fmt]).write_bytes(data)
+def _write_outputs(report: AssessmentReport, out_dir: Path, formats: tuple[str, ...]) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fmt in formats:
+        (out_dir / _REPORT_FILES[fmt]).write_bytes(render(report, fmt))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +268,16 @@ def _parse_freq_list(text: str) -> tuple[float, ...]:
     return freqs
 
 
+def _parse_format_list(text: str) -> tuple[str, ...]:
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    if not formats:
+        raise ValueError(f"no format in format list {text!r}")
+    unknown = set(formats) - set(FORMATS)
+    if unknown:
+        raise ValueError(f"unknown formats {sorted(unknown)}; choose from {FORMATS}")
+    return formats
+
+
 def _parse_span(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
     lo, hi = float(lo), float(hi)
@@ -293,7 +298,7 @@ def _at_least(flag: str, least: int):
 # each one into its value under the config stage, before any file is read
 _VALUES = {
     "critical_freqs": _parse_freq_list,
-    "format": lambda text: tuple(f.strip() for f in text.split(",") if f.strip()),
+    "format": _parse_format_list,
     "span": _parse_span,
     "points": _at_least("--points", 2),
     "n_strings": _at_least("--n-strings", 1),
@@ -373,11 +378,10 @@ def _cmd_check(args) -> int:
         files = (args.z_ppm, args.z_net_old, args.z_ppm_new, args.synth)
         roles = (*_fixtures.ROLES, "synth_case")
         cfg = RunConfig(**{role: Path(f) for role, f in zip(roles, files) if f},
-                        policy=args.policy, critical_freqs=args.critical_freqs,
-                        out_dir=Path(args.out_dir), formats=args.format)
+                        policy=args.policy, critical_freqs=args.critical_freqs)
     report, _ = run_assessment(cfg)
     with _stage("io"):
-        _write_outputs(report, cfg)
+        _write_outputs(report, Path(args.out_dir), args.format)
     verdict = report.overall_verdict
     _print_styled(f"overall verdict: {verdict}", _COLOR_BY_VERDICT[verdict], sys.stdout)
     return _gate(report.checks)
@@ -398,7 +402,7 @@ def _cmd_margins(args) -> int:
     for cp in summary.crossovers:
         print(f"| {cp.f_hz} | {cp.kind} | {_margin_text(cp)} |")
     print(f"verdict: {summary.verdict}")
-    return _EXIT_BY_VERDICT[summary.verdict]
+    return _gate((margin_check("margins", summary),))
 
 
 def _limit_table(limits, records) -> str:

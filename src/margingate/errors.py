@@ -79,10 +79,6 @@ class NonpositiveImpedanceMagnitude(MarginGateError):
 
 # -- Nyquist regions ---------------------------------------------------------
 
-class NotOnUnitCircle(MarginGateError):
-    """Crossing classification needs a value of unit magnitude."""
-
-
 class CriticalPointOnLocus(MarginGateError):
     """A locus sample coincides with the critical point -1+0j."""
 

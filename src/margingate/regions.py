@@ -1,13 +1,12 @@
-"""Nyquist-plane winding numbers and the crossing classifier.
+"""Nyquist-plane winding numbers.
 
 Encirclements of -1+0j are counted on the closed contour formed by the
 sampled locus, its conjugate mirror and straight closure segments; the
 mirror's share is taken by conjugate symmetry rather than built. Angle
 steps follow the one phase-step rule, ``freqresp._phase_steps_deg``: a
 step of exactly 180 deg (a segment through -1) wraps to -180. The
-critical and caution wedges and the gain-margin floor are one rule,
-``MarginPolicy.region``; ``classify_crossing`` applies its phase-margin
-part to a unit-circle value.
+critical and caution wedges and the gain-margin floor that classify a
+crossover are one rule, ``margins.MarginPolicy.region``.
 """
 from __future__ import annotations
 
@@ -16,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousWinding, CriticalPointOnLocus, NotOnUnitCircle
+from .errors import AmbiguousWinding, CriticalPointOnLocus
 from .freqresp import FrequencyResponse, _blocks, _phase_steps_deg
-from .margins import MarginPolicy, pm_deg
 
-__all__ = [
-    "EncirclementResult",
-    "classify_crossing",
-    "winding_number",
-]
+__all__ = ["EncirclementResult", "winding_number"]
 
-_UNIT_CIRCLE_TOL = 1e-6
 _CRITICAL_ATOL = 1e-12
 _WINDING_RESIDUAL = 0.01
 _STEP_WARN_DEG = 90.0
@@ -47,14 +40,6 @@ class EncirclementResult:
     winding: int
     min_distance_to_critical_point: float
     resolution_warnings: tuple[tuple[float, float], ...]
-
-
-def classify_crossing(l_value: complex, policy: MarginPolicy) -> str:
-    """Region of a unit-circle crossing: ``MarginPolicy.pm_region`` of its
-    phase margin."""
-    if abs(abs(l_value) - 1.0) >= _UNIT_CIRCLE_TOL:
-        raise NotOnUnitCircle(f"|L| = {abs(l_value)} is not 1")
-    return policy.pm_region(pm_deg(l_value))
 
 
 def _segment_min_dist(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

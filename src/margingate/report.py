@@ -28,6 +28,7 @@ __all__ = [
     "Check",
     "build_report",
     "limit_checks",
+    "margin_check",
     "render",
     "parse_report",
     "nyquist_svg_chart",
@@ -51,6 +52,13 @@ def _margin_text(cp: CrossoverPoint) -> str:
     return f"PM {cp.pm_deg} deg" if cp.kind == "gain" else f"GM {cp.gm_db} dB"
 
 
+def margin_check(name: str, summary: MarginSummary) -> Check:
+    """A margins row of the verdict table: the summary's verdict at its deciding crossover."""
+    cp = summary.deciding
+    return Check(name, summary.verdict,
+                 "no crossover" if cp is None else f"at {cp.f_hz} Hz: {_margin_text(cp)}")
+
+
 def limit_checks(records) -> tuple[Check, ...]:
     """The ``impedance_limit`` rows of the verdict table, one per compliance record."""
     rows = []
@@ -67,8 +75,9 @@ def limit_checks(records) -> tuple[Check, ...]:
 class AssessmentReport:
     """Deterministic aggregate of one assessment run.
 
-    ``curves`` optionally carries the loop-gain curves for SVG loci; it is
-    not part of the JSON schema and is dropped on parse. Construction, and
+    ``curves`` carries the loop-gain curves that the SVG charts draw; it is
+    not part of the JSON schema and is dropped on parse, so a parsed report
+    renders JSON and markdown only. Construction, and
     so ``parse_report`` too, first stores each field as the type in
     ``_STORED_AS`` and then checks that the parts agree: one margin
     policy, one decomposition per L_new crossover in order, with its
@@ -109,14 +118,13 @@ class AssessmentReport:
     def checks(self) -> tuple[Check, ...]:
         """The verdict table, built once, every row gating: the L_new margins at their
         deciding crossover, each compliance record and each winding (0 or a violation)."""
-        s, cp = self.l_new_summary, self.l_new_summary.deciding
-        at = "no crossover" if cp is None else f"at {cp.f_hz} Hz: {_margin_text(cp)}"
         windings = (
             Check(f"winding_{name}", "violation" if res.winding else "compliant",
                   f"winding {res.winding} about -1")
             for name, res in self.encirclements.items()
         )
-        return (Check("l_new_margins", s.verdict, at), *limit_checks(self.compliance), *windings)
+        return (margin_check("l_new_margins", self.l_new_summary),
+                *limit_checks(self.compliance), *windings)
 
     @property
     def overall_verdict(self) -> str:
@@ -522,8 +530,9 @@ _BODE_QUANTUM = 0.5  # half a pixel; the Bode viewBox is in pixels
 def bode_svg_chart(curves, summaries=()) -> str:
     """Two-panel Bode chart (dB magnitude, unwrapped phase) with markers.
 
-    Summaries pair with curves by position: a phase-crossover marker sits
-    on the -180 + k*360 deg level its curve crosses (-180 with no curve).
+    The axes span the curves, so at least one curve is needed. Summaries
+    pair with curves by position: a phase-crossover marker sits on the
+    -180 + k*360 deg level its curve crosses.
     """
     width, height = 720, 560
     margin_l, margin_r, margin_t, gap = 64, 16, 24, 44
@@ -531,27 +540,18 @@ def bode_svg_chart(curves, summaries=()) -> str:
     panel_w = width - margin_l - margin_r
 
     curves = list(curves)
-    if curves:
-        f_lo = min(float(c.grid.points[0]) for _, c in curves)
-        f_hi = max(float(c.grid.points[-1]) for _, c in curves)
-    else:
-        f_lo, f_hi = 1.0, 1000.0
+    if not curves:
+        raise ValueError("a Bode chart needs at least one curve to set its axes")
+    f_lo = min(float(c.grid.points[0]) for _, c in curves)
+    f_hi = max(float(c.grid.points[-1]) for _, c in curves)
     lx_lo, lx_hi = math.log10(f_lo), math.log10(f_hi)
 
-    mags, phases, logfs = [], [], []
-    for _, c in curves:
-        mags.append(20.0 * np.log10(np.abs(c.samples)))
-        phases.append(unwrap_phase(c))
-        logfs.append(np.log(c.grid.points))
-    if mags:
-        m_lo = min(float(m.min()) for m in mags) - 5.0
-        m_hi = max(float(m.max()) for m in mags) + 5.0
-        p_lo = min(float(p.min()) for p in phases) - 15.0
-        p_hi = max(float(p.max()) for p in phases) + 15.0
-    else:
-        m_lo, m_hi, p_lo, p_hi = -40.0, 20.0, -270.0, 0.0
-    m_lo, m_hi = min(m_lo, -5.0), max(m_hi, 5.0)
-    p_lo, p_hi = min(p_lo, -190.0), max(p_hi, 10.0)
+    mags = [20.0 * np.log10(np.abs(c.samples)) for _, c in curves]
+    phases = [unwrap_phase(c) for _, c in curves]
+    m_lo = min(min(float(m.min()) for m in mags) - 5.0, -5.0)
+    m_hi = max(max(float(m.max()) for m in mags) + 5.0, 5.0)
+    p_lo = min(min(float(p.min()) for p in phases) - 15.0, -190.0)
+    p_hi = max(max(float(p.max()) for p in phases) + 15.0, 10.0)
 
     # the maps below take scalars or arrays
     def x_of(f):
@@ -625,17 +625,14 @@ def bode_svg_chart(curves, summaries=()) -> str:
             text_anchor="end", style="fill: currentColor;", class_=cls,
         ))
 
-    for i, summary in enumerate(summaries):
+    for (_, curve), phase, summary in zip(curves, phases, summaries):
+        logf = np.log(curve.grid.points)
         for cp in summary.crossovers:
-            if not (f_lo <= cp.f_hz <= f_hi):
-                continue
             if cp.kind == "gain":
                 cy = y_mag(0.0)
             else:
-                level = -180.0
-                if i < len(curves):
-                    p = np.interp(math.log(cp.f_hz), logfs[i], phases[i])
-                    level += 360.0 * round((float(p) + 180.0) / 360.0)
+                p = np.interp(math.log(cp.f_hz), logf, phase)
+                level = -180.0 + 360.0 * round((float(p) + 180.0) / 360.0)
                 cy = y_ph(max(p_lo, min(p_hi, level)))
             parts.append(_el("circle", class_=f"marker-{cp.kind}", cx=x_of(cp.f_hz), cy=cy, r=4))
 
@@ -650,10 +647,13 @@ def bode_svg_chart(curves, summaries=()) -> str:
 def render(report: AssessmentReport, format: str) -> bytes:
     """Render the report as json, markdown, nyquist_svg or bode_svg.
 
-    JSON output is canonical: fixed key order and repr floats, so the
-    render -> parse -> render cycle is byte-identical.
+    The two charts need the report's ``curves``. JSON output is canonical:
+    fixed key order and repr floats, so render -> parse -> render is
+    byte-identical.
     """
     summaries = (report.l_old_summary, report.l_new_summary)
+    if format in ("nyquist_svg", "bode_svg") and not report.curves:
+        raise UnsupportedFormat(f"{format} needs the loop-gain curves; a parsed report has none")
     if format == "json":
         text = json.dumps(_report_to_obj(report), indent=2, allow_nan=False) + "\n"
     elif format == "markdown":

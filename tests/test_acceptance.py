@@ -16,9 +16,9 @@ from margingate.cli import main
 from margingate.fixtures import write_bundled_case
 from margingate.freqresp import log_grid, normalize_deg
 from margingate.loopgain import consistency_error, loop_gain, rho, update_loop_gain
-from margingate.margins import decompose_margins, find_crossovers
+from margingate.margins import CrossoverPoint, decompose_margins, find_crossovers
 from margingate.netsynth import random_case
-from margingate.regions import classify_crossing, winding_number
+from margingate.regions import winding_number
 from margingate.report import render
 from margingate.speclimit import MarginPolicy, check_compliance, impedance_limit
 
@@ -185,7 +185,7 @@ def test_criterion_8_region_semantics():
         pol = MarginPolicy(15.0, 30.0, 15.0)
         for angle, expected in ((-170.0, "critical"), (-160.0, "caution"), (-140.0, "compliant")):
             lv = complex(math.cos(math.radians(angle)), math.sin(math.radians(angle)))
-            assert classify_crossing(lv, pol) == expected, angle
+            assert pol.region(CrossoverPoint("gain", 100.0, lv)) == expected, angle
         assert abs(pol.gm_circle_radius - 10.0 ** (-15.0 / 20.0)) < 1e-12
 
 

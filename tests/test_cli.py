@@ -231,6 +231,7 @@ class TestExitCodes:
         ("synth --span 10", "could not convert string to float: ''"),
         # each flag below is checked before the missing input file is read
         ("check --critical-freqs ,", "no frequency in critical-frequency list ','"),
+        ("check --format ,", "no format in format list ','"),
         ("limit --critical-freqs ,", "no frequency in critical-frequency list ','"),
         ("limit --critical-freqs abc", "could not convert string to float: 'abc'"),
         ("synth --points 0", "--points must be >= 2, got 0"),
@@ -256,6 +257,7 @@ class TestExitCodes:
             "synth --span 10": ["synth", "--seed", "0", "--span", "10",
                                 "--out-dir", str(tmp_path)],
             "check --critical-freqs ,": check_args(missing, tmp_path, "--critical-freqs", ","),
+            "check --format ,": check_args(missing, tmp_path, "--format", ","),
             "limit --critical-freqs ,": [*limit, ","],
             "limit --critical-freqs abc": [*limit, "abc"],
             "synth --points 0": [*network, "--points", "0"],
@@ -976,3 +978,33 @@ class TestFixtures:
         assert len(calls) == 6
         bundled_case("compliant-A")
         assert len(calls) == 9
+
+
+class TestMarginsRow:
+    """``margins`` gates on one row named ``margins``, as ``check`` gates on its rows."""
+
+    @pytest.fixture(scope="class")
+    def l_old(self, tmp_path_factory):
+        paths = write_bundled_case("compliant-A", tmp_path_factory.mktemp("compliant-A"))
+        path = paths["z_net_old"].with_name("l_old.csv")
+        assert main(["loopgain", "--z-net", str(paths["z_net_old"]),
+                     "--z-ppm", str(paths["z_ppm_existing"]), "--out", str(path)]) == 0
+        return path
+
+    # compliant-A's L_old has one gain crossover, with a PM of 61 deg
+    @pytest.mark.parametrize("extra, verdict", [
+        ((), "compliant"),
+        (("--pm-min-deg", "50", "--pm-cau-deg", "70"), "caution"),
+        (("--pm-min-deg", "70", "--pm-cau-deg", "80"), "violation"),
+    ])
+    def test_one_stderr_line_for_a_violation(self, l_old, capsys, extra, verdict):
+        capsys.readouterr()
+        code = main(["margins", "--loop-gain", str(l_old), *extra])
+        out, err = capsys.readouterr()
+        assert code == (0 if verdict == "compliant" else 1)
+        *_, row, last = out.splitlines()
+        assert last == f"verdict: {verdict}"
+        f_hz, kind, margin = (cell.strip() for cell in row.strip("|").split("|"))
+        assert kind == "gain"
+        expected = f"violation at {f_hz} Hz: {margin} [check=margins]\n"
+        assert err == (expected if verdict == "violation" else "")

@@ -69,6 +69,7 @@ RUNS = {
     "check-margins-violation": _check("compliant-A", "--pm-min-deg", "70", "--pm-cau-deg", "80",
                                       "--critical-freqs", "3000"),
     "check-empty-critical-freqs": _check("tableII-like", "--critical-freqs", ","),
+    "check-empty-format": _check("tableII-like", "--format", ","),
     **{f"loopgain-{c}": ["loopgain", "--z-net", _files(c)[1], "--z-ppm", _files(c)[0],
                          "--out", "l.csv"] for c in (*BUNDLED_CASES, "seed-0")},
     **{f"margins-{c}": ["margins", "--loop-gain", f"../in/{c}/l_old.csv"] for c in CURVE_CASES},

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from margingate.errors import CriticalPointOnLocus, NotOnUnitCircle
+from margingate.errors import CriticalPointOnLocus
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid
 from margingate.margins import CrossoverPoint, summarize_margins
-from margingate.regions import classify_crossing, winding_number
+from margingate.regions import winding_number
 from margingate.speclimit import MarginPolicy
 
 from conftest import first_order, three_pole
@@ -19,6 +19,11 @@ POLICY = MarginPolicy(15.0, 30.0, 15.0)
 
 def unit_angle(deg: float) -> complex:
     return cmath.exp(1j * math.radians(deg))
+
+
+def gain_region(angle_deg: float, policy: MarginPolicy) -> str:
+    """The region ``check`` gives a gain crossover at this angle."""
+    return policy.region(CrossoverPoint("gain", 100.0, unit_angle(angle_deg)))
 
 
 def routh_rhp_count(coeffs) -> int:
@@ -35,21 +40,17 @@ class TestClassify:
         [(-170.0, "critical"), (-160.0, "caution"), (-140.0, "compliant")],
     )
     def test_spec_angles(self, angle, region):
-        assert classify_crossing(unit_angle(angle), POLICY) == region
+        assert gain_region(angle, POLICY) == region
 
     def test_boundary_semantics(self):
         # PM exactly at the minimum is caution, not critical
-        assert classify_crossing(unit_angle(-165.0), POLICY) == "caution"
+        assert gain_region(-165.0, POLICY) == "caution"
         # PM exactly at the caution threshold is compliant
-        assert classify_crossing(unit_angle(-150.0), POLICY) == "compliant"
+        assert gain_region(-150.0, POLICY) == "compliant"
 
     def test_positive_angles_have_no_headroom(self):
         # normalized PM is non-positive for crossings at positive angles
-        assert classify_crossing(unit_angle(170.0), POLICY) == "critical"
-
-    def test_not_on_unit_circle(self):
-        with pytest.raises(NotOnUnitCircle):
-            classify_crossing(0.5 + 0j, POLICY)
+        assert gain_region(170.0, POLICY) == "critical"
 
     @given(
         st.floats(min_value=-179.9, max_value=180.0),
@@ -62,8 +63,8 @@ class TestClassify:
         pm_min_b = min(pm_min_a + bump, 89.0)
         pol_a = MarginPolicy(pm_min_a, 90.0, 15.0)
         pol_b = MarginPolicy(pm_min_b, 90.0, 15.0)
-        r_a = classify_crossing(unit_angle(angle), pol_a)
-        r_b = classify_crossing(unit_angle(angle), pol_b)
+        r_a = gain_region(angle, pol_a)
+        r_b = gain_region(angle, pol_b)
         assert severity[r_b] >= severity[r_a]
 
 

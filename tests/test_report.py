@@ -620,3 +620,17 @@ class TestDispatch:
     def test_unsupported_format(self):
         with pytest.raises(UnsupportedFormat):
             render(basic_report(), "pdf")
+
+    @pytest.mark.parametrize("fmt", ["nyquist_svg", "bode_svg"])
+    def test_parsed_report_draws_no_chart(self, fmt):
+        # the curves a chart draws are not in the JSON, so a parsed report has none
+        rep = TestSvg().make_with_curves()
+        parsed = parse_report(render(rep, "json"))
+        assert parsed.curves == ()
+        with pytest.raises(UnsupportedFormat, match=f"{fmt} needs the loop-gain curves"):
+            render(parsed, fmt)
+        assert render(rep, fmt).startswith(b"<svg")
+
+    def test_bode_chart_needs_a_curve(self):
+        with pytest.raises(ValueError, match="needs at least one curve to set its axes"):
+            bode_svg_chart(())

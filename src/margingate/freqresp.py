@@ -6,6 +6,12 @@ is a ``FrequencyResponse``; the ``unit`` field distinguishes ohm curves
 from dimensionless ones.
 
 Objects are immutable after construction and safe to share across threads.
+A curve or grid holds only arrays that nobody else can write: it takes
+over an array that ``np.asarray`` had to make, or one given read-only that
+owns its memory, and copies any other. Every producer in the package marks
+the array it has just built read-only (``_frozen``) and hands it over
+without a copy; whoever gives a read-only array that owns its memory must
+not make it writable again, nor keep a writable view of it.
 """
 from __future__ import annotations
 
@@ -109,6 +115,22 @@ def _blocks(n: int):
         yield slice(start, min(start + _BLOCK_POINTS, n))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """Mark an array just built read-only, so a curve or grid takes it over;
+    returns ``a``."""
+    a.setflags(write=False)
+    return a
+
+
+def _held(given, dtype) -> np.ndarray:
+    """``given`` as a read-only ``dtype`` array, taken over when nobody else
+    can write it and else copied (the rule of the module docstring)."""
+    a = np.asarray(given, dtype=dtype)
+    if not a.flags.owndata or (a is given and a.flags.writeable):
+        a = a.copy()
+    return _frozen(a)
+
+
 def _require_nonzero(z: np.ndarray) -> None:
     """Raise ``ZeroMagnitudeSample`` if any value of ``z`` is zero."""
     if not z.all():
@@ -125,12 +147,17 @@ def _require_finite(z: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing, positive frequency axis in Hz (length >= 2)."""
+    """Strictly increasing, positive frequency axis in Hz (length >= 2).
+
+    ``points`` is held read-only: an array that ``np.asarray`` had to make,
+    or one given read-only that owns its memory, is taken over as is (its
+    owner must not make it writable again); any other array is copied.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = _held(self.points, float)
         if pts.ndim != 1 or pts.size < 2:
             raise NonMonotonicFrequency("grid needs at least two frequencies")
         if not np.all(np.isfinite(pts)):
@@ -145,8 +172,6 @@ class FrequencyGrid:
             raise NonMonotonicFrequency(
                 f"frequencies must be positive and strictly increasing; {where}"
             )
-        pts = pts.copy()
-        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -169,7 +194,7 @@ def log_grid(start_hz: float, stop_hz: float, points: int) -> FrequencyGrid:
     pts = np.geomspace(start_hz, stop_hz, points)
     # slices, not indices: an empty grid must reach FrequencyGrid's check
     pts[:1], pts[-1:] = start_hz, stop_hz
-    return FrequencyGrid(pts)
+    return FrequencyGrid(_frozen(pts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +204,9 @@ class FrequencyResponse:
     Houses impedances (unit ``ohm``) and loop gains / impedance ratios
     (unit ``dimensionless``). ``sequence`` carries positive/negative
     sequence tagging as metadata only; ``operating_point`` is free text
-    such as ``P=1 pu, Q=0 pu``.
+    such as ``P=1 pu, Q=0 pu``. ``samples`` is held read-only by the rule
+    of ``FrequencyGrid.points``: taken over when nobody else can write it,
+    else copied.
     """
 
     grid: FrequencyGrid
@@ -190,7 +217,7 @@ class FrequencyResponse:
     operating_point: str = ""
 
     def __post_init__(self):
-        z = np.asarray(self.samples, dtype=complex)
+        z = _held(self.samples, complex)
         if z.ndim != 1 or z.size != len(self.grid):
             raise NonFiniteValue("samples length must equal grid length")
         _require_finite(z)
@@ -206,8 +233,6 @@ class FrequencyResponse:
                 raise ValueError(f"{name} must be a single line")
             # surrounding whitespace would not survive the file round-trip
             object.__setattr__(self, name, value.strip())
-        z = z.copy()
-        z.setflags(write=False)
         object.__setattr__(self, "samples", z)
 
     def __eq__(self, other):
@@ -247,12 +272,13 @@ def parse_response(data: bytes) -> FrequencyResponse:
     (unit ohm) and ``freq_hz,re,im``, ``freq_hz,mag,phase_deg``
     (dimensionless). Comment lines start with ``#`` and may carry
     ``sequence=``, ``label=`` and ``operating_point=`` metadata. Phases are
-    in degrees; mag/phase rows are converted to rectangular form.
+    in degrees; mag/phase rows are converted to rectangular form. The
+    bytes are UTF-8; a leading byte-order mark is dropped.
 
     Cells are converted in bulk; a row-by-row walk runs only to name the
     first bad row.
     """
-    text = data.decode("utf-8")
+    text = data.decode("utf-8-sig")
     meta: dict[str, str] = {}
     header: tuple[str, str] | None = None
     rows: list[str] = []
@@ -280,28 +306,29 @@ def parse_response(data: bytes) -> FrequencyResponse:
     if not rows:
         raise EmptyTable("no data rows after header")
 
-    cols = _parse_rows(rows)
+    freqs, x, y = _parse_rows(rows)  # x, y: re, im or mag, phase
     unit, form = header
-    freqs = cols[0]
     if form == "polar":
-        mag = cols[1]
-        ph = np.radians(cols[2])
-        samples = mag * np.cos(ph) + 1j * mag * np.sin(ph)
+        ph = np.radians(y)
+        samples = x * np.cos(ph) + 1j * x * np.sin(ph)
     else:
         samples = np.empty(len(rows), dtype=complex)
-        samples.real, samples.imag = cols[1], cols[2]
+        samples.real, samples.imag = x, y
 
-    return FrequencyResponse(grid=FrequencyGrid(freqs), samples=samples, unit=unit, **meta)
+    return FrequencyResponse(
+        grid=FrequencyGrid(_frozen(freqs)), samples=_frozen(samples), unit=unit, **meta
+    )
 
 
-def _parse_rows(rows: list[str]) -> np.ndarray:
-    """Data rows -> contiguous (3, N) array of finite values.
+def _parse_rows(rows: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Data rows -> their three columns of finite values, each an array of
+    its own.
 
     Rows are converted a block at a time, which bounds the memory taken by
     the cell strings. A block that fails is walked row by row to raise the
     error for its first bad row.
     """
-    out = np.empty((len(rows), 3))
+    cols = tuple(np.empty(len(rows)) for _ in range(3))
     for start in range(0, len(rows), _BLOCK_ROWS):
         block = rows[start:start + _BLOCK_ROWS]
         values = _convert_block(block)
@@ -309,8 +336,9 @@ def _parse_rows(rows: list[str]) -> np.ndarray:
             for line in block:
                 _check_row(line)
             raise AssertionError("bulk row conversion failed but no row is bad")
-        out[start:start + len(block)] = values.reshape(-1, 3)
-    return out.T.copy()
+        for k, col in enumerate(cols):
+            col[start:start + len(block)] = values[k::3]
+    return cols
 
 
 def _convert_block(rows: list[str]) -> np.ndarray | None:
@@ -459,14 +487,14 @@ def align(responses: list[FrequencyResponse]) -> list[FrequencyResponse]:
 
     union = np.unique(np.concatenate(grids))
     union = union[(union >= lo) & (union <= hi)]
-    target = FrequencyGrid(union)
+    target = FrequencyGrid(_frozen(union))
 
     out: list[FrequencyResponse] = []
     for r in responses:
         if np.array_equal(r.grid.points, union):
             out.append(r)
         else:
-            out.append(replace(r, grid=target, samples=values_at(r, union)))
+            out.append(replace(r, grid=target, samples=_frozen(values_at(r, union))))
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, MarginGateError, SingularSensitivity, ZeroDenominator
-from .freqresp import FrequencyResponse, _blocks, _require_finite
+from .freqresp import FrequencyResponse, _blocks, _frozen, _require_finite
 from .netsynth import par
 
 __all__ = [
@@ -64,7 +64,7 @@ def _quotient(
     _require_nonzero(den.samples, den_name)
     return FrequencyResponse(
         grid=num.grid,
-        samples=num.samples / den.samples,
+        samples=_frozen(num.samples / den.samples),
         unit="dimensionless",
         label=label,
         **_merged_meta(num, den),
@@ -97,7 +97,9 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
     """
     memo = ratio.__dict__
     if "_one_plus" not in memo:
-        memo["_one_plus"] = ratio.with_samples(1.0 + ratio.samples, unit="dimensionless", label="1+rho")
+        memo["_one_plus"] = ratio.with_samples(
+            _frozen(1.0 + ratio.samples), unit="dimensionless", label="1+rho"
+        )
     return memo["_one_plus"]
 
 
@@ -119,9 +121,10 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
             raise SingularSensitivity(f"|1+rho| vanishes at {f[block][np.argmax(small)]} Hz")
         np.divide(1.0, opr, out=opr)  # its reciprocal, in place
         np.multiply(l_old.samples[block], opr, out=samples[block])
+        del opr, small  # before the next block builds its own
     resp = FrequencyResponse(
         grid=l_old.grid,
-        samples=samples,
+        samples=_frozen(samples),
         unit="dimensionless",
         label="L_new",
         **_merged_meta(l_old, ratio),

@@ -17,7 +17,14 @@ from .errors import (
     ResonanceSingular,
     SingularAtFrequency,
 )
-from .freqresp import FrequencyGrid, FrequencyResponse, _blocks, _phase_steps_deg, log_grid
+from .freqresp import (
+    FrequencyGrid,
+    FrequencyResponse,
+    _blocks,
+    _frozen,
+    _phase_steps_deg,
+    log_grid,
+)
 
 __all__ = [
     "NetworkElement",
@@ -339,7 +346,7 @@ def eval_network(
             samples.real[block], samples.imag[block] = _parts(desc, fb, 2.0 * math.pi * fb)
     except SingularAtFrequency:
         samples.real, samples.imag = _parts(desc, f, 2.0 * math.pi * f)
-    return FrequencyResponse(grid=grid, samples=samples, unit="ohm", label=label)
+    return FrequencyResponse(grid=grid, samples=_frozen(samples), unit="ohm", label=label)
 
 
 # scale_network's rule per field; the fields not named keep their value

@@ -5,9 +5,13 @@ its inputs under ``../in``: the bundled cases ``compliant-A``,
 ``tableII-like`` and ``invalid-header``, the random case that
 ``synth --seed 0`` writes (``seed-0``), a ``--synth`` case file for each
 of those with curves, L_old and L_new loop-gain files, and one network
-file. ``golden_cli.json`` pins, for each run, the exit code, stdout,
-stderr and the SHA-256 digest of every file the run writes. A change
-that alters any of them must say why and edit that run's row.
+file. Three more cases hold ``compliant-A``'s inputs in other forms:
+``regrid`` (each network on a grid of its own, so ``check`` resamples),
+``polar`` (the existing plant as a ``freq_hz,mag_ohm,phase_deg`` table)
+and ``bom`` (that file behind a UTF-8 byte-order mark).
+``golden_cli.json`` pins, for each run, the exit code, stdout, stderr and
+the SHA-256 digest of every file the run writes. A change that alters any
+of them must say why and edit that run's row.
 
 The digests, like those of ``test_golden.py``, hold only where numpy picks
 the same SIMD kernels; so do the floats printed on stdout. To rewrite the
@@ -20,8 +24,10 @@ import hashlib
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from margingate.cli import RunConfig, main, run_assessment
@@ -32,13 +38,21 @@ from margingate.fixtures import (
     _base_networks,
     write_bundled_case,
 )
-from margingate.freqresp import parse_response, write_response
+from margingate.freqresp import log_grid, parse_response, write_response
 from margingate.loopgain import loop_gain
-from margingate.netsynth import network_to_json, network_to_obj, random_case, scale_network
+from margingate.netsynth import (
+    CASE_LABELS,
+    eval_network,
+    network_to_json,
+    network_to_obj,
+    random_case,
+    scale_network,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 FORMATS = "json,markdown,nyquist_svg,bode_svg"
 CURVE_CASES = ("compliant-A", "tableII-like", "seed-0")
+FILE_CASES = (*BUNDLED_CASES, "seed-0", "regrid", "polar", "bom")
 
 
 def _files(case):
@@ -61,7 +75,7 @@ def _z_new(case):
 
 
 RUNS = {
-    **{f"check-files-{c}": _check(c) for c in (*BUNDLED_CASES, "seed-0")},
+    **{f"check-files-{c}": _check(c) for c in FILE_CASES},
     **{f"check-synth-{c}": ["check", "--synth", f"../in/{c}.json", "--out-dir", "report",
                             "--format", FORMATS] for c in CURVE_CASES},
     "check-synth-missing-role": ["check", "--synth", "../in/missing-role.json"],
@@ -142,6 +156,20 @@ def write_inputs(d: Path) -> None:
     del obj["z_net_old"]
     (d / "missing-role.json").write_text(json.dumps(obj))
     (d / "network.json").write_bytes(network_to_json(base[1]))
+    (d / "regrid").mkdir()
+    grids = (log_grid(10.0, 5000.0, 1500), log_grid(12.0, 4000.0, 1200),
+             log_grid(10.0, 5000.0, 1000))
+    for role, tree, label, grid in zip(ROLES, base, CASE_LABELS, grids):
+        (d / "regrid" / f"{role}.csv").write_bytes(write_response(eval_network(tree, grid, label)))
+    for name in ("polar", "bom"):
+        shutil.copytree(d / "compliant-A", d / name)
+    z_ppm_csv = (d / "compliant-A" / f"{ROLES[0]}.csv").read_bytes()
+    (d / "bom" / f"{ROLES[0]}.csv").write_bytes(b"\xef\xbb\xbf" + z_ppm_csv)
+    z = parse_response(z_ppm_csv)
+    rows = zip(z.grid.points, np.abs(z.samples), np.degrees(np.angle(z.samples)))
+    table = [f"# label={z.label}", "freq_hz,mag_ohm,phase_deg",
+             *("%.17g,%.17g,%.17g" % row for row in rows)]
+    (d / "polar" / f"{ROLES[0]}.csv").write_text("\n".join(table) + "\n")
     for name in CURVE_CASES:
         paths = {role: d / name / f"{role}.csv" for role in ROLES}
         z_ppm, z_net = (parse_response(paths[role].read_bytes()) for role in ROLES[:2])

@@ -18,6 +18,7 @@ from margingate.errors import (
 )
 from margingate.fixtures import bundled_case
 from margingate.freqresp import (
+    _BLOCK_POINTS,
     FrequencyGrid,
     FrequencyResponse,
     align,
@@ -31,6 +32,7 @@ from margingate.freqresp import (
 )
 from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
 from margingate.margins import MarginPolicy, decompose_margins, find_crossovers, summarize_margins
+from margingate.netsynth import Capacitor, Inductor, Resistor, Series, eval_network
 from margingate.report import bode_svg_chart
 from margingate.speclimit import check_compliance, limit_curve
 
@@ -93,6 +95,12 @@ class TestParse:
         assert r.sequence == "positive"
         assert r.label == "Z_OWPP1"
         assert r.operating_point == "P=1 pu, Q=0 pu"
+
+    def test_leading_byte_order_mark_is_dropped(self):
+        data = b"# label=Z\nfreq_hz,re_ohm,im_ohm\n1,3,4\n2,1,1\n"
+        assert parse_response(b"\xef\xbb\xbf" + data) == parse_response(data)
+        with pytest.raises(UnknownHeader):  # only the first mark is dropped
+            parse_response(b"\xef\xbb\xbf\xef\xbb\xbffreq_hz,re_ohm,im_ohm\n1,3,4\n2,1,1\n")
 
     def test_unknown_header(self):
         with pytest.raises(UnknownHeader):
@@ -287,6 +295,97 @@ class TestResponseGuards:
     def test_post_init_refuses(self, samples, meta, error, message):
         with pytest.raises(error, match=message):
             resp([1.0, 10.0], samples, **meta)
+
+
+class TestOwnership:
+    """A curve never shares memory that anyone else can write."""
+
+    def test_caller_writable_arrays_are_copied(self):
+        pts = np.array([1.0, 2.0, 4.0])
+        z = np.array([1 + 1j, 2.0, 3j])
+        r = FrequencyResponse(FrequencyGrid(pts), z)
+        for given, held in ((pts, r.grid.points), (z, r.samples)):
+            assert given.flags.writeable
+            assert not np.shares_memory(given, held)
+            given[0] = 99.0
+            assert held[0] != 99.0
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base_pts = np.array([1.0, 2.0, 4.0])
+        base_z = np.array([1 + 1j, 2.0, 3j])
+        pts, z = base_pts[:], base_z[:]
+        for view in (pts, z):
+            view.setflags(write=False)
+        r = FrequencyResponse(FrequencyGrid(pts), z)
+        for base, held in ((base_pts, r.grid.points), (base_z, r.samples)):
+            assert not np.shares_memory(base, held)
+            base[0] = 99.0
+            assert held[0] != 99.0
+
+    def test_fresh_and_read_only_owned_arrays_are_taken_over(self):
+        pts = np.array([1.0, 2.0, 4.0])
+        pts.setflags(write=False)
+        z = np.array([1 + 1j, 2.0, 3j])
+        z.setflags(write=False)
+        r = FrequencyResponse(FrequencyGrid(pts), z)
+        assert r.grid.points is pts and r.samples is z
+        r = FrequencyResponse(FrequencyGrid([1.0, 2.0]), np.arange(2.0))
+        assert r.samples.base is None and not r.samples.flags.writeable
+
+    @staticmethod
+    def producers():
+        """(name, curves returned, arrays given) for every in-package producer."""
+        grid = log_grid(10.0, 1000.0, 64)
+        z_net = eval_network(Series((Resistor(0.5), Inductor(1e-3), Capacitor(1e-4))), grid)
+        z_ppm = eval_network(Series((Resistor(2.0), Inductor(2e-3))), grid)
+        z_new = eval_network(Series((Resistor(4.0), Capacitor(1e-5))), grid)
+        l_old = loop_gain(z_net, z_ppm).response
+        ratio = rho(z_net, z_new)
+        caller = np.linspace(1.0, 2.0, 64) + 0j
+        other = FrequencyResponse(log_grid(20.0, 2000.0, 41), np.ones(41))
+        rect = b"freq_hz,re_ohm,im_ohm\n1,3,4\n2,1,1\n"
+        polar = b"freq_hz,mag_ohm,phase_deg\n1,5,30\n2,1,-45\n"
+        curves = (z_net, z_ppm, z_new)
+        given = [grid.points] + [c.samples for c in curves]
+        return [
+            ("eval_network", curves, [grid.points]),
+            ("loop_gain", [l_old], given),
+            ("rho", [ratio], given),
+            ("update_loop_gain", [update_loop_gain(l_old, ratio).response],
+             given + [l_old.samples, ratio.samples]),
+            ("one_plus", [one_plus(ratio)], given + [ratio.samples]),
+            ("with_samples", [z_net.with_samples(caller)], given + [caller]),
+            ("align", align([z_net, other]),
+             given + [other.grid.points, other.samples]),
+            ("parse_response rect", [parse_response(rect)], [np.frombuffer(rect, np.uint8)]),
+            ("parse_response polar", [parse_response(polar)], [np.frombuffer(polar, np.uint8)]),
+            ("log_grid", [FrequencyResponse(log_grid(1.0, 10.0, 5), np.ones(5))], []),
+        ]
+
+    def test_producers_return_read_only_curves_of_their_own(self):
+        for name, curves, given in self.producers():
+            for curve in curves:
+                for arr in (curve.samples, curve.grid.points):
+                    assert not arr.flags.writeable, name
+                    # a curve on its input's grid holds that very grid
+                    assert not any(np.shares_memory(arr, a) for a in given if a is not arr), name
+
+    def test_loop_gain_update_holds_one_new_curve(self):
+        # 2 blocks + 1 point: the update writes each block into one output
+        # array, which the curve takes over rather than copies, and drops a
+        # block's temporaries before the next block builds its own
+        g = log_grid(1.0, 1e4, 2 * _BLOCK_POINTS + 1)
+        l_old = FrequencyResponse(g, 1.0 / (1.0 + 1j * g.points), unit="dimensionless")
+        ratio = FrequencyResponse(g, 0.5j * g.points / g.points[-1], unit="dimensionless")
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            l_new = update_loop_gain(l_old, ratio).response
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert l_new.samples.size == g.points.size
+        assert peak < 2 * l_old.samples.nbytes, f"traced peak {peak} B"
 
 
 class TestAlign:

@@ -25,7 +25,7 @@ from margingate.freqresp import (
 
 
 def reference_parse(data: bytes) -> FrequencyResponse:
-    text = data.decode("utf-8")
+    text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     meta: dict[str, str] = {}
     header = None
     rows: list[tuple[float, float, float]] = []

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as _fixtures
-from .errors import MarginGateError
+from .errors import MarginGateError, UnknownHeader
 from .freqresp import align, log_grid, parse_response, write_response
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
 from .margins import MarginPolicy, decompose_margins, summarize_margins, worst_verdict
@@ -29,8 +29,8 @@ from .netsynth import (
 )
 from .regions import winding_number
 from .report import (
-    FORMATS, AssessmentReport, _margin_text, build_report, limit_checks, margin_check,
-    nyquist_svg_chart, render,
+    FORMATS, AssessmentReport, _margin_text, _md_table, build_report, limit_checks,
+    margin_check, nyquist_svg_chart, render,
 )
 from .speclimit import check_compliance, limit_curve
 
@@ -123,11 +123,21 @@ def _read(paths: dict) -> dict:
             elif role == "loop_gains":
                 v[role] = []
                 for p in map(Path, path):
-                    curve = parse_response(p.read_bytes())
+                    curve = _parse_table(role, p)
                     v[role].append((curve.label or p.stem, curve))
             else:
-                v[role] = parse_response(Path(path).read_bytes())
+                v[role] = _parse_table(role, Path(path))
     return v
+
+
+def _parse_table(role: str, path: Path):
+    """The table at ``path``, refused unless its header's unit fits its role: ohm for
+    an impedance, dimensionless for a loop gain."""
+    curve = parse_response(path.read_bytes())
+    want = "ohm" if role in _fixtures.ROLES else "dimensionless"
+    if curve.unit != want:
+        raise UnknownHeader(f"{role} table {str(path)!r} has unit {curve.unit}, expected {want}")
+    return curve
 
 
 def _inputs_meta(curves, mode: str) -> dict:
@@ -265,6 +275,9 @@ def _parse_freq_list(text: str) -> tuple[float, ...]:
     freqs = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not freqs:
         raise ValueError(f"no frequency in critical-frequency list {text!r}")
+    for f in freqs:
+        if not 0 < f < float("inf"):
+            raise ValueError(f"critical frequency {f} Hz is not positive and finite")
     return freqs
 
 
@@ -397,10 +410,8 @@ def _cmd_loopgain(args) -> int:
 
 def _cmd_margins(args) -> int:
     summary = _run({"loop_gains": [args.loop_gain]}, args.policy)["summaries"][0]
-    print("| f (Hz) | kind | margin |")
-    print("| --- | --- | --- |")
-    for cp in summary.crossovers:
-        print(f"| {cp.f_hz} | {cp.kind} | {_margin_text(cp)} |")
+    rows = ((cp.f_hz, cp.kind, _margin_text(cp)) for cp in summary.crossovers)
+    print("\n".join(_md_table(("f (Hz)", "kind", "margin"), rows)))
     print(f"verdict: {summary.verdict}")
     return _gate((margin_check("margins", summary),))
 

@@ -299,86 +299,69 @@ def _fmt(x) -> str:
     return "n/a" if x is None else str(x)  # str(inf) is already "inf"
 
 
-def _markdown(report: AssessmentReport) -> str:
-    lines: list[str] = []
-    lines.append("# Stability margin assessment")
-    lines.append("")
-    lines.append(f"- overall verdict: **{report.overall_verdict}**")
-    lines.append(
-        f"- loop-gain consistency error (direct vs factored): {_fmt(report.consistency_error)}"
-    )
-    for key, value in report.inputs.items():
-        lines.append(f"- {key}: {_fmt_inputs(value)}")
-    lines.append("")
+def _md_table(header, rows) -> list[str]:
+    """A markdown table: the header line, the ``| --- |`` rule and one line per row.
 
+    Every cell is written with ``_fmt``, and any ``|`` in it as ``\\|``, so
+    no cell splits its row.
+    """
+    def line(cells) -> str:
+        return "| " + " | ".join([_fmt(c).replace("|", "\\|") for c in cells]) + " |"
+    return [line(header), line("---" for _ in header), *map(line, rows)]
+
+
+def _markdown(report: AssessmentReport) -> str:
+    # (heading, body lines); each section is its heading, a blank line, its body and a blank line
+    sections = [("# Stability margin assessment", [
+        f"- overall verdict: **{report.overall_verdict}**",
+        f"- loop-gain consistency error (direct vs factored): {_fmt(report.consistency_error)}",
+        *(f"- {key}: {_fmt_inputs(value)}" for key, value in report.inputs.items()),
+    ])]
     for title, summary in (
         ("Margins before connection (L_old)", report.l_old_summary),
         ("Margins after connection (L_new)", report.l_new_summary),
     ):
-        lines.append(f"## {title}")
-        lines.append("")
-        lines.append(f"- verdict: {summary.verdict}")
+        body = [f"- verdict: {summary.verdict}"]
         if summary.crossovers:
-            lines.append("")
-            lines.append("| f (Hz) | kind | margin | region |")
-            lines.append("| --- | --- | --- | --- |")
-            for cp in summary.crossovers:
-                region = summary.policy.region(cp)
-                lines.append(
-                    f"| {_fmt(cp.f_hz)} | {cp.kind} | {_margin_text(cp)} | {region} |"
-                )
-        lines.append("")
+            body += ["", *_md_table(("f (Hz)", "kind", "margin", "region"), (
+                (cp.f_hz, cp.kind, _margin_text(cp), summary.policy.region(cp))
+                for cp in summary.crossovers
+            ))]
+        sections.append((f"## {title}", body))
 
     if report.decompositions:
-        lines.append("## Margin decomposition through L_old")
-        lines.append("")
-        lines.append("| f (Hz) | PM_old (deg) | angle(1+rho) (deg) | PM_new (deg) | GM_new |")
-        lines.append("| --- | --- | --- | --- | --- |")
-        for d in report.decompositions:
-            lines.append(
-                f"| {_fmt(d.f_hz)} | {_fmt(d.pm_old_newgc_deg)} | "
-                f"{_fmt(d.angle_one_plus_rho_deg)} | {_fmt(d.pm_new_deg)} | "
-                f"{_fmt(d.gm_new_lin)} |"
-            )
-        lines.append("")
+        sections.append(("## Margin decomposition through L_old", _md_table(
+            ("f (Hz)", "PM_old (deg)", "angle(1+rho) (deg)", "PM_new (deg)", "GM_new"),
+            ((d.f_hz, d.pm_old_newgc_deg, d.angle_one_plus_rho_deg, d.pm_new_deg, d.gm_new_lin)
+             for d in report.decompositions),
+        )))
 
-    lines.append("## Impedance limit compliance")
-    lines.append("")
-    if report.compliance:
-        lines.append("| f (Hz) | \\|Z_new\\| (ohm) | Z_limit (ohm) | verdict |")
-        lines.append("| --- | --- | --- | --- |")
-        for rec in report.compliance:
-            lines.append(
-                f"| {_fmt(rec.f_hz)} | {_fmt(rec.z_new_mag_ohm)} | "
-                f"{_fmt(rec.z_limit_ohm)} | {rec.verdict} |"
-            )
-    else:
-        lines.append("No limit frequencies were evaluated.")
-    lines.append("")
+    compliance = _md_table(
+        ("f (Hz)", "|Z_new| (ohm)", "Z_limit (ohm)", "verdict"),
+        ((rec.f_hz, rec.z_new_mag_ohm, rec.z_limit_ohm, rec.verdict) for rec in report.compliance),
+    )
+    sections.append(("## Impedance limit compliance",
+                     compliance if report.compliance else ["No limit frequencies were evaluated."]))
 
-    flagged = [
-        (f, sorted(fl)) for f, fl in zip(report.limit_curve.freqs, report.limit_curve.flags) if fl
+    caveats = [
+        f"- {_fmt(f)} Hz: {', '.join(sorted(fl))}"
+        for f, fl in zip(report.limit_curve.freqs, report.limit_curve.flags) if fl
     ]
-    if flagged:
-        lines.append("## Limit caveats")
-        lines.append("")
-        for f, fl in flagged:
-            lines.append(f"- {_fmt(f)} Hz: {', '.join(fl)}")
-        lines.append("")
+    if caveats:
+        sections.append(("## Limit caveats", caveats))
 
-    lines.append("## Nyquist encirclements of -1")
-    lines.append("")
+    encirclements = []
     for name, res in report.encirclements.items():
         warn = (
             "; ".join(f"[{_fmt(a)}, {_fmt(b)}] Hz" for a, b in res.resolution_warnings)
             or "none"
         )
-        lines.append(
+        encirclements.append(
             f"- {name}: winding {res.winding}, min distance to -1 "
             f"{_fmt(res.min_distance_to_critical_point)}, warnings: {warn}"
         )
-    lines.append("")
-    return "\n".join(lines)
+    sections.append(("## Nyquist encirclements of -1", encirclements))
+    return "\n".join(line for heading, body in sections for line in (heading, "", *body, ""))
 
 
 def _fmt_inputs(value) -> str:

@@ -177,7 +177,30 @@ class TestExitCodes:
         code = main(check_args(compliant_dir, tmp_path, "--critical-freqs", "100,nan"))
         assert code == 2
         err = capsys.readouterr().err
-        assert "[stage=limit]" in err and "nan Hz outside span" in err
+        assert err == "error [stage=config] critical frequency nan Hz is not positive and finite\n"
+
+    @pytest.mark.parametrize("command", ["check", "limit"])
+    @pytest.mark.parametrize("freq", ["0", "-5", "inf", "nan", "-inf"])
+    def test_critical_frequency_not_positive_and_finite_fails_at_config(
+        self, tmp_path, capsys, command, freq
+    ):
+        # refused before any file is read, so a missing input is not reached
+        args = (["check", "--z-ppm", "missing.csv", "--z-net-old", "missing.csv",
+                 "--z-ppm-new", "missing.csv", "--out-dir", str(tmp_path)]
+                if command == "check" else
+                ["limit", "--l-old", "missing.csv", "--z-net-old", "missing.csv"])
+        assert main([*args, "--critical-freqs", f"150,{freq}"]) == 2
+        assert capsys.readouterr().err == (
+            f"error [stage=config] critical frequency {float(freq)} Hz is not positive and finite\n"
+        )
+
+    def test_critical_frequency_outside_the_span_fails_at_limit(
+        self, compliant_dir, tmp_path, capsys
+    ):
+        # whether a positive frequency is in the span depends on the data
+        assert main(check_args(compliant_dir, tmp_path, "--critical-freqs", "1e9")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [stage=limit] 1000000000.0 Hz outside span")
 
     @pytest.mark.parametrize("freqs", [",", ""])
     def test_empty_critical_frequency_list_exit_2(self, tmp_path, capsys, freqs):
@@ -506,6 +529,46 @@ class TestReportContents:
         assert obj["consistency_error"] < 1e-10
         assert obj["encirclements"]["l_new"]["winding"] == 0
         ET.fromstring((tmp_path / "nyquist.svg").read_bytes())
+
+
+class TestUnitFitsRole:
+    """An impedance role reads only an ohm table, a loop gain only a dimensionless one."""
+
+    @pytest.fixture(scope="class")
+    def files(self, compliant_dir, tmp_path_factory):
+        l_old = tmp_path_factory.mktemp("units") / "l_old.csv"
+        z_net, z_ppm = (compliant_dir[role] for role in ("z_net_old", "z_ppm_existing"))
+        assert main(["loopgain", "--z-net", str(z_net), "--z-ppm", str(z_ppm),
+                     "--out", str(l_old)]) == 0
+        return {**{role: str(p) for role, p in compliant_dir.items()}, "l_old": str(l_old)}
+
+    @pytest.mark.parametrize("args, role, bad", [
+        (["check", "--z-ppm", "l_old", "--z-net-old", "z_net_old", "--z-ppm-new", "z_ppm_new"],
+         "z_ppm_existing", "l_old"),
+        (["check", "--z-ppm", "z_ppm_existing", "--z-net-old", "z_net_old", "--z-ppm-new",
+          "l_old"], "z_ppm_new", "l_old"),
+        (["loopgain", "--z-net", "l_old", "--z-ppm", "z_ppm_existing", "--out", "l.csv"],
+         "z_net_old", "l_old"),
+        (["margins", "--loop-gain", "z_ppm_existing"], "loop_gains", "z_ppm_existing"),
+        (["nyquist", "--loop-gain", "l_old", "--loop-gain", "z_net_old", "--out", "n.svg"],
+         "loop_gains", "z_net_old"),
+        (["limit", "--l-old", "z_net_old", "--z-net-old", "l_old", "--critical-freqs", "150"],
+         "l_old", "z_net_old"),
+        (["limit", "--l-old", "l_old", "--z-net-old", "z_net_old", "--critical-freqs", "150",
+          "--z-new", "l_old"], "z_ppm_new", "l_old"),
+        (["limit", "--l-old", "l_old", "--z-net-old", "z_net_old", "--detect-from",
+          "z_ppm_new"], "loop_gains", "z_ppm_new"),
+    ])
+    def test_table_of_the_other_unit_exits_2_at_parse(
+        self, files, tmp_path, capsys, monkeypatch, args, role, bad
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([files.get(a, a) for a in args]) == 2
+        want, got = ("ohm", "dimensionless") if bad == "l_old" else ("dimensionless", "ohm")
+        assert capsys.readouterr() == ("", (
+            f"error [stage=parse] {role} table {files[bad]!r} has unit {got}, expected {want}\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSubcommands:

@@ -84,12 +84,17 @@ RUNS = {
                                       "--critical-freqs", "3000"),
     "check-empty-critical-freqs": _check("tableII-like", "--critical-freqs", ","),
     "check-empty-format": _check("tableII-like", "--format", ","),
+    **{f"check-critical-freqs-{f}": _check("compliant-A", "--critical-freqs", f)
+       for f in ("0", "inf")},
+    "check-z-ppm-is-a-loop-gain": ["check", "--z-ppm", "../in/compliant-A/l_old.csv",
+                                   *_check("compliant-A")[3:]],
     **{f"loopgain-{c}": ["loopgain", "--z-net", _files(c)[1], "--z-ppm", _files(c)[0],
                          "--out", "l.csv"] for c in (*BUNDLED_CASES, "seed-0")},
     **{f"margins-{c}": ["margins", "--loop-gain", f"../in/{c}/l_old.csv"] for c in CURVE_CASES},
     "margins-violation": ["margins", "--loop-gain", "../in/compliant-A/l_old.csv",
                           "--pm-min-deg", "70", "--pm-cau-deg", "80"],
     "margins-invalid-header": ["margins", "--loop-gain", _files("invalid-header")[0]],
+    "margins-loop-gain-is-an-impedance": ["margins", "--loop-gain", _files("compliant-A")[0]],
     **{f"limit-freqs-{c}": _limit(c, "--critical-freqs", "150,500") for c in CURVE_CASES},
     **{f"limit-freqs-z-new-{c}": _limit(c, "--critical-freqs", "150,500", *_z_new(c))
        for c in CURVE_CASES},
@@ -106,6 +111,9 @@ RUNS = {
                                "--out", "limit.csv"),
     "limit-critical-freqs-comma": _limit("compliant-A", "--critical-freqs", ","),
     "limit-critical-freqs-abc": _limit("compliant-A", "--critical-freqs", "abc"),
+    "limit-critical-freqs-nan": _limit("compliant-A", "--critical-freqs", "nan"),
+    "limit-units-swapped": ["limit", "--l-old", _files("compliant-A")[1],
+                            "--z-net-old", "../in/compliant-A/l_old.csv", "--critical-freqs", "150"],
     "limit-critical-freqs-comma-missing-l-old": [
         "limit", "--l-old", "missing.csv", "--z-net-old", _files("compliant-A")[1],
         "--critical-freqs", ","],

@@ -452,6 +452,23 @@ class TestMarkdown:
         rep = basic_report()
         assert render(rep, "markdown") == render(rep, "markdown")
 
+    def test_md_table_lines(self):
+        assert report_mod._md_table(("f (Hz)", "verdict"), [(150.0, "compliant"), (2e3, "x")]) == [
+            "| f (Hz) | verdict |",
+            "| --- | --- |",
+            "| 150.0 | compliant |",
+            "| 2000.0 | x |",
+        ]
+
+    def test_md_table_escapes_pipes_in_every_cell(self):
+        lines = report_mod._md_table(("|Z_new| (ohm)", "detail"), [(1.0, "|Z_new| = 1.0 ohm")])
+        assert lines[0] == "| \\|Z_new\\| (ohm) | detail |"
+        assert lines[2] == "| 1.0 | \\|Z_new\\| = 1.0 ohm |"
+        assert table_cell_counts("\n".join(lines)) == [[2, 2, 2]]
+
+    def test_md_table_writes_none_as_n_a(self):
+        assert report_mod._md_table(("a", "b"), [(None, float("inf"))])[2] == "| n/a | inf |"
+
     def test_readme_tables_have_one_cell_count(self):
         # GFM splits a row at every unescaped pipe and drops cells past the
         # header's count, so a pipe inside a cell must be written \|

@@ -25,7 +25,7 @@ from .freqresp import align, log_grid, parse_response, write_response
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
 from .margins import MarginPolicy, decompose_margins, summarize_margins, worst_verdict
 from .netsynth import (
-    _check_positive, eval_network, network_from_json, network_from_obj, random_case
+    CASE_LABELS, _check_positive, eval_network, network_from_json, network_from_obj, random_case
 )
 from .regions import winding_number
 from .report import (
@@ -69,8 +69,8 @@ class RunConfig:
             raise ValueError(
                 "exactly one input mode: three impedance files or --synth case"
             )
-        if self.critical_freqs is not None and not self.critical_freqs:
-            raise ValueError("critical_freqs needs a frequency; None detects them")
+        if self.critical_freqs is not None:
+            _check_freqs(self.critical_freqs, "critical_freqs needs a frequency; None detects them")
 
 
 class StageFailure(Exception):
@@ -102,7 +102,8 @@ def _load_synth_case(path: Path):
         raise ValueError(f"case file {str(path)!r} has no {' or '.join(missing)} network")
     grid = log_grid(float(gspec["start_hz"]), float(gspec["stop_hz"]), points)
     return tuple(
-        eval_network(network_from_obj(obj[role]), grid, label=role) for role in _fixtures.ROLES
+        eval_network(network_from_obj(obj[role]), grid, label=label)
+        for role, label in zip(_fixtures.ROLES, CASE_LABELS)
     )
 
 
@@ -271,13 +272,19 @@ def _add_policy_flags(p: argparse.ArgumentParser) -> None:
                    help="minimum gain margin in dB (default 15)")
 
 
-def _parse_freq_list(text: str) -> tuple[float, ...]:
-    freqs = tuple(float(tok) for tok in text.split(",") if tok.strip())
+def _check_freqs(freqs, empty: str) -> None:
+    """The one critical-frequency rule of the CLI and ``RunConfig``: at least one
+    frequency (else ``ValueError(empty)``), each positive and finite."""
     if not freqs:
-        raise ValueError(f"no frequency in critical-frequency list {text!r}")
+        raise ValueError(empty)
     for f in freqs:
         if not 0 < f < float("inf"):
             raise ValueError(f"critical frequency {f} Hz is not positive and finite")
+
+
+def _parse_freq_list(text: str) -> tuple[float, ...]:
+    freqs = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    _check_freqs(freqs, f"no frequency in critical-frequency list {text!r}")
     return freqs
 
 
@@ -371,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--case", help="case JSON with three networks and a grid")
     mode.add_argument("--bundled", help=f"bundled case name {_fixtures.BUNDLED_CASES}")
     mode.add_argument("--seed", type=int, help="random CaseFixture seed")
-    sy.add_argument("--n-strings", type=int, default=3, help="strings in a random case")
-    sy.add_argument("--span", default="10:5000", help="frequency span lo:hi in Hz")
-    sy.add_argument("--points", type=int, default=2000, help="grid points for --network")
-    sy.add_argument("--out", help="output file for --network")
-    sy.add_argument("--out-dir", default=".", help="output directory for case modes")
+    sy.add_argument("--n-strings", type=int, help="strings in a --seed case (default 3)")
+    sy.add_argument("--span", help="span lo:hi in Hz for --network, --seed (default 10:5000)")
+    sy.add_argument("--points", type=int, help="grid points for --network (default 2000)")
+    sy.add_argument("--out", help="output file for --network (default network.csv)")
+    sy.add_argument("--out-dir", help="output directory for --case, --bundled, --seed (default .)")
 
     ny = sub.add_parser("nyquist", help="render a Nyquist chart from loop-gain files")
     ny.add_argument("--loop-gain", action="append", required=True,
@@ -447,20 +454,36 @@ def _cmd_limit(args) -> int:
     return _gate(limit_checks(v.get("compliance", ())))
 
 
+# the flags each synth mode reads, with their defaults; a mode refuses any other
+_SYNTH_FLAGS = {
+    "network": {"span": (10.0, 5000.0), "points": 2000, "out": "network.csv"},
+    "case": {"out_dir": "."},
+    "bundled": {"out_dir": "."},
+    "seed": {"n_strings": 3, "span": (10.0, 5000.0), "out_dir": "."},
+}
+
+
 def _cmd_synth(args) -> int:
-    if args.bundled is not None:
+    mode = next(m for m in _SYNTH_FLAGS if getattr(args, m) is not None)
+    with _stage("config"):
+        for dest in ("n_strings", "span", "points", "out", "out_dir"):
+            if getattr(args, dest) is None:
+                setattr(args, dest, _SYNTH_FLAGS[mode].get(dest))
+            elif dest not in _SYNTH_FLAGS[mode]:
+                raise ValueError(f"synth --{mode} does not read --{dest.replace('_', '-')}")
+    if mode == "bundled":
         with _stage("io"):
             paths = _fixtures.write_bundled_case(args.bundled, Path(args.out_dir))
         for role, path in paths.items():
             print(f"wrote {path} ({role})")
         return 0
-    if args.network is not None:
+    if mode == "network":
         desc = _read({"network": args.network})["network"]
         with _stage("synth"):
             grid = log_grid(*args.span, args.points)
-            files = {Path(args.out or "network.csv"): eval_network(desc, grid)}
+            files = {Path(args.out): eval_network(desc, grid)}
     else:
-        if args.seed is not None:
+        if mode == "seed":
             with _stage("synth"):
                 curves = random_case(args.seed, args.n_strings, args.span).responses()
         else:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -53,8 +54,6 @@ _SINGULAR_RTOL = 1e-12
 
 class NetworkElement:
     """Base class for impedance tree nodes."""
-
-    __slots__ = ()
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -103,25 +102,15 @@ class Rational(NetworkElement):
     def __post_init__(self):
         if isinstance(self.gain, bool) or not (math.isfinite(self.gain) and self.gain != 0):
             raise ValueError("rational gain must be finite and nonzero")
-        object.__setattr__(
-            self, "zeros_rad_s", tuple(complex(z) for z in self.zeros_rad_s)
-        )
-        object.__setattr__(
-            self, "poles_rad_s", tuple(complex(p) for p in self.poles_rad_s)
-        )
-        for name, roots in (
-            ("zeros", self.zeros_rad_s),
-            ("poles", self.poles_rad_s),
-        ):
-            pool = [r for r in roots if r.imag != 0.0]
-            while pool:
-                r = pool.pop()
-                try:
-                    pool.remove(r.conjugate())
-                except ValueError:
-                    raise ValueError(
-                        f"rational {name} must come in conjugate pairs: {r}"
-                    ) from None
+        for name in ("zeros", "poles"):
+            roots = tuple(complex(r) for r in getattr(self, f"{name}_rad_s"))
+            object.__setattr__(self, f"{name}_rad_s", roots)
+            off_axis = [r for r in roots if r.imag != 0.0]
+            unpaired = Counter(off_axis) - Counter(r.conjugate() for r in off_axis)
+            if unpaired:
+                raise ValueError(
+                    f"rational {name} must come in conjugate pairs: {next(iter(unpaired))}"
+                )
 
 
 @dataclass(frozen=True)
@@ -162,12 +151,10 @@ class _Branches(NetworkElement):
         object.__setattr__(self, "children", kids)
 
 
-@dataclass(frozen=True)
 class Series(_Branches):
     """Children in series: their impedances add."""
 
 
-@dataclass(frozen=True)
 class Parallel(_Branches):
     """Children in parallel: their admittances add (``_par_sum``)."""
 

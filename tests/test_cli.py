@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -438,6 +439,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="critical_freqs needs a frequency"):
             RunConfig(**compliant_dir, critical_freqs=())
 
+    @pytest.mark.parametrize("freq", [0.0, -5.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["files", "synth"])
+    def test_critical_freq_not_positive_and_finite_refused(self, tmp_path, mode, freq):
+        # the CLI's rule and message, given before any input is read: none exists
+        missing = tmp_path / "missing.csv"
+        inputs = ({role: missing for role in fixtures.ROLES} if mode == "files"
+                  else {"synth_case": tmp_path / "missing.json"})
+        with pytest.raises(ValueError) as exc:
+            RunConfig(**inputs, critical_freqs=(150.0, freq))
+        assert str(exc.value) == f"critical frequency {freq} Hz is not positive and finite"
+
     def test_run_assessment_report(self, compliant_dir):
         cfg = RunConfig(
             z_ppm_existing=compliant_dir["z_ppm_existing"],
@@ -707,10 +719,10 @@ class TestSubcommands:
         out_dir = tmp_path / "out"
         assert main(["synth", "--case", str(case_file), "--out-dir", str(out_dir)]) == 0
         expected = eval_network(net, log_grid(10, 1000, 32))
-        for role in ROLES:
+        for role, label in zip(ROLES, netsynth.CASE_LABELS):
             resp = parse_response((out_dir / f"{role}.csv").read_bytes())
-            assert resp.label == role
-            assert resp == expected.with_samples(expected.samples, label=role)
+            assert resp.label == label
+            assert resp == expected.with_samples(expected.samples, label=label)
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out_dir / role}.csv" for role in ROLES
         ]

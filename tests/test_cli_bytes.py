@@ -11,7 +11,9 @@ file. Three more cases hold ``compliant-A``'s inputs in other forms:
 and ``bom`` (that file behind a UTF-8 byte-order mark).
 ``golden_cli.json`` pins, for each run, the exit code, stdout, stderr and
 the SHA-256 digest of every file the run writes. A change that alters any
-of them must say why and edit that run's row.
+of them must say why and edit that run's row. A case gives the same bytes
+by every route, so each ``check-synth-X`` row equals its ``check-files-X``
+twin, and ``synth-case`` equals ``synth-seed``.
 
 The digests, like those of ``test_golden.py``, hold only where numpy picks
 the same SIMD kernels; so do the floats printed on stdout. To rewrite the
@@ -138,6 +140,9 @@ RUNS = {
     "synth-seed-span-reversed": ["synth", "--seed", "0", "--span", "5000:10", "--out-dir", "out"],
     "synth-seed-negative": ["synth", "--seed", "-1", "--out-dir", "out"],
     "synth-seed-out-dir-is-a-file": ["synth", "--seed", "0", "--out-dir", "../in/network.json"],
+    "synth-seed-out": ["synth", "--seed", "0", "--out", "foo.csv"],
+    "synth-network-out-dir": ["synth", "--network", "../in/network.json", "--out-dir", "zz"],
+    "synth-bundled-span": ["synth", "--bundled", "compliant-A", "--span", "1:10"],
 }
 
 
@@ -215,6 +220,14 @@ def workspace(tmp_path_factory):
 
 def test_every_run_is_pinned():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(RUNS)
+
+
+def test_each_route_of_a_case_is_pinned_to_the_same_bytes():
+    # the report depends on the three impedances, not on how they reached it
+    rows = json.loads(GOLDEN.read_text())
+    for case in CURVE_CASES:
+        assert rows[f"check-synth-{case}"] == rows[f"check-files-{case}"], case
+    assert rows["synth-case"] == rows["synth-seed"]
 
 
 @pytest.mark.parametrize("run_id", list(RUNS))

@@ -20,6 +20,17 @@ assessment of a transformed copy, whose effect on the report is known.
   frequencies and phase margins move by rounding only. L_new's values are
   not compared: 1 + rho is not linear in log f between samples.
 
+Four more relations change no number, so the bytes of every output must
+stay the same:
+
+* the route: ``check --synth case.json``, a file-mode ``check`` on the
+  files that ``synth --case case.json`` writes, and one on the tables of
+  the same networks that ``synth --bundled`` and ``synth --seed`` write.
+  The report depends on the three impedances, not on how they reached it.
+* CRLF line endings in the input tables instead of LF.
+* the ``#`` metadata lines of each table in reverse order.
+* the order of ``--format``.
+
 The bounds were measured on the cases below, never set to make a
 relation pass: over ``_SCALE_EXPONENTS`` the R1 magnitudes came within
 26.7 eps relative (golden seed 0 at m = -60), rounded up to 30 eps, and
@@ -29,18 +40,22 @@ ulps (golden seed 6) and its phase margins within 1.75e-15 relative
 (golden seed 1), rounded up to 8 eps; none of these L_old curves has a
 phase crossover.
 """
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from margingate.cli import RunConfig, run_assessment
+from margingate.cli import RunConfig, main, run_assessment
+from margingate.fixtures import _TABLEII_SCALE, ROLES
 from margingate.freqresp import FrequencyGrid, values_at, write_response
+from margingate.netsynth import network_to_obj, scale_network
 from margingate.report import render
 
-from test_golden import case_curves
+from test_golden import case_curves, case_networks
 
 EPS = 2.0**-52
 _CASES = ["compliant-A", "tableII-like"] + [f"seed-{s}" for s in range(10)]
@@ -139,3 +154,91 @@ def test_r3_interpolant_refinement(name, tmp_path):
             assert abs(got[path] - v) <= R3_PM_RTOL * abs(v), (path, got[path], v)
         elif not isinstance(v, float):  # kinds, regions, the verdict
             assert got[path] == v, (path, got[path], v)
+
+
+ALL_FORMATS = "json,markdown,nyquist_svg,bode_svg"
+
+
+def cli(*args) -> tuple:
+    """``margin-gate ARGS`` in process: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
+
+
+def check(out_dir, inputs, formats=ALL_FORMATS) -> tuple:
+    """A ``check`` of the input flags: what it printed and returned, and the
+    bytes of each file it wrote."""
+    printed = cli("check", *inputs, "--out-dir", out_dir, "--format", formats)
+    return printed, {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def write_tables(d, curves, edit=lambda data: data) -> list:
+    """Write the curves as the tables of a case, each through ``edit``; the
+    file flags of ``check``."""
+    d.mkdir(parents=True)
+    for role, curve in zip(ROLES, curves):
+        (d / f"{role}.csv").write_bytes(edit(write_response(curve)))
+    return files_flags(d)
+
+
+def files_flags(d) -> list:
+    return ["--z-ppm", d / "z_ppm_existing.csv", "--z-net-old", d / "z_net_old.csv",
+            "--z-ppm-new", d / "z_ppm_new.csv"]
+
+
+def case_file(name, path):
+    """The case's three networks and grid as a ``--synth`` case file."""
+    nets = case_networks(name)
+    if name == "tableII-like":
+        nets = (*nets[:2], scale_network(nets[2], _TABLEII_SCALE))
+    grid = case_curves(name)[0].grid
+    lo, hi = grid.span
+    obj = {"grid": {"start_hz": lo, "stop_hz": hi, "points": len(grid)}}
+    path.write_text(json.dumps({**obj, **dict(zip(ROLES, map(network_to_obj, nets)))}))
+    return path
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_route_synth_case_or_its_files(name, tmp_path):
+    case = case_file(name, tmp_path / "case.json")
+    assert cli("synth", "--case", case, "--out-dir", tmp_path / "in")[0] == 0
+    got = check(tmp_path / "synth", ["--synth", case])
+    assert len(got[1]) == 4
+    assert got == check(tmp_path / "files", files_flags(tmp_path / "in"))
+    # and the tables that synth --bundled and --seed write for the same networks
+    assert got == check(tmp_path / "tables", write_tables(tmp_path / "curves", case_curves(name)))
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_crlf_line_endings(name, tmp_path):
+    lf = write_tables(tmp_path / "lf", case_curves(name))
+    crlf = write_tables(tmp_path / "crlf", case_curves(name), lambda b: b.replace(b"\n", b"\r\n"))
+    assert check(tmp_path / "a", crlf) == check(tmp_path / "b", lf)
+
+
+def reversed_metadata(data: bytes) -> bytes:
+    """The table with its leading ``#`` lines in reverse order."""
+    lines = data.split(b"\n")
+    k = next(i for i, line in enumerate(lines) if not line.startswith(b"#"))
+    assert k == 3  # every metadata key is written
+    return b"\n".join(lines[:k][::-1] + lines[k:])
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_reordered_metadata(name, tmp_path):
+    curves = [
+        dataclasses.replace(c, sequence="positive", operating_point=f"P=1 pu, {c.label}")
+        for c in case_curves(name)
+    ]
+    got = check(tmp_path / "a", write_tables(tmp_path / "reordered", curves, reversed_metadata))
+    assert got == check(tmp_path / "b", write_tables(tmp_path / "written", curves))
+    assert b"P=1 pu" in got[1]["report.json"]
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_format_order(name, tmp_path):
+    flags = write_tables(tmp_path / "in", case_curves(name))
+    got = check(tmp_path / "a", flags, ",".join(reversed(ALL_FORMATS.split(","))))
+    assert got == check(tmp_path / "b", flags)

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +169,30 @@ class TestEval:
     def test_rational_conjugate_pairs_required(self):
         with pytest.raises(ValueError):
             Rational(1.0, zeros_rad_s=(1 + 1j,))
+
+    @pytest.mark.parametrize("name", ["zeros", "poles"])
+    def test_rational_conjugate_pair_rule(self, name):
+        p = complex(-100.0, 300.0)
+        key = f"{name}_rad_s"
+        # a repeated pair is two pairs, in any order; real roots need no partner
+        for roots in ((p, p.conjugate(), p, p.conjugate()), (p, p, p.conjugate(), p.conjugate()),
+                      (-5.0, 0.0, -5.0, complex(-1.0, -0.0)), (p, 7.0, p.conjugate())):
+            assert getattr(Rational(1.0, **{key: roots}), key) == roots
+        for roots in ((p, p.conjugate(), p), (p,), (p, p), (p.conjugate(), -5.0)):
+            with pytest.raises(ValueError) as exc:
+                Rational(1.0, **{key: roots})
+            prefix = f"rational {name} must come in conjugate pairs: "
+            assert str(exc.value).startswith(prefix)
+            unpaired = str(exc.value)[len(prefix):]
+            assert unpaired in {str(r) for r in roots if complex(r).imag != 0.0}
+
+    def test_rational_roots_are_coerced_to_complex(self):
+        net = Rational(2.0, zeros_rad_s=[1, 2.5, 3 + 0j], poles_rad_s=(-4, complex(-1, 2), -1 - 2j))
+        assert net.zeros_rad_s == (1 + 0j, 2.5 + 0j, 3 + 0j)
+        assert net.poles_rad_s == (-4 + 0j, complex(-1, 2), complex(-1, -2))
+        for roots in (net.zeros_rad_s, net.poles_rad_s):
+            assert type(roots) is tuple
+            assert all(type(r) is complex for r in roots)
 
     def test_rational_evaluation(self):
         # gain * (s - z) / (s - p) with real roots
@@ -357,6 +381,16 @@ class TestValidation:
         assert node.children == tuple(kids)
         assert node == cls(iter(kids)) == cls(tuple(kids))
         assert node != (Parallel if cls is Series else Series)(kids)
+
+    @pytest.mark.parametrize("cls", [Series, Parallel])
+    def test_branches_keep_the_generated_methods_of_one_definition(self, cls):
+        kids = (Resistor(1.0), Inductor(1e-3))
+        node = cls(kids)
+        assert [fld.name for fld in fields(cls)] == ["children"]
+        assert repr(node) == f"{cls.__name__}(children={kids!r})"
+        assert hash(node) == hash(cls(list(kids)))
+        with pytest.raises(FrozenInstanceError):
+            node.children = kids
 
     def test_unknown_elements_are_named(self):
         @dataclass(frozen=True)

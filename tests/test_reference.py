@@ -89,6 +89,7 @@ from margingate.margins import (
     summarize_margins,
 )
 from margingate.netsynth import (
+    CASE_LABELS,
     Capacitor,
     Inductor,
     NetworkElement,
@@ -961,7 +962,9 @@ def whole_grid_report(case: dict, policy=MarginPolicy()):
     whole grid and kept to the end."""
     g = case["grid"]
     grid = log_grid(g["start_hz"], g["stop_hz"], g["points"])
-    curves = [eval_network(network_from_obj(case[r]), grid, label=r) for r in _ROLES]
+    curves = [
+        eval_network(network_from_obj(case[r]), grid, label=lb) for r, lb in zip(_ROLES, CASE_LABELS)
+    ]
     z_ppm, z_net, z_new = curves
     l_old = loop_gain(z_net, z_ppm, label="L_old").response
     ratio = rho(z_net, z_new)

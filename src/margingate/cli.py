@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as _fixtures
-from .errors import MarginGateError, UnknownHeader
+from .errors import InconsistentInputs, MarginGateError, UnknownHeader
 from .freqresp import align, log_grid, parse_response, write_response
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
 from .margins import MarginPolicy, decompose_margins, summarize_margins, worst_verdict
@@ -168,6 +168,9 @@ def _run(paths: dict, policy: MarginPolicy = MarginPolicy(), critical_freqs=None
     if "z_ppm_existing" in v:  # the impedances are combined point by point
         roles = [role for role in _fixtures.ROLES if role in v]
         with _stage("align"):
+            tags = ", ".join(f"{role}={v[role].sequence}" for role in roles)
+            if len({v[role].sequence for role in roles} - {"untagged"}) > 1:  # untagged mixes
+                raise InconsistentInputs(f"impedances carry different sequence tags: {tags}")
             v.update(zip(roles, align([v[role] for role in roles])))
         if full:
             mode = "detected-crossovers" if critical_freqs is None else "operator-specified"

@@ -94,4 +94,4 @@ class UnsupportedFormat(MarginGateError):
 
 
 class InconsistentInputs(MarginGateError):
-    """Report components disagree (grids, policies, or record counts)."""
+    """Inputs or report parts disagree (grids, policies, record counts, sequence tags)."""

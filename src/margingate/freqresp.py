@@ -15,6 +15,7 @@ not make it writable again, nor keep a writable view of it.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -96,14 +97,6 @@ def _wrap_steps_deg(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _unwrap_deg(principal: np.ndarray) -> np.ndarray:
-    """Unwrap a principal-phase series (degrees) by its wrapped steps, in
-    place; returns the series."""
-    np.cumsum(_phase_steps_deg(principal), out=principal[1:])
-    principal[1:] += principal[0]
-    return principal
-
-
 def _blocks(n: int):
     """Slices cutting ``range(n)`` into blocks of ``_BLOCK_POINTS``.
 
@@ -145,7 +138,15 @@ def _require_finite(z: np.ndarray) -> None:
         raise NonFiniteValue("samples contain NaN or infinite components")
 
 
-@dataclass(frozen=True)
+def _fields_equal(self, other):
+    """The ``__eq__`` of grids and curves: every field equal, arrays by value."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
     """Strictly increasing, positive frequency axis in Hz (length >= 2).
 
@@ -181,11 +182,7 @@ class FrequencyGrid:
     def span(self) -> tuple[float, float]:
         return float(self.points[0]), float(self.points[-1])
 
-    def __eq__(self, other):
-        if not isinstance(other, FrequencyGrid):
-            return NotImplemented
-        return np.array_equal(self.points, other.points)
-
+    __eq__ = _fields_equal
     __hash__ = None
 
 
@@ -235,18 +232,7 @@ class FrequencyResponse:
             object.__setattr__(self, name, value.strip())
         object.__setattr__(self, "samples", z)
 
-    def __eq__(self, other):
-        if not isinstance(other, FrequencyResponse):
-            return NotImplemented
-        return (
-            self.grid == other.grid
-            and np.array_equal(self.samples, other.samples)
-            and self.unit == other.unit
-            and self.sequence == other.sequence
-            and self.label == other.label
-            and self.operating_point == other.operating_point
-        )
-
+    __eq__ = _fields_equal
     __hash__ = None
 
     def with_samples(
@@ -376,7 +362,8 @@ def write_response(resp: FrequencyResponse) -> bytes:
 
     Values are printed with 17 significant digits, which round-trips IEEE
     doubles exactly. Output is deterministic: two writes of the same
-    response are byte-identical.
+    response are byte-identical. Rows are formatted one block of
+    frequencies at a time, so no text of the whole table is held.
     """
     defaults = {fld.name: fld.default for fld in fields(resp)}
     lines = [
@@ -385,9 +372,13 @@ def write_response(resp: FrequencyResponse) -> bytes:
         if getattr(resp, key) != defaults[key]
     ]
     lines.append("freq_hz,re_ohm,im_ohm" if resp.unit == "ohm" else "freq_hz,re,im")
-    table = np.column_stack((resp.grid.points, resp.samples.real, resp.samples.imag))
-    body = ("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())
-    return ("\n".join(lines) + "\n" + body).encode("utf-8")
+    out = io.BytesIO()
+    out.write(("\n".join(lines) + "\n").encode("utf-8"))
+    f, z = resp.grid.points, resp.samples
+    for block in _blocks(f.size):
+        table = np.column_stack((f[block], z.real[block], z.imag[block]))
+        out.write((("%.17g,%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist())).encode())
+    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +504,6 @@ def unwrap_phase(resp: FrequencyResponse) -> np.ndarray:
     _require_nonzero(resp.samples)
     phase = np.angle(resp.samples)
     np.degrees(phase, out=phase)
-    _unwrap_deg(phase)
-    phase.setflags(write=False)
-    return phase
+    np.cumsum(_phase_steps_deg(phase), out=phase[1:])
+    phase[1:] += phase[0]
+    return _frozen(phase)

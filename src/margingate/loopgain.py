@@ -47,28 +47,23 @@ def _require_nonzero(den: np.ndarray, den_name: str) -> None:
         raise ZeroDenominator(f"{den_name} has a zero sample")
 
 
-def _merged_meta(a: FrequencyResponse, b: FrequencyResponse) -> dict:
-    return {
-        "sequence": a.sequence if a.sequence == b.sequence else "untagged",
-        "operating_point": a.operating_point
-        if a.operating_point == b.operating_point
-        else "",
-    }
+def _derived(a: FrequencyResponse, b: FrequencyResponse, samples, label: str) -> FrequencyResponse:
+    """The dimensionless curve of ``samples``, just built from ``a`` and ``b``, on their
+    grid; a sequence tag or operating point is kept only where ``a`` and ``b`` agree."""
+    return FrequencyResponse(
+        grid=a.grid, samples=_frozen(samples), unit="dimensionless", label=label,
+        sequence=a.sequence if a.sequence == b.sequence else "untagged",
+        operating_point=a.operating_point if a.operating_point == b.operating_point else "",
+    )
 
 
 def _quotient(
     num: FrequencyResponse, den: FrequencyResponse, label: str, den_name: str
 ) -> FrequencyResponse:
-    """Pointwise num / den as a dimensionless curve with merged metadata."""
+    """Pointwise num / den as a dimensionless curve (``_derived``)."""
     _require_same_grid(num, den)
     _require_nonzero(den.samples, den_name)
-    return FrequencyResponse(
-        grid=num.grid,
-        samples=_frozen(num.samples / den.samples),
-        unit="dimensionless",
-        label=label,
-        **_merged_meta(num, den),
-    )
+    return _derived(num, den, num.samples / den.samples, label)
 
 
 def loop_gain(
@@ -122,14 +117,7 @@ def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> Loop
         np.divide(1.0, opr, out=opr)  # its reciprocal, in place
         np.multiply(l_old.samples[block], opr, out=samples[block])
         del opr, small  # before the next block builds its own
-    resp = FrequencyResponse(
-        grid=l_old.grid,
-        samples=_frozen(samples),
-        unit="dimensionless",
-        label="L_new",
-        **_merged_meta(l_old, ratio),
-    )
-    return LoopGain(resp)
+    return LoopGain(_derived(l_old, ratio, samples, "L_new"))
 
 
 def consistency_error(

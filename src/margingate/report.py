@@ -390,6 +390,17 @@ _SVG_STYLE = """\
     .critical-point { stroke: #d62728; stroke-width: 0.02; }
     text { font-family: sans-serif; }
 """
+_BODE_STYLE = """\
+    .frame { fill: none; stroke: #444; stroke-width: 1; }
+    .grid { stroke: #ddd; stroke-width: 1; }
+    .zero { stroke: #999; stroke-width: 1; stroke-dasharray: 5 3; }
+    .locus-0 { fill: none; stroke: #1f77b4; stroke-width: 1.6; }
+    .locus-1 { fill: none; stroke: #2ca02c; stroke-width: 1.6; }
+    .locus-2 { fill: none; stroke: #9467bd; stroke-width: 1.6; }
+    .marker-gain { fill: #1f77b4; stroke: #fff; }
+    .marker-phase { fill: #d62728; stroke: #fff; }
+    text { font-family: sans-serif; font-size: 11px; fill: #333; }
+"""
 
 
 def _f6(x: float) -> str:
@@ -417,6 +428,13 @@ def _el(tag: str, text: str | None = None, **attrs) -> str:
     if text is None:
         return f"<{tag}{body}/>"
     return f"<{tag}{body}>{_xml(text)}</{tag}>"
+
+
+def _svg(width: int, height: int, view_box: str, style: str, body) -> str:
+    """An SVG document: the root element, its style sheet, then the body lines."""
+    root = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="{view_box}">')
+    return "\n".join([root, f"<style>\n{style}</style>", *body, "</svg>"]) + "\n"
 
 
 def _sector_path(theta_lo_deg: float, theta_hi_deg: float, radius: float) -> str:
@@ -456,13 +474,7 @@ def nyquist_svg_chart(
     """
     extent = 2.6
     wedge_r = 2.45
-    parts: list[str] = []
-    parts.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
-        f'viewBox="{-extent} {-extent} {2*extent} {2*extent}">'
-    )
-    parts.append(f"<style>\n{_SVG_STYLE}</style>")
-    parts.append(_el("line", class_="axis", x1=-extent, y1=0, x2=extent, y2=0))
+    parts = [_el("line", class_="axis", x1=-extent, y1=0, x2=extent, y2=0)]
     parts.append(_el("line", class_="axis", x1=0, y1=-extent, x2=0, y2=extent))
     # angle wedges about the negative real axis, evaluated at |L| = 1
     critical_d = _sector_path(180.0 - policy.pm_min_deg, 180.0 + policy.pm_min_deg, wedge_r)
@@ -494,9 +506,7 @@ def nyquist_svg_chart(
         for cp in summary.crossovers:
             z = cp.l_value
             parts.append(_el("circle", class_=f"marker-{cp.kind}", cx=z.real, cy=-z.imag, r=0.035))
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(600, 600, f"{-extent} {-extent} {2*extent} {2*extent}", _SVG_STYLE, parts)
 
 
 def _ticks_db(lo: float, hi: float) -> list[float]:
@@ -553,24 +563,6 @@ def bode_svg_chart(curves, summaries=()) -> str:
             parts.append(_el("text", _f6(label), x=margin_l - 6, y=y + 4, text_anchor="end"))
 
     parts: list[str] = []
-    parts.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    parts.append(
-        "<style>\n"
-        "    .frame { fill: none; stroke: #444; stroke-width: 1; }\n"
-        "    .grid { stroke: #ddd; stroke-width: 1; }\n"
-        "    .zero { stroke: #999; stroke-width: 1; stroke-dasharray: 5 3; }\n"
-        "    .locus-0 { fill: none; stroke: #1f77b4; stroke-width: 1.6; }\n"
-        "    .locus-1 { fill: none; stroke: #2ca02c; stroke-width: 1.6; }\n"
-        "    .locus-2 { fill: none; stroke: #9467bd; stroke-width: 1.6; }\n"
-        "    .marker-gain { fill: #1f77b4; stroke: #fff; }\n"
-        "    .marker-phase { fill: #d62728; stroke: #fff; }\n"
-        "    text { font-family: sans-serif; font-size: 11px; fill: #333; }\n"
-        "</style>"
-    )
-
     for y0, label in ((margin_t, "magnitude (dB)"), (margin_t + panel_h + gap, "phase (deg)")):
         parts.append(_el("rect", class_="frame", x=margin_l, y=y0, width=panel_w, height=panel_h))
         parts.append(_el("text", label, x=margin_l, y=y0 - 6))
@@ -618,9 +610,7 @@ def bode_svg_chart(curves, summaries=()) -> str:
                 level = -180.0 + 360.0 * round((float(p) + 180.0) / 360.0)
                 cy = y_ph(max(p_lo, min(p_hi, level)))
             parts.append(_el("circle", class_=f"marker-{cp.kind}", cx=x_of(cp.f_hz), cy=cy, r=4))
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, f"0 0 {width} {height}", _BODE_STYLE, parts)
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,63 @@ class TestUnitFitsRole:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestSequenceTags:
+    """Impedances tagged with two different sequences are refused at align;
+    ``untagged`` goes with any one tag."""
+
+    @staticmethod
+    def tagged(compliant_dir, d, tags) -> dict:
+        """compliant-A's tables with ``# sequence=TAG`` put first, by role; None leaves a
+        table untagged."""
+        d.mkdir()
+        paths = {}
+        for (role, src), tag in zip(compliant_dir.items(), tags):
+            paths[role] = d / src.name
+            head = b"" if tag is None else f"# sequence={tag}\n".encode()
+            paths[role].write_bytes(head + src.read_bytes())
+        return paths
+
+    @pytest.mark.parametrize("tags", [
+        ("positive", "negative", None),
+        ("positive", "positive", "negative"),
+        (None, "negative", "positive"),
+    ])
+    def test_two_tags_exit_2_at_align(self, compliant_dir, tmp_path, capsys, tags):
+        paths = self.tagged(compliant_dir, tmp_path / "in", tags)
+        assert main(check_args(paths, tmp_path / "out")) == 2
+        named = ", ".join(f"{role}={tag or 'untagged'}" for role, tag in zip(paths, tags))
+        assert capsys.readouterr() == (
+            "", f"error [stage=align] impedances carry different sequence tags: {named}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_loopgain_refuses_two_tags(self, compliant_dir, tmp_path, capsys):
+        paths = self.tagged(compliant_dir, tmp_path / "in", ("negative", "positive", None))
+        args = ["loopgain", "--z-net", str(paths["z_net_old"]),
+                "--z-ppm", str(paths["z_ppm_existing"]), "--out", str(tmp_path / "l.csv")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == ("error [stage=align] impedances carry different "
+                                           "sequence tags: z_ppm_existing=negative, "
+                                           "z_net_old=positive\n")
+
+    @pytest.mark.parametrize("tags", [
+        ("positive", None, "positive"),
+        (None, "negative", None),
+        ("negative", "negative", "negative"),
+    ])
+    def test_one_tag_with_untagged_is_assessed(self, compliant_dir, tmp_path, capsys, tags):
+        def report(paths, out):
+            code = main(check_args(paths, out))
+            obj = json.loads((out / "report.json").read_bytes())
+            return code, obj["inputs"].pop("sequence"), obj
+
+        code, _, base = report(compliant_dir, tmp_path / "base")
+        paths = self.tagged(compliant_dir, tmp_path / "in", tags)
+        got_code, sequence, got = report(paths, tmp_path / "out")
+        assert (got_code, got) == (code, base)
+        assert sequence == {role: tag or "untagged" for role, tag in zip(paths, tags)}
+
+
 class TestSubcommands:
     def test_loopgain_roundtrip(self, compliant_dir, tmp_path):
         out = tmp_path / "lg.csv"

@@ -7,8 +7,9 @@ its inputs under ``../in``: the bundled cases ``compliant-A``,
 of those with curves, L_old and L_new loop-gain files, and one network
 file. Three more cases hold ``compliant-A``'s inputs in other forms:
 ``regrid`` (each network on a grid of its own, so ``check`` resamples),
-``polar`` (the existing plant as a ``freq_hz,mag_ohm,phase_deg`` table)
-and ``bom`` (that file behind a UTF-8 byte-order mark).
+``polar`` (the existing plant as a ``freq_hz,mag_ohm,phase_deg`` table),
+``bom`` (that file behind a UTF-8 byte-order mark) and ``tagged`` (the
+existing plant tagged ``positive``, the network ``negative``).
 ``golden_cli.json`` pins, for each run, the exit code, stdout, stderr and
 the SHA-256 digest of every file the run writes. A change that alters any
 of them must say why and edit that run's row. A case gives the same bytes
@@ -90,6 +91,9 @@ RUNS = {
        for f in ("0", "inf")},
     "check-z-ppm-is-a-loop-gain": ["check", "--z-ppm", "../in/compliant-A/l_old.csv",
                                    *_check("compliant-A")[3:]],
+    "check-sequence-tags-disagree": _check("tagged"),
+    "loopgain-sequence-tags-disagree": ["loopgain", "--z-net", _files("tagged")[1],
+                                        "--z-ppm", _files("tagged")[0], "--out", "l.csv"],
     **{f"loopgain-{c}": ["loopgain", "--z-net", _files(c)[1], "--z-ppm", _files(c)[0],
                          "--out", "l.csv"] for c in (*BUNDLED_CASES, "seed-0")},
     **{f"margins-{c}": ["margins", "--loop-gain", f"../in/{c}/l_old.csv"] for c in CURVE_CASES},
@@ -174,8 +178,11 @@ def write_inputs(d: Path) -> None:
              log_grid(10.0, 5000.0, 1000))
     for role, tree, label, grid in zip(ROLES, base, CASE_LABELS, grids):
         (d / "regrid" / f"{role}.csv").write_bytes(write_response(eval_network(tree, grid, label)))
-    for name in ("polar", "bom"):
+    for name in ("polar", "bom", "tagged"):
         shutil.copytree(d / "compliant-A", d / name)
+    for role, tag in zip(ROLES, ("positive", "negative")):
+        path = d / "tagged" / f"{role}.csv"
+        path.write_bytes(f"# sequence={tag}\n".encode() + path.read_bytes())
     z_ppm_csv = (d / "compliant-A" / f"{ROLES[0]}.csv").read_bytes()
     (d / "bom" / f"{ROLES[0]}.csv").write_bytes(b"\xef\xbb\xbf" + z_ppm_csv)
     z = parse_response(z_ppm_csv)

@@ -31,6 +31,12 @@ stay the same:
 * the ``#`` metadata lines of each table in reverse order.
 * the order of ``--format``.
 
+One more changes only the inputs' labels: every ``# label=`` line of the
+three tables rewritten, with ``|``, ``=`` and ``,`` in the new labels.
+The exit code, stdout, stderr and both charts must stay the same, and so
+must ``report.json`` without ``inputs.labels`` and ``report.md`` without
+its ``- labels:`` line.
+
 The bounds were measured on the cases below, never set to make a
 relation pass: over ``_SCALE_EXPONENTS`` the R1 magnitudes came within
 26.7 eps relative (golden seed 0 at m = -60), rounded up to 30 eps, and
@@ -242,3 +248,31 @@ def test_format_order(name, tmp_path):
     flags = write_tables(tmp_path / "in", case_curves(name))
     got = check(tmp_path / "a", flags, ",".join(reversed(ALL_FORMATS.split(","))))
     assert got == check(tmp_path / "b", flags)
+
+
+def relabelled(data: bytes) -> bytes:
+    """The table with its ``# label=`` line rewritten to a label holding ``|``, ``=`` and ``,``."""
+    assert data.count(b"# label=") == 1
+    return data.replace(b"# label=", b"# label=vendor | rev=2, ")
+
+
+def without_labels(files) -> tuple:
+    """The report files apart from their record of the input labels, and that record."""
+    report = json.loads(files["report.json"])
+    labels = report["inputs"].pop("labels")
+    md = files["report.md"].split(b"\n")
+    assert sum(line.startswith(b"- labels: ") for line in md) == 1
+    md = [line for line in md if not line.startswith(b"- labels: ")]
+    return report, md, files["nyquist.svg"], files["bode.svg"], labels
+
+
+@pytest.mark.parametrize("name", _CASES)
+def test_relabelled_inputs(name, tmp_path):
+    got_printed, got = check(tmp_path / "a", write_tables(tmp_path / "new", case_curves(name),
+                                                         relabelled))
+    printed, files = check(tmp_path / "b", write_tables(tmp_path / "written", case_curves(name)))
+    assert got_printed == printed and got.keys() == files.keys()
+    *got, got_labels = without_labels(got)
+    *base, labels = without_labels(files)
+    assert got == base
+    assert got_labels == {role: f"vendor | rev=2, {label}" for role, label in labels.items()}

@@ -19,7 +19,6 @@ from .errors import (
     SingularSensitivity,
     UnknownHeader,
     UnsupportedFormat,
-    ZeroDenominator,
     ZeroMagnitudeSample,
 )
 from .freqresp import (

@@ -25,7 +25,8 @@ from .freqresp import align, log_grid, parse_response, write_response
 from .loopgain import consistency_error, loop_gain, rho, update_loop_gain
 from .margins import MarginPolicy, decompose_margins, summarize_margins, worst_verdict
 from .netsynth import (
-    CASE_LABELS, _check_positive, eval_network, network_from_json, network_from_obj, random_case
+    CASE_LABELS, ROLES, _check_positive, eval_network, network_from_json, network_from_obj,
+    random_case,
 )
 from .regions import winding_number
 from .report import (
@@ -97,13 +98,13 @@ def _load_synth_case(path: Path):
     points = gspec["points"]
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise ValueError(f"grid 'points' must be a JSON integer >= 2, got {points!r}")
-    missing = [role for role in _fixtures.ROLES if role not in obj]
+    missing = [role for role in ROLES if role not in obj]
     if missing:
         raise ValueError(f"case file {str(path)!r} has no {' or '.join(missing)} network")
     grid = log_grid(float(gspec["start_hz"]), float(gspec["stop_hz"]), points)
     return tuple(
         eval_network(network_from_obj(obj[role]), grid, label=label)
-        for role, label in zip(_fixtures.ROLES, CASE_LABELS)
+        for role, label in zip(ROLES, CASE_LABELS)
     )
 
 
@@ -118,7 +119,7 @@ def _read(paths: dict) -> dict:
     with _stage("parse"):
         for role, path in paths.items():
             if role == "synth_case":
-                v.update(zip(_fixtures.ROLES, _load_synth_case(path)))
+                v.update(zip(ROLES, _load_synth_case(path)))
             elif role == "network":
                 v[role] = network_from_json(Path(path).read_bytes())
             elif role == "loop_gains":
@@ -135,7 +136,7 @@ def _parse_table(role: str, path: Path):
     """The table at ``path``, refused unless its header's unit fits its role: ohm for
     an impedance, dimensionless for a loop gain."""
     curve = parse_response(path.read_bytes())
-    want = "ohm" if role in _fixtures.ROLES else "dimensionless"
+    want = "ohm" if role in ROLES else "dimensionless"
     if curve.unit != want:
         raise UnknownHeader(f"{role} table {str(path)!r} has unit {curve.unit}, expected {want}")
     return curve
@@ -143,7 +144,7 @@ def _parse_table(role: str, path: Path):
 
 def _inputs_meta(curves, mode: str) -> dict:
     """The report's record of its three input curves, without their samples."""
-    by_role = dict(zip(_fixtures.ROLES, curves))
+    by_role = dict(zip(ROLES, curves))
     return {
         "labels": {role: c.label or role for role, c in by_role.items()},
         "sequence": {role: c.sequence for role, c in by_role.items()},
@@ -165,16 +166,18 @@ def _run(paths: dict, policy: MarginPolicy = MarginPolicy(), critical_freqs=None
     """
     v = _read(paths)
     full = "z_ppm_existing" in v and "z_ppm_new" in v
-    if "z_ppm_existing" in v:  # the impedances are combined point by point
-        roles = [role for role in _fixtures.ROLES if role in v]
-        with _stage("align"):
-            tags = ", ".join(f"{role}={v[role].sequence}" for role in roles)
-            if len({v[role].sequence for role in roles} - {"untagged"}) > 1:  # untagged mixes
-                raise InconsistentInputs(f"impedances carry different sequence tags: {tags}")
-            v.update(zip(roles, align([v[role] for role in roles])))
-        if full:
-            mode = "detected-crossovers" if critical_freqs is None else "operator-specified"
-            v["inputs"] = _inputs_meta([v[role] for role in roles], mode)
+    # the curves combined point by point: the impedances, and the L_old of a limit run
+    combined = [role for role in ("l_old", *ROLES) if role in v]
+    with _stage("align"):
+        tags = ", ".join(f"{role}={v[role].sequence}" for role in combined)
+        if len({v[role].sequence for role in combined} - {"untagged"}) > 1:  # untagged mixes
+            raise InconsistentInputs(f"impedances carry different sequence tags: {tags}")
+        if "z_ppm_existing" in v:  # then L_old is built below, and no L_old file is read
+            v.update(zip(combined, align([v[role] for role in combined])))
+    if full:
+        mode = "detected-crossovers" if critical_freqs is None else "operator-specified"
+        v["inputs"] = _inputs_meta([v[role] for role in ROLES], mode)
+    if "z_ppm_existing" in v:
         with _stage("loopgain"):
             label = "L_old" if full else "L"
             v["l_old"] = loop_gain(v["z_net_old"], v["z_ppm_existing"], label=label).response
@@ -229,7 +232,7 @@ def run_assessment(cfg: RunConfig) -> tuple[AssessmentReport, int]:
 
     Failures raise ``StageFailure`` naming the failing stage (exit 2 in ``main``).
     """
-    roles = ("synth_case",) if cfg.synth_case is not None else _fixtures.ROLES
+    roles = ("synth_case",) if cfg.synth_case is not None else ROLES
     report = _run({r: getattr(cfg, r) for r in roles}, cfg.policy, cfg.critical_freqs)["report"]
     return report, _EXIT_BY_VERDICT[report.overall_verdict]
 
@@ -399,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args) -> int:
     with _stage("config"):
         files = (args.z_ppm, args.z_net_old, args.z_ppm_new, args.synth)
-        roles = (*_fixtures.ROLES, "synth_case")
+        roles = (*ROLES, "synth_case")
         cfg = RunConfig(**{role: Path(f) for role, f in zip(roles, files) if f},
                         policy=args.policy, critical_freqs=args.critical_freqs)
     report, _ = run_assessment(cfg)
@@ -491,9 +494,9 @@ def _cmd_synth(args) -> int:
                 curves = random_case(args.seed, args.n_strings, args.span).responses()
         else:
             v = _read({"synth_case": args.case})
-            curves = [v[role] for role in _fixtures.ROLES]
+            curves = [v[role] for role in ROLES]
         out_dir = Path(args.out_dir)
-        files = {out_dir / f"{role}.csv": c for role, c in zip(_fixtures.ROLES, curves)}
+        files = {out_dir / f"{role}.csv": c for role, c in zip(ROLES, curves)}
     with _stage("io"):
         for path, curve in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)

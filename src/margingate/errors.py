@@ -36,7 +36,7 @@ class DisjointSpans(MarginGateError):
 
 
 class ZeroMagnitudeSample(MarginGateError):
-    """Operation needs log-magnitude or phase of a zero sample."""
+    """A curve has a zero sample where a log-magnitude, phase or quotient needs none."""
 
 
 # -- network synthesis -------------------------------------------------------
@@ -57,10 +57,6 @@ class GenerationFailed(MarginGateError):
 
 class GridMismatch(MarginGateError):
     """Pointwise operation on responses with different grids."""
-
-
-class ZeroDenominator(MarginGateError):
-    """Quotient denominator curve contains a zero sample."""
 
 
 class SingularSensitivity(MarginGateError):

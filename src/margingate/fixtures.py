@@ -24,6 +24,7 @@ from pathlib import Path
 from .freqresp import FrequencyGrid, FrequencyResponse, log_grid, write_response
 from .netsynth import (
     CASE_LABELS,
+    ROLES,
     Capacitor,
     Inductor,
     NetworkElement,
@@ -35,11 +36,9 @@ from .netsynth import (
     scale_network,
 )
 
-__all__ = ["BUNDLED_CASES", "ROLES", "bundled_grid", "bundled_case", "write_bundled_case"]
+__all__ = ["BUNDLED_CASES", "bundled_grid", "bundled_case", "write_bundled_case"]
 
 BUNDLED_CASES = ("compliant-A", "tableII-like", "invalid-header")
-# the study-case roles, in input order; each bundled file is <role>.csv
-ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 
 _GRID_SPAN = (10.0, 5000.0)
 _GRID_POINTS = 10000
@@ -82,7 +81,7 @@ def bundled_case(name: str) -> tuple[FrequencyResponse, FrequencyResponse, Frequ
 
 
 def write_bundled_case(name: str, out_dir) -> dict[str, Path]:
-    """Write a bundled case's input files; returns role -> path."""
+    """Write a bundled case's input files, each ``<role>.csv``; returns role -> path."""
     if name not in BUNDLED_CASES:
         raise ValueError(f"unknown bundled case {name!r}; choose from {BUNDLED_CASES}")
     out = Path(out_dir)

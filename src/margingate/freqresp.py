@@ -124,12 +124,11 @@ def _held(given, dtype) -> np.ndarray:
     return _frozen(a)
 
 
-def _require_nonzero(z: np.ndarray) -> None:
-    """Raise ``ZeroMagnitudeSample`` if any value of ``z`` is zero."""
+def _require_nonzero(z: np.ndarray, name: str = "curve") -> None:
+    """Raise ``ZeroMagnitudeSample``, naming ``name``, if any value of ``z`` is zero:
+    the one guard of log-magnitudes, phases and quotient denominators."""
     if not z.all():
-        raise ZeroMagnitudeSample(
-            "curve has a zero-magnitude sample; log interpolation undefined"
-        )
+        raise ZeroMagnitudeSample(f"{name} has a zero sample")
 
 
 def _require_finite(z: np.ndarray) -> None:
@@ -234,17 +233,6 @@ class FrequencyResponse:
 
     __eq__ = _fields_equal
     __hash__ = None
-
-    def with_samples(
-        self, samples, unit: str | None = None, label: str | None = None
-    ) -> "FrequencyResponse":
-        """Same grid and metadata, new sample values."""
-        return replace(
-            self,
-            samples=samples,
-            unit=self.unit if unit is None else unit,
-            label=self.label if label is None else label,
-        )
 
 
 # ---------------------------------------------------------------------------

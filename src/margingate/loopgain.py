@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, MarginGateError, SingularSensitivity, ZeroDenominator
-from .freqresp import FrequencyResponse, _blocks, _frozen, _require_finite
+from .errors import GridMismatch, MarginGateError, SingularSensitivity
+from .freqresp import FrequencyResponse, _blocks, _frozen, _require_finite, _require_nonzero
 from .netsynth import par
 
 __all__ = [
@@ -40,11 +40,6 @@ class LoopGain:
 def _require_same_grid(a: FrequencyResponse, b: FrequencyResponse) -> None:
     if a.grid != b.grid:
         raise GridMismatch("curves are not on a common grid; align() first")
-
-
-def _require_nonzero(den: np.ndarray, den_name: str) -> None:
-    if np.any(den == 0):
-        raise ZeroDenominator(f"{den_name} has a zero sample")
 
 
 def _derived(a: FrequencyResponse, b: FrequencyResponse, samples, label: str) -> FrequencyResponse:
@@ -92,9 +87,7 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
     """
     memo = ratio.__dict__
     if "_one_plus" not in memo:
-        memo["_one_plus"] = ratio.with_samples(
-            _frozen(1.0 + ratio.samples), unit="dimensionless", label="1+rho"
-        )
+        memo["_one_plus"] = _derived(ratio, ratio, 1.0 + ratio.samples, "1+rho")
     return memo["_one_plus"]
 
 

@@ -88,8 +88,8 @@ class MarginPolicy:
                 "need 0 < pm_min_deg <= pm_cau_deg < 180, got "
                 f"({self.pm_min_deg}, {self.pm_cau_deg})"
             )
-        if not (self.gm_min_db >= 0.0):
-            raise ValueError(f"gm_min_db must be >= 0, got {self.gm_min_db}")
+        if not (0.0 <= self.gm_min_db < math.inf):
+            raise ValueError(f"gm_min_db must be >= 0 and finite, got {self.gm_min_db}")
 
     @property
     def gm_circle_radius(self) -> float:

@@ -36,6 +36,7 @@ __all__ = [
     "Thevenin",
     "Series",
     "Parallel",
+    "ROLES",
     "CASE_LABELS",
     "CaseFixture",
     "eval_network",
@@ -416,7 +417,8 @@ def network_from_json(data: bytes) -> NetworkElement:
 # random fixtures
 # ---------------------------------------------------------------------------
 
-# the curve labels of a study case's three networks, in CaseFixture's order
+# a study case's three roles, in input order, and the curve label of each
+ROLES = ("z_ppm_existing", "z_net_old", "z_ppm_new")
 CASE_LABELS = ("Z_ppm_existing", "Z_net_old", "Z_ppm_new")
 
 

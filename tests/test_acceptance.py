@@ -6,6 +6,7 @@ oracles: closed-form crossover algebra, Routh arrays, arithmetic on the
 published validation-table rows.
 """
 import contextlib
+import dataclasses
 import json
 import math
 import time
@@ -93,13 +94,13 @@ def test_criterion_3_limiting_cases():
     with criterion(3, "open/short-circuit scaling limits of the new plant"):
         for seed in range(N_FIXTURES):
             _, z_net, z_new, l_old, _ = fixture_curves(seed)
-            huge = z_new.with_samples(1e9 * z_new.samples)
+            huge = dataclasses.replace(z_new, samples=1e9 * z_new.samples)
             l_open = update_loop_gain(l_old, rho(z_net, huge)).response
             dev = np.max(
                 np.abs(l_open.samples - l_old.samples) / np.abs(l_old.samples)
             )
             assert dev < 1e-6, f"seed {seed}: open-circuit deviation {dev}"
-            tiny = z_new.with_samples(1e-9 * z_new.samples)
+            tiny = dataclasses.replace(z_new, samples=1e-9 * z_new.samples)
             l_short = update_loop_gain(l_old, rho(z_net, tiny)).response
             ratio_mag = np.max(np.abs(l_short.samples) / np.abs(l_old.samples))
             assert ratio_mag < 1e-6, f"seed {seed}: short-circuit ratio {ratio_mag}"

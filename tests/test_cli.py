@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -153,7 +154,8 @@ class TestExitCodes:
         for role, path in compliant_dir.items():
             curve = parse_response(path.read_bytes())
             paths[role] = tmp_path / path.name
-            paths[role].write_bytes(write_response(curve.with_samples(curve.samples * 2.0**exp2)))
+            scaled = dataclasses.replace(curve, samples=curve.samples * 2.0**exp2)
+            paths[role].write_bytes(write_response(scaled))
         assert main(check_args(paths, tmp_path / "out")) == code
         err = capsys.readouterr().err
         if code == 2:
@@ -264,6 +266,7 @@ class TestExitCodes:
         ("synth --network --span 5000:10",
          "span must be lo:hi with 0 < lo < hi Hz, got '5000:10'"),
         ("synth --seed -1", "--seed must be >= 0, got -1"),
+        ("check --gm-min-db inf", "gm_min_db must be >= 0 and finite, got inf"),
     ])
     def test_config_error_is_one_stderr_line(self, compliant_dir, tmp_path, capsys,
                                              command, message):
@@ -289,6 +292,7 @@ class TestExitCodes:
             "synth --span 5000:10": [*seed, "--span", "5000:10"],
             "synth --network --span 5000:10": [*network, "--span", "5000:10"],
             "synth --seed -1": ["synth", "--seed", "-1", "--out-dir", str(tmp_path)],
+            "check --gm-min-db inf": check_args(missing, tmp_path, "--gm-min-db", "inf"),
         }[command]
         assert main(args) == 2
         assert capsys.readouterr() == ("", f"error [stage=config] {message}\n")
@@ -405,7 +409,7 @@ class TestCancellingPlant:
         for role, curve in (
             ("z_ppm_existing", z_ppm),
             ("z_net_old", z_net),
-            ("z_ppm_new", z_new.with_samples(samples)),
+            ("z_ppm_new", dataclasses.replace(z_new, samples=samples)),
         ):
             paths[role] = tmp_path / f"{role}.csv"
             paths[role].write_bytes(write_response(curve))
@@ -444,7 +448,7 @@ class TestRunConfig:
     def test_critical_freq_not_positive_and_finite_refused(self, tmp_path, mode, freq):
         # the CLI's rule and message, given before any input is read: none exists
         missing = tmp_path / "missing.csv"
-        inputs = ({role: missing for role in fixtures.ROLES} if mode == "files"
+        inputs = ({role: missing for role in netsynth.ROLES} if mode == "files"
                   else {"synth_case": tmp_path / "missing.json"})
         with pytest.raises(ValueError) as exc:
             RunConfig(**inputs, critical_freqs=(150.0, freq))
@@ -466,8 +470,8 @@ class TestRunConfig:
     def test_unlabelled_inputs_report_their_roles(self, tmp_path):
         # a file without a label comment is named by its role; a labelled one keeps its label
         z_ppm, z_net, z_new = bundled_case("compliant-A")
-        curves = (z_ppm.with_samples(z_ppm.samples, label=""), z_net,
-                  z_new.with_samples(z_new.samples, label=""))
+        curves = (dataclasses.replace(z_ppm, samples=z_ppm.samples, label=""), z_net,
+                  dataclasses.replace(z_new, samples=z_new.samples, label=""))
         paths = {role: tmp_path / f"{role}.csv" for role in ROLES}
         for path, curve in zip(paths.values(), curves):
             path.write_bytes(write_response(curve))
@@ -584,8 +588,8 @@ class TestUnitFitsRole:
 
 
 class TestSequenceTags:
-    """Impedances tagged with two different sequences are refused at align;
-    ``untagged`` goes with any one tag."""
+    """Curves combined point by point and tagged with two different sequences are refused
+    at align: the impedances, and a limit run's L_old; ``untagged`` goes with any one tag."""
 
     @staticmethod
     def tagged(compliant_dir, d, tags) -> dict:
@@ -638,6 +642,69 @@ class TestSequenceTags:
         got_code, sequence, got = report(paths, tmp_path / "out")
         assert (got_code, got) == (code, base)
         assert sequence == {role: tag or "untagged" for role, tag in zip(paths, tags)}
+
+    @pytest.fixture(scope="class")
+    def limit_dir(self, compliant_dir, tmp_path_factory):
+        """compliant-A's untagged L_old, Z_net,old and Z_new, by their roles in ``limit``."""
+        l_old = tmp_path_factory.mktemp("limit") / "l_old.csv"
+        assert main(["loopgain", "--z-net", str(compliant_dir["z_net_old"]),
+                     "--z-ppm", str(compliant_dir["z_ppm_existing"]), "--out", str(l_old)]) == 0
+        return {"l_old": l_old, **{r: compliant_dir[r] for r in ("z_net_old", "z_ppm_new")}}
+
+    @staticmethod
+    def limit(paths, *extra) -> list[str]:
+        z_new = ["--z-new", str(paths["z_ppm_new"])] if "z_ppm_new" in paths else []
+        return ["limit", "--l-old", str(paths["l_old"]), "--z-net-old", str(paths["z_net_old"]),
+                "--critical-freqs", "150,500", *z_new, *extra]
+
+    @pytest.mark.parametrize("tags", [
+        ("positive", "negative", None),
+        (None, "positive", "negative"),
+        ("negative", None, "positive"),
+        ("positive", "negative"),  # no --z-new
+    ])
+    def test_limit_refuses_two_tags(self, limit_dir, tmp_path, capsys, tags):
+        paths = self.tagged(limit_dir, tmp_path / "in", tags)
+        capsys.readouterr()
+        assert main(self.limit(paths, "--out", str(tmp_path / "limit.csv"))) == 2
+        named = ", ".join(f"{role}={tag or 'untagged'}" for role, tag in zip(paths, tags))
+        assert capsys.readouterr() == (
+            "", f"error [stage=align] impedances carry different sequence tags: {named}\n"
+        )
+        assert not (tmp_path / "limit.csv").exists()
+
+    @pytest.mark.parametrize("tags", [
+        ("positive", None, None),
+        (None, "negative", "negative"),
+        ("positive", "positive", "positive"),
+        ("negative", "negative"),  # no --z-new
+    ])
+    def test_limit_one_tag_with_untagged_gives_the_untagged_table(
+        self, limit_dir, tmp_path, capsys, tags
+    ):
+        capsys.readouterr()
+        untagged = dict(list(limit_dir.items())[:len(tags)])
+        want = main(self.limit(untagged)), capsys.readouterr()
+        assert (main(self.limit(self.tagged(limit_dir, tmp_path / "in", tags))),
+                capsys.readouterr()) == want
+
+    def test_curves_not_combined_keep_any_tag(self, limit_dir, tmp_path, capsys):
+        # a --detect-from file only supplies frequencies, and the loop gains of margins
+        # and nyquist are never combined, so their tags are not compared
+        l_old = self.tagged({"a": limit_dir["l_old"]}, tmp_path / "a", ("positive",))["a"]
+        l_neg = self.tagged({"b": limit_dir["l_old"]}, tmp_path / "b", ("negative",))["b"]
+
+        def limit(l_old, detect_from):
+            return ["limit", "--l-old", str(l_old), "--z-net-old", str(limit_dir["z_net_old"]),
+                    "--detect-from", str(detect_from)]
+        capsys.readouterr()
+        want = main(limit(limit_dir["l_old"], limit_dir["l_old"])), capsys.readouterr()
+        assert want[0] == 0
+        assert (main(limit(l_old, l_neg)), capsys.readouterr()) == want
+        assert main(["nyquist", "--loop-gain", str(l_old), "--loop-gain", str(l_neg),
+                     "--out", str(tmp_path / "ny.svg")]) == 0
+        assert main(["margins", "--loop-gain", str(l_neg)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSubcommands:
@@ -779,7 +846,7 @@ class TestSubcommands:
         for role, label in zip(ROLES, netsynth.CASE_LABELS):
             resp = parse_response((out_dir / f"{role}.csv").read_bytes())
             assert resp.label == label
-            assert resp == expected.with_samples(expected.samples, label=label)
+            assert resp == dataclasses.replace(expected, samples=expected.samples, label=label)
         assert capsys.readouterr().out.splitlines() == [
             f"wrote {out_dir / role}.csv" for role in ROLES
         ]
@@ -945,7 +1012,7 @@ class TestVerdictTable:
     ])
     def test_one_stderr_line_per_violating_check(self, tmp_path, capsys, case, extra, violating):
         paths = {}
-        for role, curve in zip(fixtures.ROLES, case_curves(case)):
+        for role, curve in zip(netsynth.ROLES, case_curves(case)):
             paths[role] = tmp_path / f"{role}.csv"
             paths[role].write_bytes(write_response(curve))
         code = main(check_args(paths, tmp_path / "out", *extra))

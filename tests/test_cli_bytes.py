@@ -8,8 +8,10 @@ of those with curves, L_old and L_new loop-gain files, and one network
 file. Three more cases hold ``compliant-A``'s inputs in other forms:
 ``regrid`` (each network on a grid of its own, so ``check`` resamples),
 ``polar`` (the existing plant as a ``freq_hz,mag_ohm,phase_deg`` table),
-``bom`` (that file behind a UTF-8 byte-order mark) and ``tagged`` (the
-existing plant tagged ``positive``, the network ``negative``).
+``bom`` (that file behind a UTF-8 byte-order mark), ``tagged`` (the
+existing plant and ``compliant-A``'s L_old tagged ``positive``, the
+network ``negative``) and ``zero-sample`` (the existing plant with one
+sample of 0 ohm).
 ``golden_cli.json`` pins, for each run, the exit code, stdout, stderr and
 the SHA-256 digest of every file the run writes. A change that alters any
 of them must say why and edit that run's row. A case gives the same bytes
@@ -37,7 +39,6 @@ from margingate.cli import RunConfig, main, run_assessment
 from margingate.fixtures import (
     _TABLEII_SCALE,
     BUNDLED_CASES,
-    ROLES,
     _base_networks,
     write_bundled_case,
 )
@@ -45,6 +46,7 @@ from margingate.freqresp import log_grid, parse_response, write_response
 from margingate.loopgain import loop_gain
 from margingate.netsynth import (
     CASE_LABELS,
+    ROLES,
     eval_network,
     network_to_json,
     network_to_obj,
@@ -87,11 +89,13 @@ RUNS = {
                                       "--critical-freqs", "3000"),
     "check-empty-critical-freqs": _check("tableII-like", "--critical-freqs", ","),
     "check-empty-format": _check("tableII-like", "--format", ","),
+    "check-gm-min-db-inf": _check("compliant-A", "--gm-min-db", "inf"),
     **{f"check-critical-freqs-{f}": _check("compliant-A", "--critical-freqs", f)
        for f in ("0", "inf")},
     "check-z-ppm-is-a-loop-gain": ["check", "--z-ppm", "../in/compliant-A/l_old.csv",
                                    *_check("compliant-A")[3:]],
     "check-sequence-tags-disagree": _check("tagged"),
+    "check-z-ppm-zero-sample": _check("zero-sample"),
     "loopgain-sequence-tags-disagree": ["loopgain", "--z-net", _files("tagged")[1],
                                         "--z-ppm", _files("tagged")[0], "--out", "l.csv"],
     **{f"loopgain-{c}": ["loopgain", "--z-net", _files(c)[1], "--z-ppm", _files(c)[0],
@@ -118,6 +122,8 @@ RUNS = {
     "limit-critical-freqs-comma": _limit("compliant-A", "--critical-freqs", ","),
     "limit-critical-freqs-abc": _limit("compliant-A", "--critical-freqs", "abc"),
     "limit-critical-freqs-nan": _limit("compliant-A", "--critical-freqs", "nan"),
+    "limit-sequence-tags-disagree": _limit("tagged", "--critical-freqs", "150",
+                                           *_z_new("tagged")),
     "limit-units-swapped": ["limit", "--l-old", _files("compliant-A")[1],
                             "--z-net-old", "../in/compliant-A/l_old.csv", "--critical-freqs", "150"],
     "limit-critical-freqs-comma-missing-l-old": [
@@ -178,13 +184,16 @@ def write_inputs(d: Path) -> None:
              log_grid(10.0, 5000.0, 1000))
     for role, tree, label, grid in zip(ROLES, base, CASE_LABELS, grids):
         (d / "regrid" / f"{role}.csv").write_bytes(write_response(eval_network(tree, grid, label)))
-    for name in ("polar", "bom", "tagged"):
+    for name in ("polar", "bom", "tagged", "zero-sample"):
         shutil.copytree(d / "compliant-A", d / name)
     for role, tag in zip(ROLES, ("positive", "negative")):
         path = d / "tagged" / f"{role}.csv"
         path.write_bytes(f"# sequence={tag}\n".encode() + path.read_bytes())
     z_ppm_csv = (d / "compliant-A" / f"{ROLES[0]}.csv").read_bytes()
     (d / "bom" / f"{ROLES[0]}.csv").write_bytes(b"\xef\xbb\xbf" + z_ppm_csv)
+    rows = z_ppm_csv.decode().split("\n")  # a label line and the header, then data rows
+    rows[100] = rows[100].split(",")[0] + ",0,0"
+    (d / "zero-sample" / f"{ROLES[0]}.csv").write_text("\n".join(rows))
     z = parse_response(z_ppm_csv)
     rows = zip(z.grid.points, np.abs(z.samples), np.degrees(np.angle(z.samples)))
     table = [f"# label={z.label}", "freq_hz,mag_ohm,phase_deg",
@@ -197,6 +206,8 @@ def write_inputs(d: Path) -> None:
         (d / name / "l_old.csv").write_bytes(write_response(l_old))
         report, _ = run_assessment(RunConfig(**paths))
         (d / name / "l_new.csv").write_bytes(write_response(report.curves[1][1]))
+    l_old_csv = (d / "compliant-A" / "l_old.csv").read_bytes()
+    (d / "tagged" / "l_old.csv").write_bytes(b"# sequence=positive\n" + l_old_csv)
 
 
 def run(base: Path, run_id: str) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from dataclasses import fields
@@ -312,7 +313,9 @@ class TestValueAt:
 
     def test_stages_keep_no_state_on_curves(self):
         # fresh curves, since the bundled ones are shared within the process
-        z_ppm, z_net, z_new = (c.with_samples(c.samples) for c in bundled_case("compliant-A"))
+        z_ppm, z_net, z_new = (
+            dataclasses.replace(c, samples=c.samples) for c in bundled_case("compliant-A")
+        )
         l_old = loop_gain(z_net, z_ppm).response
         ratio = rho(z_net, z_new)
         l_new = update_loop_gain(l_old, ratio).response
@@ -340,7 +343,7 @@ class TestValueAt:
         with pytest.raises(ZeroMagnitudeSample):
             values_at(r, [1.5, 3.0])
         with pytest.raises(ZeroMagnitudeSample):
-            find_crossovers(r.with_samples(r.samples, unit="dimensionless"), "gain")
+            find_crossovers(dataclasses.replace(r, samples=r.samples, unit="dimensionless"), "gain")
 
     def test_vectorized_matches_scalar(self):
         g = log_grid(1, 1000, 50)
@@ -423,7 +426,7 @@ class TestOwnership:
             ("update_loop_gain", [update_loop_gain(l_old, ratio).response],
              given + [l_old.samples, ratio.samples]),
             ("one_plus", [one_plus(ratio)], given + [ratio.samples]),
-            ("with_samples", [z_net.with_samples(caller)], given + [caller]),
+            ("replace", [dataclasses.replace(z_net, samples=caller)], given + [caller]),
             ("align", align([z_net, other]),
              given + [other.grid.points, other.samples]),
             ("parse_response rect", [parse_response(rect)], [np.frombuffer(rect, np.uint8)]),

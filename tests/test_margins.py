@@ -1,3 +1,4 @@
+import dataclasses
 import cmath
 import math
 
@@ -297,8 +298,8 @@ class TestSummarize:
         )
         l_a = loop_gain(z_net, z_ppm).response
         l_b = loop_gain(
-            z_net.with_samples(z_net.samples * common.samples),
-            z_ppm.with_samples(z_ppm.samples * common.samples),
+            dataclasses.replace(z_net, samples=z_net.samples * common.samples),
+            dataclasses.replace(z_ppm, samples=z_ppm.samples * common.samples),
         ).response
         s_a = summarize_margins(l_a, POLICY)
         s_b = summarize_margins(l_b, POLICY)

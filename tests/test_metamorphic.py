@@ -56,9 +56,9 @@ import numpy as np
 import pytest
 
 from margingate.cli import RunConfig, main, run_assessment
-from margingate.fixtures import _TABLEII_SCALE, ROLES
+from margingate.fixtures import _TABLEII_SCALE
 from margingate.freqresp import FrequencyGrid, values_at, write_response
-from margingate.netsynth import network_to_obj, scale_network
+from margingate.netsynth import ROLES, network_to_obj, scale_network
 from margingate.report import render
 
 from test_golden import case_curves, case_networks
@@ -108,7 +108,7 @@ def test_r1_impedance_scale(name, tmp_path):
     assert any(keyed(p, _SCALED_KEYS) and v is not None for p, v in base.items())
     for m in _SCALE_EXPONENTS:
         k = 2.0**m
-        scaled = [c.with_samples(c.samples * k) for c in case_curves(name)]
+        scaled = [dataclasses.replace(c, samples=c.samples * k) for c in case_curves(name)]
         got, got_code = assess(scaled, tmp_path / f"m{m}")
         assert got_code == code and got.keys() == base.keys()
         for path, v in base.items():

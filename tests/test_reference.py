@@ -908,8 +908,8 @@ def whole_grid_consistency_error(l_direct, l_factored) -> float:
 
 def whole_grid_direct_check(z_net, z_ppm, z_new, l_factored) -> float:
     """The direct loop gain built on the whole grid, then compared."""
-    z_net_new = z_net.with_samples(
-        par(z_net.samples, z_new.samples, z_net.grid.points), label="z_net_new"
+    z_net_new = dataclasses.replace(
+        z_net, samples=par(z_net.samples, z_new.samples, z_net.grid.points), label="z_net_new"
     )
     l_direct = loop_gain(z_net_new, z_ppm, label="L_new_direct").response
     return whole_grid_consistency_error(l_direct, l_factored)
@@ -924,7 +924,7 @@ def whole_grid_update(l_old, ratio) -> FrequencyResponse:
     place, once the temporary reaches 256 KiB (16,384 complex samples).
     """
     inv = 1.0 / (1.0 + ratio.samples)
-    return l_old.with_samples(np.multiply(l_old.samples, inv), label="L_new")
+    return dataclasses.replace(l_old, samples=np.multiply(l_old.samples, inv), label="L_new")
 
 
 @pytest.mark.parametrize("grid", _BLOCK_GRIDS, ids=len)
@@ -1061,12 +1061,12 @@ def test_singular_parallel_in_the_last_block_raises_like_whole_grid(grid):
     z_net = FrequencyResponse(grid, rng.uniform(1, 2, n) * np.exp(1j * rng.uniform(-1, 1, n)))
     z_new = -z_net.samples
     z_new[:-1] = rng.uniform(1, 2, n - 1)
-    z_new = z_net.with_samples(z_new)
+    z_new = dataclasses.replace(z_net, samples=z_new)
     l_fact = FrequencyResponse(grid, np.ones(n, complex), unit="dimensionless")
-    ones = z_net.with_samples(np.ones(n, complex))
+    ones = dataclasses.replace(z_net, samples=np.ones(n, complex))
     # a second fault in the first block: a zero PPM sample, which the
     # whole-grid chain meets after the singular parallel combination
-    holed = ones.with_samples(np.where(np.arange(n) == 3, 0j, 1 + 0j))
+    holed = dataclasses.replace(ones, samples=np.where(np.arange(n) == 3, 0j, 1 + 0j))
     for z_ppm in (ones, holed):
         curves = (z_net, z_ppm, z_new, l_fact)
         got = consistency_outcome(consistency_error, *curves)

@@ -1,3 +1,4 @@
+import dataclasses
 import cmath
 import math
 
@@ -118,7 +119,7 @@ class TestWinding:
         # conjugating flips orientation; reversed traversal flips it back,
         # so conj + reversal leaves the winding equal
         l = three_pole(10.0, 100.0, grid_2k)
-        mirrored = l.with_samples(np.conj(l.samples))
+        mirrored = dataclasses.replace(l, samples=np.conj(l.samples))
         assert -winding_number(mirrored).winding == winding_number(l).winding
 
     def test_inside_unit_circle_is_zero(self):

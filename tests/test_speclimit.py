@@ -75,6 +75,10 @@ class TestPolicy:
             MarginPolicy(15.0, 180.0, 15.0)
         with pytest.raises(ValueError):
             MarginPolicy(15.0, 30.0, -1.0)
+        # an infinite floor would run every stage and then fail to write report.json
+        for gm in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"gm_min_db must be >= 0 and finite, got {gm}"):
+                MarginPolicy(gm_min_db=gm)
 
     def test_gm_circle_radius(self):
         assert MarginPolicy().gm_circle_radius == pytest.approx(

@@ -29,7 +29,6 @@ from .freqresp import (
     parse_response,
     unwrap_phase,
     value_at,
-    values_at,
     write_response,
 )
 from .loopgain import (
@@ -80,7 +79,6 @@ from .speclimit import (
     check_compliance,
     impedance_limit,
     limit_curve,
-    pm_old_at,
 )
 
 __version__ = "0.1.0"

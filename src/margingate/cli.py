@@ -171,7 +171,7 @@ def _run(paths: dict, policy: MarginPolicy = MarginPolicy(), critical_freqs=None
     with _stage("align"):
         tags = ", ".join(f"{role}={v[role].sequence}" for role in combined)
         if len({v[role].sequence for role in combined} - {"untagged"}) > 1:  # untagged mixes
-            raise InconsistentInputs(f"impedances carry different sequence tags: {tags}")
+            raise InconsistentInputs(f"curves carry different sequence tags: {tags}")
         if "z_ppm_existing" in v:  # then L_old is built below, and no L_old file is read
             v.update(zip(combined, align([v[role] for role in combined])))
     if full:
@@ -195,10 +195,8 @@ def _run(paths: dict, policy: MarginPolicy = MarginPolicy(), critical_freqs=None
 
     if full:
         with _stage("decompose"):
-            v["decompositions"] = tuple(
-                decompose_margins(v["l_old"], v["ratio"], cp.f_hz, cp.kind)
-                for cp in v["summaries"][-1].crossovers
-            )
+            points = [(cp.f_hz, cp.kind) for cp in v["summaries"][-1].crossovers]
+            v["decompositions"] = decompose_margins(v["l_old"], v["ratio"], points)
 
     if "l_old" in v and (critical_freqs or v["summaries"]):
         with _stage("limit"):

@@ -38,7 +38,6 @@ __all__ = [
     "parse_response",
     "write_response",
     "value_at",
-    "values_at",
     "align",
     "unwrap_phase",
     "normalize_deg",
@@ -373,29 +372,23 @@ def write_response(resp: FrequencyResponse) -> bytes:
 # interpolation
 # ---------------------------------------------------------------------------
 
-def value_at(resp: FrequencyResponse, f: float) -> complex:
-    """Evaluate the curve at ``f`` Hz.
+def value_at(resp: FrequencyResponse, freqs) -> np.ndarray:
+    """The curve read at each of ``freqs`` Hz, as a fresh complex array.
 
-    Returns the stored sample bit-for-bit when ``f`` is a grid point.
-    Between points, log-magnitude and phase are interpolated linearly in
-    log-frequency (Bode-plot behavior) and recombined; the phase runs from
-    the lower sample's principal phase by the step ``_phase_steps_deg``
-    takes to the upper one. No extrapolation: ``f`` outside the grid span
-    raises ``OutOfRange``.
-    """
-    return complex(values_at(resp, [f])[0])
+    A scalar frequency is taken as a one-element sequence. A grid point
+    returns its stored sample bit for bit. Between points, log-magnitude
+    and phase are interpolated linearly in log-frequency (Bode-plot
+    behavior) and recombined; the phase runs from the lower sample's
+    principal phase by the step ``_phase_steps_deg`` takes to the upper
+    one. No extrapolation: the first frequency outside the span (or NaN)
+    is named by ``OutOfRange``.
 
-
-def values_at(resp: FrequencyResponse, freqs) -> np.ndarray:
-    """Vectorized ``value_at``; the first frequency outside the span (or NaN) is named.
-
-    A scalar frequency is taken as a one-element sequence. Each frequency
-    reads only the two samples around it: the cost is O(K log N) for K
-    frequencies on N points, and only a zero-magnitude sample at either
-    end of a bracket that is interpolated raises ``ZeroMagnitudeSample``.
-    In exact arithmetic this is the interpolant on log|Z| and the
-    ``unwrap_phase`` series over log f, whose phase differs from the
-    bracket's by whole turns.
+    Each frequency reads only the two samples around it: the cost is
+    O(K log N) for K frequencies on N points, and only a zero-magnitude
+    sample at either end of a bracket that is interpolated raises
+    ``ZeroMagnitudeSample``. In exact arithmetic this is the interpolant on
+    log|Z| and the ``unwrap_phase`` series over log f, whose phase differs
+    from the bracket's by whole turns.
     """
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     g = resp.grid.points
@@ -473,7 +466,7 @@ def align(responses: list[FrequencyResponse]) -> list[FrequencyResponse]:
         if np.array_equal(r.grid.points, union):
             out.append(r)
         else:
-            out.append(replace(r, grid=target, samples=_frozen(values_at(r, union))))
+            out.append(replace(r, grid=target, samples=_frozen(value_at(r, union))))
     return out
 
 
@@ -484,7 +477,7 @@ def unwrap_phase(resp: FrequencyResponse) -> np.ndarray:
     value is chosen within +-180 deg of its predecessor by
     ``_phase_steps_deg``. This is the series the phase-crossover search
     solves on and the Bode chart draws; each call builds it afresh, and a
-    zero-magnitude sample raises ``ZeroMagnitudeSample``. ``values_at``
+    zero-magnitude sample raises ``ZeroMagnitudeSample``. ``value_at``
     reads the phase of the two samples around a frequency instead, which
     agrees with this series up to whole turns and the rounding its running
     sum carries.

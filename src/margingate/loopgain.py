@@ -81,7 +81,7 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
     Margin decomposition and the r = |1+rho| diagnostic must interpolate
     1+rho itself (not add 1 to interpolated rho) to stay consistent with
     the factored loop-gain curve between grid points. Built on first use
-    and kept on the (immutable) ratio: every decomposition and the limit
+    and kept on the (immutable) ratio: the decompositions and the limit
     curve share it. The loop-gain update forms 1+rho block by block and
     neither builds nor reads it.
     """

@@ -28,7 +28,6 @@ from .freqresp import (
     principal_angle_deg,
     unwrap_phase,
     value_at,
-    values_at,
 )
 from .loopgain import _SENSITIVITY_ATOL, one_plus
 
@@ -266,32 +265,38 @@ def find_crossovers(l: FrequencyResponse, kind: str) -> list[CrossoverPoint]:
         levels = [-180.0 + 360.0 * k for k in range(k_min, k_max + 1)]
 
     freqs = _merge_close(_detect_levels(y, levels, l.grid.points))
-    return [CrossoverPoint(kind, f, lv) for f, lv in zip(freqs, values_at(l, freqs).tolist())]
+    return [CrossoverPoint(kind, f, lv) for f, lv in zip(freqs, value_at(l, freqs).tolist())]
 
 
 def decompose_margins(
-    l_old: FrequencyResponse, ratio: FrequencyResponse, f: float, kind: str
-) -> MarginDecomposition:
-    """Margins at ``f`` expressed through the pre-connection loop gain.
+    l_old: FrequencyResponse, ratio: FrequencyResponse, points
+) -> tuple[MarginDecomposition, ...]:
+    """Margins at each ``(f_hz, kind)`` pair of the sequence ``points``
+    expressed through the pre-connection loop gain, in the order given.
 
-    Interpolates L_old and the curve 1+rho at ``f`` and stores the terms;
-    the identities against the direct computation on L_new hold to float
-    rounding. The stored pm_old_newgc does not assume |L_old| = 1 at ``f``.
+    Reads L_old and the curve 1+rho once each, at every frequency (the
+    first one outside the span raises ``OutOfRange``), then checks each
+    point's kind and |1+rho| in order and stores its terms; the identities
+    against the direct computation on L_new hold to float rounding. The
+    stored pm_old_newgc does not assume |L_old| = 1 at a point.
     """
-    if kind not in ("gain", "phase"):
-        raise ValueError(f"kind must be gain or phase, got {kind!r}")
-    l_o = value_at(l_old, f)          # OutOfRange if f outside span
-    opr = value_at(one_plus(ratio), f)
-    if abs(opr) <= _SENSITIVITY_ATOL:
-        raise SingularSensitivity(f"|1+rho| vanishes at {f} Hz")
-    return MarginDecomposition(
-        f_hz=f,
-        kind=kind,
-        pm_old_newgc_deg=pm_deg(l_o),
-        angle_one_plus_rho_deg=principal_angle_deg(opr),
-        abs_one_plus_rho=abs(opr),
-        l_old_mag=abs(l_o),
-    )
+    fs = [f for f, _ in points]
+    l_vals, opr_vals = value_at(l_old, fs).tolist(), value_at(one_plus(ratio), fs).tolist()
+    out = []
+    for (f, kind), l_o, opr in zip(points, l_vals, opr_vals):
+        if kind not in ("gain", "phase"):
+            raise ValueError(f"kind must be gain or phase, got {kind!r}")
+        if abs(opr) <= _SENSITIVITY_ATOL:
+            raise SingularSensitivity(f"|1+rho| vanishes at {f} Hz")
+        out.append(MarginDecomposition(
+            f_hz=f,
+            kind=kind,
+            pm_old_newgc_deg=pm_deg(l_o),
+            angle_one_plus_rho_deg=principal_angle_deg(opr),
+            abs_one_plus_rho=abs(opr),
+            l_old_mag=abs(l_o),
+        ))
+    return tuple(out)
 
 
 def summarize_margins(l: FrequencyResponse, policy: MarginPolicy) -> MarginSummary:

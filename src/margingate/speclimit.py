@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteValue, NonpositiveImpedanceMagnitude
-from .freqresp import FrequencyResponse, value_at, values_at
+from .freqresp import FrequencyResponse, value_at
 from .loopgain import one_plus
 from .margins import MarginPolicy, pm_deg
 
@@ -27,7 +28,6 @@ __all__ = [
     "MarginPolicy",
     "LimitCurve",
     "ComplianceRecord",
-    "pm_old_at",
     "impedance_limit",
     "limit_curve",
     "check_compliance",
@@ -85,9 +85,11 @@ class LimitCurve:
         for name in ("delta_pm_deg", "z_net_old_mag_ohm", "r_diag"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length must match freqs")
-        self._rows()  # every row must pass the limit rule
+        self._rows  # every row must pass the limit rule
 
+    @cached_property
     def _rows(self) -> list[tuple[float | None, frozenset[str]]]:
+        """Each row's limit and flags: the limit rule, applied once per row."""
         return [
             _limit_rule(*row)
             for row in zip(self.delta_pm_deg, self.z_net_old_mag_ohm, self.r_diag)
@@ -96,12 +98,12 @@ class LimitCurve:
     @property
     def z_limit_ohm(self) -> tuple[float | None, ...]:
         """Maximum allowable |Z_new|; None where headroom is exhausted."""
-        return tuple(z for z, _ in self._rows())
+        return tuple(z for z, _ in self._rows)
 
     @property
     def flags(self) -> tuple[frozenset[str], ...]:
         """The caveats of each limit (FLAG_* names)."""
-        return tuple(fl for _, fl in self._rows())
+        return tuple(fl for _, fl in self._rows)
 
     def __len__(self) -> int:
         return len(self.freqs)
@@ -121,16 +123,6 @@ class ComplianceRecord:
         a violation with no limit to state."""
         ok = self.z_limit_ohm is not None and self.z_new_mag_ohm <= self.z_limit_ohm
         return "compliant" if ok else "violation"
-
-
-def pm_old_at(l_old: FrequencyResponse, f: float) -> float:
-    """Phase margin of the pre-connection loop gain read off at ``f``.
-
-    180 deg plus the interpolated angle, normalized to (-180, 180].
-    |L_old| need not be 1 at ``f``; this is the Bode-plot readout used at
-    the new (or operator-specified) crossover frequencies.
-    """
-    return pm_deg(value_at(l_old, f))
 
 
 def impedance_limit(
@@ -160,18 +152,20 @@ def limit_curve(
     """Evaluate the impedance limit over a set of critical frequencies.
 
     ``freqs`` is either the detected new gain crossovers or an
-    operator-specified critical set. When ``ratio`` (rho) is given, the
+    operator-specified critical set. The headroom there is PM_old - PM_min,
+    with PM_old read off the interpolated L_old (a Bode-plot readout: |L_old|
+    need not be 1 at the frequency). When ``ratio`` (rho) is given, the
     r = |1+rho| diagnostic is recorded and r < 1 raises the
     ``bound_caveat_r_lt_1`` flag: the geometric bound underlying the limit
     is not guaranteed in that regime.
     """
     fs = sorted(set(float(f) for f in freqs))
-    dpms = tuple(pm_deg(z) - policy.pm_min_deg for z in values_at(l_old, fs).tolist())
-    znet_mags = tuple(np.abs(values_at(z_net_old, fs)).tolist())
+    dpms = tuple(pm_deg(z) - policy.pm_min_deg for z in value_at(l_old, fs).tolist())
+    znet_mags = tuple(np.abs(value_at(z_net_old, fs)).tolist())
     if ratio is None:
         r_diags: tuple[float | None, ...] = (None,) * len(fs)
     else:
-        r_diags = tuple(np.abs(values_at(one_plus(ratio), fs)).tolist())
+        r_diags = tuple(np.abs(value_at(one_plus(ratio), fs)).tolist())
     return LimitCurve(tuple(fs), dpms, znet_mags, r_diags)
 
 
@@ -184,5 +178,5 @@ def check_compliance(
     pre-existing violations have none, so ``ComplianceRecord.verdict``
     gives a violation there.
     """
-    z_mags = np.abs(values_at(z_new, limits.freqs)).tolist()
+    z_mags = np.abs(value_at(z_new, limits.freqs)).tolist()
     return [ComplianceRecord(*row) for row in zip(limits.freqs, z_mags, limits.z_limit_ohm)]

@@ -77,8 +77,9 @@ def test_criterion_2_margin_decomposition_identity():
         for name, (l_old, ratio) in cases.items():
             l_new = update_loop_gain(l_old, ratio).response
             for kind in ("gain", "phase"):
-                for cp in find_crossovers(l_new, kind):
-                    d = decompose_margins(l_old, ratio, cp.f_hz, kind)
+                crossovers = find_crossovers(l_new, kind)
+                decomps = decompose_margins(l_old, ratio, [(cp.f_hz, kind) for cp in crossovers])
+                for cp, d in zip(crossovers, decomps):
                     if kind == "gain":
                         dev = abs(normalize_deg(d.pm_new_deg - cp.pm_deg))
                         assert dev < 1e-9, f"{name} f {cp.f_hz}: dPM {dev}"

@@ -613,7 +613,7 @@ class TestSequenceTags:
         assert main(check_args(paths, tmp_path / "out")) == 2
         named = ", ".join(f"{role}={tag or 'untagged'}" for role, tag in zip(paths, tags))
         assert capsys.readouterr() == (
-            "", f"error [stage=align] impedances carry different sequence tags: {named}\n"
+            "", f"error [stage=align] curves carry different sequence tags: {named}\n"
         )
         assert not (tmp_path / "out").exists()
 
@@ -622,7 +622,7 @@ class TestSequenceTags:
         args = ["loopgain", "--z-net", str(paths["z_net_old"]),
                 "--z-ppm", str(paths["z_ppm_existing"]), "--out", str(tmp_path / "l.csv")]
         assert main(args) == 2
-        assert capsys.readouterr().err == ("error [stage=align] impedances carry different "
+        assert capsys.readouterr().err == ("error [stage=align] curves carry different "
                                            "sequence tags: z_ppm_existing=negative, "
                                            "z_net_old=positive\n")
 
@@ -669,7 +669,7 @@ class TestSequenceTags:
         assert main(self.limit(paths, "--out", str(tmp_path / "limit.csv"))) == 2
         named = ", ".join(f"{role}={tag or 'untagged'}" for role, tag in zip(paths, tags))
         assert capsys.readouterr() == (
-            "", f"error [stage=align] impedances carry different sequence tags: {named}\n"
+            "", f"error [stage=align] curves carry different sequence tags: {named}\n"
         )
         assert not (tmp_path / "limit.csv").exists()
 
@@ -1141,7 +1141,7 @@ class TestFixtures:
         assert gains
         f1 = gains[0].f_hz
         limits = limit_curve(l_old, z_net, [f1], MarginPolicy(), ratio)
-        z_mag, z_lim = abs(value_at(z_new, f1)), limits.z_limit_ohm[0]
+        z_mag, z_lim = abs(value_at(z_new, f1)[0]), limits.z_limit_ohm[0]
         k_next = fixtures._TABLEII_SCALE * 2.0 * z_lim / z_mag
         assert z_mag == pytest.approx(2.0 * z_lim, rel=1e-9), (
             f"|Z_new| {z_mag!r} vs 2 x limit {2.0 * z_lim!r} at {f1!r} Hz; "

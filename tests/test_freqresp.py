@@ -28,7 +28,6 @@ from margingate.freqresp import (
     parse_response,
     unwrap_phase,
     value_at,
-    values_at,
     write_response,
 )
 from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
@@ -247,11 +246,11 @@ class TestValueAt:
     def test_node_exact(self):
         r = resp([1.0, 10.0, 100.0], [1 + 1j, 2 - 3j, 0.5j])
         for f, z in zip(r.grid.points, r.samples):
-            assert value_at(r, float(f)) == complex(z)
+            assert value_at(r, float(f)).tolist() == [complex(z)]
 
     def test_log_midpoint_magnitude(self):
         r = resp([1.0, 100.0], [1.0, 100.0])
-        v = value_at(r, 10.0)  # log midpoint of [1, 100]
+        (v,) = value_at(r, 10.0)  # log midpoint of [1, 100]
         assert abs(v) == pytest.approx(10.0, rel=1e-12)
         assert v.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -265,24 +264,24 @@ class TestValueAt:
     def test_nan_frequency_out_of_range_by_name(self):
         r = resp([10.0, 100.0, 1000.0], [1.0, 1.0, 1.0])
         with pytest.raises(OutOfRange, match=r"^nan Hz outside span \[10\.0, 1000\.0\] Hz$"):
-            values_at(r, [100.0, math.nan])
+            value_at(r, [100.0, math.nan])
         with pytest.raises(OutOfRange, match=r"^5\.0 Hz outside span"):
-            values_at(r, [100.0, 5.0, 2000.0])
+            value_at(r, [100.0, 5.0, 2000.0])
         with pytest.raises(OutOfRange, match="^nan Hz"):
             value_at(r, math.nan)
 
     @pytest.mark.parametrize("f", [10.0, 5.5])  # on the grid, between points
     def test_values_at_scalar_is_one_element_sequence(self, f):
         r = resp([1.0, 3.0, 10.0, 30.0, 100.0], [1 + 1j, 2 - 3j, 0.5j, -1.0, 2.0])
-        out = values_at(r, f)
+        out = value_at(r, f)
         assert out.shape == (1,)
-        assert out.tolist() == [value_at(r, f)]
+        assert out.tolist() == value_at(r, [f]).tolist()
 
     def test_phase_interpolated_unwrapped(self):
         # quarter-turn per decade; interpolation must follow the unwrapped path
         angles = [0.0, -120.0, -240.0]
         r = resp([1.0, 10.0, 100.0], np.exp(1j * np.radians(angles)))
-        v = value_at(r, math.sqrt(10.0) * 10.0)  # log-mid of second decade
+        (v,) = value_at(r, math.sqrt(10.0) * 10.0)  # log-mid of second decade
         ang = math.degrees(math.atan2(v.imag, v.real))
         assert abs(normalize_deg(ang - 180.0)) < 1e-9
 
@@ -290,10 +289,10 @@ class TestValueAt:
         # a read costs O(K log N): on 100,000 points it allocates no table
         g = log_grid(1.0, 1e4, 100_000)
         r = FrequencyResponse(g, 1.0 / (1.0 + 1j * g.points / 100.0))
-        values_at(r, [3.3])
+        value_at(r, [3.3])
         tracemalloc.start()
         try:
-            values_at(r, [3.3, 777.7])
+            value_at(r, [3.3, 777.7])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -322,12 +321,11 @@ class TestValueAt:
         summaries = [summarize_margins(l, MarginPolicy()) for l in (l_old, l_new)]
         crossovers = summaries[1].crossovers
         assert crossovers
-        for cp in crossovers:
-            decompose_margins(l_old, ratio, cp.f_hz, cp.kind)
+        decompose_margins(l_old, ratio, [(cp.f_hz, cp.kind) for cp in crossovers])
         freqs = [cp.f_hz for cp in crossovers]
         check_compliance(z_new, limit_curve(l_old, z_net, freqs, MarginPolicy(), ratio))
         bode_svg_chart((("l_old", l_old), ("l_new", l_new)), summaries)
-        # rho keeps 1+rho, which every decomposition and the limit curve read
+        # rho keeps 1+rho, which the decompositions and the limit curve read
         extra = {id(ratio): {"_one_plus"}}
         for curve in (z_ppm, z_net, z_new, l_old, l_new, ratio, one_plus(ratio)):
             for obj in (curve, curve.grid):
@@ -336,12 +334,12 @@ class TestValueAt:
 
     def test_zero_sample_raises_only_inside_the_bracket(self):
         r = resp([1.0, 2.0, 4.0, 8.0], [1 + 1j, 2.0, 0j, 1j])
-        assert values_at(r, [1.5, 4.0]).tolist() == [value_at(r, 1.5), 0j]
+        assert value_at(r, [1.5, 4.0]).tolist() == [*value_at(r, 1.5).tolist(), 0j]
         for f in (3.0, 5.0):  # the zero sample ends the bracket
             with pytest.raises(ZeroMagnitudeSample):
                 value_at(r, f)
         with pytest.raises(ZeroMagnitudeSample):
-            values_at(r, [1.5, 3.0])
+            value_at(r, [1.5, 3.0])
         with pytest.raises(ZeroMagnitudeSample):
             find_crossovers(dataclasses.replace(r, samples=r.samples, unit="dimensionless"), "gain")
 
@@ -349,9 +347,9 @@ class TestValueAt:
         g = log_grid(1, 1000, 50)
         r = FrequencyResponse(g, (1 + 0.3j) ** np.arange(50), unit="dimensionless")
         probes = np.geomspace(1.5, 900.0, 37)
-        vec = values_at(r, probes)
+        vec = value_at(r, probes)
         for f, v in zip(probes, vec):
-            assert v == pytest.approx(value_at(r, float(f)), rel=1e-14)
+            assert [v] == pytest.approx(value_at(r, float(f)).tolist(), rel=1e-14)
 
 
 class TestResponseGuards:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from margingate import margins
 from margingate.errors import KindMismatch, SingularSensitivity, ZeroMagnitudeSample
-from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid, normalize_deg
-from margingate.loopgain import loop_gain, rho, update_loop_gain
+from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid, normalize_deg, value_at
+from margingate.loopgain import loop_gain, one_plus, rho, update_loop_gain
 from margingate.margins import (
     _MERGE_RTOL,
     GAIN_MAG_TOL,
@@ -169,7 +170,7 @@ class TestDecompose:
     def test_bad_kind_refused(self, grid_2k):
         l_old = first_order(2.0, 100.0, grid_2k)
         with pytest.raises(ValueError, match="kind must be gain or phase"):
-            decompose_margins(l_old, l_old, 173.2, "delay")
+            decompose_margins(l_old, l_old, [(173.2, "delay")])
 
     def test_one_plus_rho_zero_at_a_grid_point(self, grid_2k):
         # a grid frequency reads its sample as stored, so 1+rho is exactly 0
@@ -179,14 +180,14 @@ class TestDecompose:
         ratio = FrequencyResponse(grid_2k, samples, unit="dimensionless")
         f = float(grid_2k.points[700])
         with pytest.raises(SingularSensitivity, match="vanishes"):
-            decompose_margins(l_old, ratio, f, "gain")
+            decompose_margins(l_old, ratio, [(f, "gain")])
 
     def test_rho_zero(self, grid_2k):
         l_old = first_order(2.0, 100.0, grid_2k)
         zero = FrequencyResponse(
             grid_2k, np.zeros(len(grid_2k), complex), unit="dimensionless"
         )
-        d = decompose_margins(l_old, zero, 173.2, "gain")
+        (d,) = decompose_margins(l_old, zero, [(173.2, "gain")])
         assert d.angle_one_plus_rho_deg == pytest.approx(0.0, abs=1e-12)
         assert d.pm_new_deg == pytest.approx(d.pm_old_newgc_deg, abs=1e-12)
 
@@ -195,7 +196,7 @@ class TestDecompose:
         imag = FrequencyResponse(
             grid_2k, np.full(len(grid_2k), 1j), unit="dimensionless"
         )
-        d = decompose_margins(l_old, imag, 173.2, "gain")
+        (d,) = decompose_margins(l_old, imag, [(173.2, "gain")])
         assert d.angle_one_plus_rho_deg == pytest.approx(45.0, abs=1e-9)
         assert d.pm_new_deg == pytest.approx(
             normalize_deg(d.pm_old_newgc_deg - 45.0), abs=1e-9
@@ -211,8 +212,9 @@ class TestDecompose:
             ratio = rho(z_net, z_new)
             l_new = update_loop_gain(l_old, ratio).response
             for kind in ("gain", "phase"):
-                for cp in find_crossovers(l_new, kind):
-                    d = decompose_margins(l_old, ratio, cp.f_hz, kind)
+                crossovers = find_crossovers(l_new, kind)
+                decomps = decompose_margins(l_old, ratio, [(cp.f_hz, kind) for cp in crossovers])
+                for cp, d in zip(crossovers, decomps):
                     if kind == "gain":
                         assert abs(normalize_deg(d.pm_new_deg - cp.pm_deg)) < 1e-9
                     else:
@@ -227,11 +229,26 @@ class TestDecompose:
             0.7 * np.exp(1j * np.linspace(-0.5, 0.5, len(grid_2k))),
             unit="dimensionless",
         )
-        d = decompose_margins(l_old, r, 200.0, "gain")
+        (d,) = decompose_margins(l_old, r, [(200.0, "gain")])
         assert abs(
             normalize_deg(d.pm_new_deg - (d.pm_old_newgc_deg - d.angle_one_plus_rho_deg))
         ) < 1e-9
         assert d.gm_new_lin == pytest.approx(d.abs_one_plus_rho / d.l_old_mag, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 12])
+    def test_reads_each_curve_once(self, grid_2k, monkeypatch, k):
+        l_old = first_order(3.0, 60.0, grid_2k)
+        r = FrequencyResponse(grid_2k, np.full(len(grid_2k), 0.5j), unit="dimensionless")
+        read = []
+
+        def counting_value_at(resp, freqs):
+            read.append(resp)
+            return value_at(resp, freqs)
+
+        monkeypatch.setattr(margins, "value_at", counting_value_at)
+        points = [(f, "gain") for f in np.geomspace(20.0, 400.0, k).tolist()]
+        assert len(decompose_margins(l_old, r, points)) == k
+        assert len(read) == 2 and read[0] is l_old and read[1] is one_plus(r)
 
 
 class TestSummarize:

@@ -6,13 +6,13 @@ assessment of a transformed copy, whose effect on the report is known.
   of scaled values, so every crossover, margin, region, winding, verdict
   and exit code must be identical; the three impedance magnitudes of the
   limit and compliance records scale by 2**m up to the rounding of
-  log|Z| + m log 2, which ``values_at`` interpolates.
+  log|Z| + m log 2, which ``value_at`` interpolates.
 * R2, frequency scale: every frequency times 2. The interpolant lives in
   log f, where doubling adds the rounded log 2, so the crossover
   frequencies double within a few ulps, and every verdict, region,
   winding, flag and exit code must be identical.
 * R3, interpolant refinement: each input gains a sample at the geometric
-  mean frequency of every interval, taken from ``values_at``. That is the
+  mean frequency of every interval, taken from ``value_at``. That is the
   midpoint in log f, where the interpolant is linear in log|Z| and phase,
   so the inputs' interpolants do not change, nor does that of
   L_old = Z_net_old / Z_ppm_existing. L_old's crossover kinds, regions
@@ -57,7 +57,7 @@ import pytest
 
 from margingate.cli import RunConfig, main, run_assessment
 from margingate.fixtures import _TABLEII_SCALE
-from margingate.freqresp import FrequencyGrid, values_at, write_response
+from margingate.freqresp import FrequencyGrid, value_at, write_response
 from margingate.netsynth import ROLES, network_to_obj, scale_network
 from margingate.report import render
 
@@ -140,7 +140,7 @@ def refined(curve):
     points = np.empty(2 * f.size - 1)
     points[0::2], points[1::2] = f, mid
     samples = np.empty(points.size, dtype=complex)
-    samples[0::2], samples[1::2] = curve.samples, values_at(curve, mid)
+    samples[0::2], samples[1::2] = curve.samples, value_at(curve, mid)
     return dataclasses.replace(curve, grid=FrequencyGrid(points), samples=samples)
 
 

@@ -8,8 +8,10 @@ mirrored contour, with its segment-distance helper) and
 ``reference_scale_network`` (the per-type scaling) are kept as
 references. So is ``table_value_at``, the interpolant on the whole-curve
 tables of ``whole_curve_tables`` (log f, log|Z| and the unwrapped phase)
-that ``values_at`` read before it read only the two samples around a
+that ``value_at`` read before it read only the two samples around a
 frequency; ``scalar_value_at`` is a scalar copy of that bracket rule.
+``per_crossover_decompose`` is the decomposition that read L_old and 1+rho
+once per crossover, before one call read them at every crossover.
 ``reference_eval_tree`` (the network evaluator that built a
 fresh array at every node) is kept too, with ``reference_par`` giving each
 Parallel node the admittance rule whole-grid and unblocked: all children
@@ -68,6 +70,7 @@ from margingate.errors import (
     OutOfRange,
     ResonanceSingular,
     SingularAtFrequency,
+    SingularSensitivity,
     ZeroMagnitudeSample,
 )
 from margingate.freqresp import (
@@ -75,17 +78,26 @@ from margingate.freqresp import (
     FrequencyGrid,
     FrequencyResponse,
     log_grid,
+    principal_angle_deg,
     unwrap_phase,
     value_at,
-    values_at,
 )
-from margingate.loopgain import consistency_error, loop_gain, one_plus, rho, update_loop_gain
+from margingate.loopgain import (
+    _SENSITIVITY_ATOL,
+    consistency_error,
+    loop_gain,
+    one_plus,
+    rho,
+    update_loop_gain,
+)
 from margingate.margins import (
+    MarginDecomposition,
     MarginPolicy,
     MarginSummary,
     _detect_levels,
     _level_root,
     decompose_margins,
+    pm_deg,
     summarize_margins,
 )
 from margingate.netsynth import (
@@ -361,18 +373,24 @@ def fixture_curves(name):
     return (*case_curves(name), l_old, l_new, one_plus(ratio))
 
 
+def one_value_at(resp: FrequencyResponse, f: float) -> complex:
+    """The curve read at the one frequency ``f``, as the per-crossover
+    decomposition read it."""
+    return complex(value_at(resp, [f])[0])
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_value_at_matches_scalar_reference(name):
     rng = np.random.default_rng(7)
     for curve in fixture_curves(name):
         g = curve.grid.points
         for f in g[rng.choice(g.size, 50, replace=False)].tolist() + [g[0], g[-1]]:
-            assert value_at(curve, f) == scalar_value_at(curve, f)
+            assert one_value_at(curve, f) == scalar_value_at(curve, f)
         probes = rng.uniform(g[0], g[-1], 200)
         probes = probes[~np.isin(probes, g)]
         for f in probes.tolist():
             ref = scalar_value_at(curve, f)
-            assert abs(value_at(curve, f) - ref) <= 4.0 * EPS * abs(ref), f
+            assert abs(one_value_at(curve, f) - ref) <= 4.0 * EPS * abs(ref), f
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
@@ -384,7 +402,7 @@ def test_values_at_matches_the_whole_table_interpolant(name):
         g = curve.grid.points
         probes = rng.uniform(g[0], g[-1], 2000)
         probes = probes[~np.isin(probes, g)]
-        got, ref = values_at(curve, probes), table_value_at(curve, probes)
+        got, ref = value_at(curve, probes), table_value_at(curve, probes)
         phase = whole_curve_tables(curve)[2]
         turns = phase - np.degrees(np.angle(curve.samples))
         drift = np.abs(turns - 360.0 * np.round(turns / 360.0))
@@ -403,8 +421,69 @@ def test_values_at_is_value_at_per_point(name):
     for curve in fixture_curves(name):
         g = curve.grid.points
         fs = np.concatenate((rng.uniform(g[0], g[-1], 300), g[:: max(1, g.size // 50)]))
-        vec = values_at(curve, fs)
-        assert vec.tolist() == [value_at(curve, f) for f in fs.tolist()]
+        vec = value_at(curve, fs)
+        assert vec.tolist() == [one_value_at(curve, f) for f in fs.tolist()]
+
+
+# -- margin decomposition ------------------------------------------------------
+
+def per_crossover_decompose(
+    l_old: FrequencyResponse, ratio: FrequencyResponse, f: float, kind: str
+) -> MarginDecomposition:
+    """Margins at ``f`` expressed through the pre-connection loop gain.
+
+    Interpolates L_old and the curve 1+rho at ``f`` and stores the terms;
+    the identities against the direct computation on L_new hold to float
+    rounding. The stored pm_old_newgc does not assume |L_old| = 1 at ``f``.
+    """
+    if kind not in ("gain", "phase"):
+        raise ValueError(f"kind must be gain or phase, got {kind!r}")
+    l_o = one_value_at(l_old, f)          # OutOfRange if f outside span
+    opr = one_value_at(one_plus(ratio), f)
+    if abs(opr) <= _SENSITIVITY_ATOL:
+        raise SingularSensitivity(f"|1+rho| vanishes at {f} Hz")
+    return MarginDecomposition(
+        f_hz=f,
+        kind=kind,
+        pm_old_newgc_deg=pm_deg(l_o),
+        angle_one_plus_rho_deg=principal_angle_deg(opr),
+        abs_one_plus_rho=abs(opr),
+        l_old_mag=abs(l_o),
+    )
+
+
+def record_bits(d: MarginDecomposition) -> tuple:
+    """A decomposition's fields, each float as its exact hex spelling."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(d))
+
+
+# the golden cases (random_case seeds 0-9 among them) and 50 more seeds
+@pytest.mark.parametrize("name", list(GOLDEN) + [f"seed-{s}" for s in range(10, 60)])
+def test_batched_decomposition_matches_per_crossover_reference(name):
+    l_old, l_new, ratio = fixture_loop_gains(name)
+    points = [(cp.f_hz, cp.kind) for cp in summarize_margins(l_new, MarginPolicy()).crossovers]
+    if name == "converter":
+        assert {kind for _, kind in points} == {"gain", "phase"}
+    got = decompose_margins(l_old, ratio, points)
+    want = [per_crossover_decompose(l_old, ratio, f, kind) for f, kind in points]
+    assert isinstance(got, tuple)
+    assert list(map(record_bits, got)) == list(map(record_bits, want))
+
+
+def test_batched_decomposition_refuses_a_vanishing_one_plus_rho_as_the_reference():
+    l_old, _, ratio = fixture_loop_gains("compliant-A")
+    g = ratio.grid.points
+    samples = ratio.samples.copy()
+    samples[700] = -1.0  # 1+rho is exactly 0 at a grid point, which reads as stored
+    vanishing = FrequencyResponse(ratio.grid, samples, unit="dimensionless")
+    points = [(float(g[100]), "gain"), (float(g[700]), "phase"), (float(g[1500]), "gain")]
+    with pytest.raises(SingularSensitivity) as want:
+        for f, kind in points:
+            per_crossover_decompose(l_old, vanishing, f, kind)
+    with pytest.raises(SingularSensitivity) as got:
+        decompose_margins(l_old, vanishing, points)
+    assert str(got.value) == str(want.value)
+    assert decompose_margins(l_old, ratio, []) == ()
 
 
 
@@ -971,7 +1050,7 @@ def whole_grid_report(case: dict, policy=MarginPolicy()):
     l_new = whole_grid_update(l_old, ratio)
     cons_err = whole_grid_direct_check(z_net, z_ppm, z_new, l_new)
     s_old, s_new = summarize_margins(l_old, policy), summarize_margins(l_new, policy)
-    decomps = [decompose_margins(l_old, ratio, cp.f_hz, cp.kind) for cp in s_new.crossovers]
+    decomps = decompose_margins(l_old, ratio, [(cp.f_hz, cp.kind) for cp in s_new.crossovers])
     gain_freqs = [cp.f_hz for cp in s_new.crossovers if cp.kind == "gain"]
     limits = limit_curve(l_old, z_net, gain_freqs, policy, ratio)
     inputs = {

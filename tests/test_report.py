@@ -537,9 +537,9 @@ class TestDecompositionKind:
             inputs={},
             l_old_summary=summary,
             l_new_summary=summary,
-            decompositions=[
-                decompose_margins(l_old, zero, cp.f_hz, cp.kind) for cp in summary.crossovers
-            ],
+            decompositions=decompose_margins(
+                l_old, zero, [(cp.f_hz, cp.kind) for cp in summary.crossovers]
+            ),
             limit_curve=empty_limits(),
             compliance=(),
             encirclements={"l_new": no_encirclement()},

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from margingate import speclimit
 from margingate.errors import NonFiniteValue, NonpositiveImpedanceMagnitude, OutOfRange
 from margingate.freqresp import FrequencyGrid, FrequencyResponse, log_grid
 from margingate.margins import CrossoverPoint
@@ -16,10 +17,10 @@ from margingate.speclimit import (
     ComplianceRecord,
     LimitCurve,
     MarginPolicy,
+    _limit_rule,
     check_compliance,
     impedance_limit,
     limit_curve,
-    pm_old_at,
 )
 
 POLICY = MarginPolicy(15.0, 30.0, 15.0)
@@ -110,6 +111,14 @@ class TestPolicy:
 
 
 class TestPmOldAt:
+    """PM_old as ``limit_curve`` reads it off the interpolated L_old: the
+    headroom plus PM_min."""
+
+    @staticmethod
+    def pm_old_at(l_old, f):
+        z_net = FrequencyResponse(l_old.grid, np.ones(len(l_old.grid), complex))
+        return limit_curve(l_old, z_net, [f], POLICY).delta_pm_deg[0] + POLICY.pm_min_deg
+
     def test_constant_angle(self):
         g = log_grid(10, 1000, 20)
         l_old = FrequencyResponse(
@@ -117,19 +126,19 @@ class TestPmOldAt:
             np.full(20, cmath.exp(-1j * math.radians(120.0))),
             unit="dimensionless",
         )
-        assert pm_old_at(l_old, 50.0) == pytest.approx(60.0, abs=1e-9)
-        assert pm_old_at(l_old, 10.0) == pytest.approx(60.0, abs=1e-9)
+        assert self.pm_old_at(l_old, 50.0) == pytest.approx(60.0, abs=1e-9)
+        assert self.pm_old_at(l_old, 10.0) == pytest.approx(60.0, abs=1e-9)
 
     def test_minus_180(self):
         g = log_grid(10, 1000, 20)
         l_old = FrequencyResponse(g, np.full(20, -1.0 + 0j), unit="dimensionless")
-        assert pm_old_at(l_old, 100.0) == pytest.approx(0.0, abs=1e-9)
+        assert self.pm_old_at(l_old, 100.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_out_of_range(self):
         g = log_grid(10, 1000, 20)
         l_old = FrequencyResponse(g, np.ones(20, complex), unit="dimensionless")
         with pytest.raises(OutOfRange):
-            pm_old_at(l_old, 5.0)
+            self.pm_old_at(l_old, 5.0)
 
 
 class TestImpedanceLimit:
@@ -246,6 +255,21 @@ class TestLimitCurveBuilder:
         # the caveat is r < 1: r exactly 1 carries no flag, the float below does
         lc = LimitCurve((100.0, 200.0), (60.0, 60.0), (10.0, 10.0), (1.0, math.nextafter(1.0, 0.0)))
         assert lc.flags == (frozenset(), frozenset({FLAG_R_CAVEAT}))
+
+    def test_limit_rule_runs_once_per_row(self, monkeypatch):
+        calls = []
+
+        def counting_rule(*row):
+            calls.append(row)
+            return _limit_rule(*row)
+
+        monkeypatch.setattr(speclimit, "_limit_rule", counting_rule)
+        lc = LimitCurve((100.0, 200.0, 300.0), (60.0, -5.0, 200.0), (10.0, 10.0, 10.0),
+                        (None, None, None))
+        for _ in range(3):
+            assert lc.z_limit_ohm == (10.0, None, 5.0)
+            assert lc.flags == (frozenset(), {FLAG_PREEXISTING}, {FLAG_UNCONSTRAINED})
+        assert len(calls) == 3
 
     def test_sorted_and_lengths(self):
         g = log_grid(10, 1000, 100)

@@ -113,7 +113,8 @@ def _read(paths: dict) -> dict:
 
     A file is an impedance or loop-gain table, except a ``synth_case`` (read
     as its three impedances), a ``network`` description, and ``loop_gains``,
-    several tables read as (name, curve) pairs named by label or file stem.
+    several tables read as (name, curve) pairs named by label or file stem,
+    each name unique (``_unique``).
     """
     v = {}
     with _stage("parse"):
@@ -123,13 +124,25 @@ def _read(paths: dict) -> dict:
             elif role == "network":
                 v[role] = network_from_json(Path(path).read_bytes())
             elif role == "loop_gains":
-                v[role] = []
-                for p in map(Path, path):
-                    curve = _parse_table(role, p)
-                    v[role].append((curve.label or p.stem, curve))
+                curves = [_parse_table(role, Path(p)) for p in path]
+                names = [c.label or Path(p).stem for c, p in zip(curves, path)]
+                v[role] = list(zip(_unique(names), curves))
             else:
                 v[role] = _parse_table(role, Path(path))
     return v
+
+
+def _unique(names: list) -> list:
+    """``names`` with each repeat suffixed -2, -3, ... up to a name not in use; the
+    first use of a name, and so every name used once, is kept as it is."""
+    out = []
+    for name in names:
+        new, k = name, 1
+        while new in out or (k > 1 and new in names):
+            k += 1
+            new = f"{name}-{k}"
+        out.append(new)
+    return out
 
 
 def _parse_table(role: str, path: Path):
@@ -140,6 +153,14 @@ def _parse_table(role: str, path: Path):
     if curve.unit != want:
         raise UnknownHeader(f"{role} table {str(path)!r} has unit {curve.unit}, expected {want}")
     return curve
+
+
+def _write(files: dict) -> None:
+    """The one writer: each path's bytes, its directory made first, under the io stage."""
+    with _stage("io"):
+        for path, data in files.items():
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
+            Path(path).write_bytes(data)
 
 
 def _inputs_meta(curves, mode: str) -> dict:
@@ -258,9 +279,8 @@ _REPORT_FILES = dict(zip(FORMATS, ("report.json", "report.md", "nyquist.svg", "b
 
 
 def _write_outputs(report: AssessmentReport, out_dir: Path, formats: tuple[str, ...]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for fmt in formats:
-        (out_dir / _REPORT_FILES[fmt]).write_bytes(render(report, fmt))
+    for fmt in formats:  # one file at a time, so one rendering is held at a time
+        _write({out_dir / _REPORT_FILES[fmt]: render(report, fmt)})
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +347,7 @@ _VALUES = {
     "points": _at_least("--points", 2),
     "n_strings": _at_least("--n-strings", 1),
     "seed": _at_least("--seed", 0),
+    "bundled": _fixtures._case_name,
 }
 
 
@@ -413,8 +434,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_loopgain(args) -> int:
     l_old = _run({"z_net_old": args.z_net, "z_ppm_existing": args.z_ppm})["l_old"]
-    with _stage("io"):
-        Path(args.out).write_bytes(write_response(l_old))
+    _write({args.out: write_response(l_old)})
     print(f"wrote {args.out} (direct construction)")
     return 0
 
@@ -451,8 +471,7 @@ def _cmd_limit(args) -> int:
     v = _run(paths, args.policy, args.critical_freqs)
     text = _limit_table(v["limits"], v.get("compliance"))
     if args.out:
-        with _stage("io"):
-            Path(args.out).write_text(text, encoding="utf-8")
+        _write({args.out: text.encode("utf-8")})
     else:
         sys.stdout.write(text)
     return _gate(limit_checks(v.get("compliance", ())))
@@ -495,20 +514,17 @@ def _cmd_synth(args) -> int:
             curves = [v[role] for role in ROLES]
         out_dir = Path(args.out_dir)
         files = {out_dir / f"{role}.csv": c for role, c in zip(ROLES, curves)}
-    with _stage("io"):
-        for path, curve in files.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_bytes(write_response(curve))
-            print(f"wrote {path}")
+    _write({path: write_response(curve) for path, curve in files.items()})
+    for path in files:
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_nyquist(args) -> int:
     v = _run({"loop_gains": args.loop_gain}, args.policy)
-    with _stage("io"):
-        Path(args.out).write_text(
-            nyquist_svg_chart(args.policy, v["loop_gains"], v["summaries"]), encoding="utf-8"
-        )
+    with _stage("io"):  # the chart is drawn under the float checks of a stage
+        chart = nyquist_svg_chart(args.policy, v["loop_gains"], v["summaries"])
+    _write({args.out: chart.encode("utf-8")})
     print(f"wrote {args.out}")
     return 0
 

@@ -80,10 +80,16 @@ def bundled_case(name: str) -> tuple[FrequencyResponse, FrequencyResponse, Frequ
     return tuple(eval_network(d, grid, label=label) for d, label in zip(descs, CASE_LABELS))
 
 
-def write_bundled_case(name: str, out_dir) -> dict[str, Path]:
-    """Write a bundled case's input files, each ``<role>.csv``; returns role -> path."""
+def _case_name(name: str) -> str:
+    """``name`` if it names a bundled case, else ``ValueError``."""
     if name not in BUNDLED_CASES:
         raise ValueError(f"unknown bundled case {name!r}; choose from {BUNDLED_CASES}")
+    return name
+
+
+def write_bundled_case(name: str, out_dir) -> dict[str, Path]:
+    """Write a bundled case's input files, each ``<role>.csv``; returns role -> path."""
+    _case_name(name)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     curves = bundled_case("compliant-A" if name == "invalid-header" else name)

@@ -80,15 +80,12 @@ def one_plus(ratio: FrequencyResponse) -> FrequencyResponse:
 
     Margin decomposition and the r = |1+rho| diagnostic must interpolate
     1+rho itself (not add 1 to interpolated rho) to stay consistent with
-    the factored loop-gain curve between grid points. Built on first use
-    and kept on the (immutable) ratio: the decompositions and the limit
-    curve share it. The loop-gain update forms 1+rho block by block and
+    the factored loop-gain curve between grid points. Built afresh on each
+    call and kept nowhere: the decompositions and the limit curve each
+    build their own. The loop-gain update forms 1+rho block by block and
     neither builds nor reads it.
     """
-    memo = ratio.__dict__
-    if "_one_plus" not in memo:
-        memo["_one_plus"] = _derived(ratio, ratio, 1.0 + ratio.samples, "1+rho")
-    return memo["_one_plus"]
+    return _derived(ratio, ratio, 1.0 + ratio.samples, "1+rho")
 
 
 def update_loop_gain(l_old: FrequencyResponse, ratio: FrequencyResponse) -> LoopGain:

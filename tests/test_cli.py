@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -889,6 +890,14 @@ class TestSubcommands:
         assert code == 0
         assert (tmp_path / "z_ppm_existing.csv").exists()
 
+    def test_synth_unknown_bundled_case_fails_at_config_stage(self, tmp_path, capsys):
+        message = f"unknown bundled case 'nope'; choose from {BUNDLED_CASES}"
+        assert main(["synth", "--bundled", "nope", "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error [stage=config] {message}\n"
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError, match=re.escape(message)):  # library callers too
+            write_bundled_case("nope", tmp_path / "out")
+
     def test_synth_random_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
@@ -933,6 +942,19 @@ class TestSubcommands:
         code = main(["nyquist", "--loop-gain", str(lg_file), "--out", str(out)])
         assert code == 0
         ET.fromstring(out.read_bytes())
+
+    def test_nyquist_names_each_locus_once(self, tmp_path):
+        # a repeated label takes the first free suffix; a label used once keeps its name
+        args = ["nyquist", "--out", str(tmp_path / "ny.svg")]
+        for i, label in enumerate(("L", "L", "L-2")):
+            curve = FrequencyResponse(log_grid(10.0, 1000.0, 8), np.full(8, 0.5 + 0.1j * i),
+                                      unit="dimensionless", label=label)
+            (tmp_path / f"{i}.csv").write_bytes(write_response(curve))
+            args += ["--loop-gain", str(tmp_path / f"{i}.csv")]
+        assert main(args) == 0
+        svg = ET.fromstring((tmp_path / "ny.svg").read_bytes())
+        ids = [el.get("id") for el in svg.iter() if (el.get("id") or "").startswith("locus-")]
+        assert ids == ["locus-L", "locus-L-3", "locus-L-2"]
 
     @pytest.mark.parametrize("command", ["margins", "nyquist"])
     def test_zero_sample_fails_at_margins_stage(self, tmp_path, capsys, command):

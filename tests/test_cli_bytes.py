@@ -100,6 +100,8 @@ RUNS = {
                                         "--z-ppm", _files("tagged")[0], "--out", "l.csv"],
     **{f"loopgain-{c}": ["loopgain", "--z-net", _files(c)[1], "--z-ppm", _files(c)[0],
                          "--out", "l.csv"] for c in (*BUNDLED_CASES, "seed-0")},
+    "loopgain-out-new-dir": ["loopgain", "--z-net", _files("compliant-A")[1],
+                             "--z-ppm", _files("compliant-A")[0], "--out", "new/dir/l.csv"],
     **{f"margins-{c}": ["margins", "--loop-gain", f"../in/{c}/l_old.csv"] for c in CURVE_CASES},
     "margins-violation": ["margins", "--loop-gain", "../in/compliant-A/l_old.csv",
                           "--pm-min-deg", "70", "--pm-cau-deg", "80"],
@@ -119,6 +121,8 @@ RUNS = {
        for c in CURVE_CASES},
     "limit-detect-out": _limit("compliant-A", "--detect-from", "../in/compliant-A/l_new.csv",
                                "--out", "limit.csv"),
+    "limit-out-new-dir": _limit("compliant-A", "--critical-freqs", "150,500",
+                                "--out", "new/dir/limit.csv"),
     "limit-critical-freqs-comma": _limit("compliant-A", "--critical-freqs", ","),
     "limit-critical-freqs-abc": _limit("compliant-A", "--critical-freqs", "abc"),
     "limit-critical-freqs-nan": _limit("compliant-A", "--critical-freqs", "nan"),
@@ -135,12 +139,20 @@ RUNS = {
     "nyquist-one": ["nyquist", "--loop-gain", "../in/compliant-A/l_old.csv", "--out", "ny.svg"],
     "nyquist-two": ["nyquist", "--loop-gain", "../in/tableII-like/l_old.csv",
                     "--loop-gain", "../in/tableII-like/l_new.csv", "--out", "ny.svg"],
+    "nyquist-out-new-dir": ["nyquist", "--loop-gain", "../in/compliant-A/l_old.csv",
+                            "--out", "new/dir/ny.svg"],
+    # two loop gains that are both labelled L
+    "nyquist-same-label": ["nyquist", "--loop-gain", "../in/compliant-A/l_old.csv",
+                           "--loop-gain", "../in/seed-0/l_old.csv", "--out", "ny.svg"],
     **{f"synth-bundled-{c}": ["synth", "--bundled", c, "--out-dir", "out"] for c in BUNDLED_CASES},
+    "synth-bundled-unknown": ["synth", "--bundled", "nope", "--out-dir", "out"],
     "synth-seed": ["synth", "--seed", "0", "--out-dir", "out"],
     "synth-case": ["synth", "--case", "../in/seed-0.json", "--out-dir", "out"],
     "synth-case-missing-role": ["synth", "--case", "../in/missing-role.json", "--out-dir", "out"],
     "synth-network": ["synth", "--network", "../in/network.json", "--span", "10:1000",
                       "--points", "50", "--out", "z.csv"],
+    "synth-network-out-new-dir": ["synth", "--network", "../in/network.json", "--span",
+                                  "10:1000", "--points", "50", "--out", "new/dir/z.csv"],
     "synth-network-default-out": ["synth", "--network", "../in/network.json"],
     "synth-network-points-0": ["synth", "--network", "../in/network.json", "--points", "0",
                                "--out", "z.csv"],

@@ -325,12 +325,11 @@ class TestValueAt:
         freqs = [cp.f_hz for cp in crossovers]
         check_compliance(z_new, limit_curve(l_old, z_net, freqs, MarginPolicy(), ratio))
         bode_svg_chart((("l_old", l_old), ("l_new", l_new)), summaries)
-        # rho keeps 1+rho, which the decompositions and the limit curve read
-        extra = {id(ratio): {"_one_plus"}}
+        # no exemption: 1+rho is built afresh by each reader and kept on no curve
         for curve in (z_ppm, z_net, z_new, l_old, l_new, ratio, one_plus(ratio)):
             for obj in (curve, curve.grid):
                 state = set(vars(obj)) - {fld.name for fld in fields(obj)}
-                assert state == extra.get(id(obj), set()), (curve.label, state)
+                assert state == set(), (curve.label, state)
 
     def test_zero_sample_raises_only_inside_the_bracket(self):
         r = resp([1.0, 2.0, 4.0, 8.0], [1 + 1j, 2.0, 0j, 1j])

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from margingate import loopgain
 from margingate.errors import GridMismatch, SingularSensitivity, ZeroMagnitudeSample
 from margingate.freqresp import _BLOCK_POINTS, FrequencyResponse, log_grid
 from margingate.loopgain import (
@@ -85,13 +86,22 @@ class TestUpdate:
         ratio = np.abs(upd.response.samples) / np.abs(l_old.samples)
         assert np.max(ratio) <= 1.001e-9
 
-    def test_update_times_one_plus_rho_is_l_old(self, grid):
+    def test_update_times_one_plus_rho_is_l_old(self, grid, monkeypatch):
+        built, derived = [], loopgain._derived  # the label of each curve _derived builds
+
+        def recording_derived(a, b, samples, label):
+            built.append(label)
+            return derived(a, b, samples, label)
+
+        monkeypatch.setattr(loopgain, "_derived", recording_derived)
         l_old = FrequencyResponse(grid, np.ones(64, complex), unit="dimensionless")
         r = FrequencyResponse(grid, np.full(64, 0.5 + 0.5j), unit="dimensionless")
         upd = update_loop_gain(l_old, r)
         product = upd.response.samples * (1.0 + r.samples)
         assert np.max(np.abs(product - l_old.samples)) < 1e-12
-        assert "_one_plus" not in vars(r)  # the update builds no 1+rho curve
+        assert built == ["L_new"]  # the update builds no 1+rho curve
+        one_plus(r)
+        assert built == ["L_new", "1+rho"]  # the probe sees a 1+rho curve when one is built
 
     def test_singular_sensitivity(self, grid):
         l_old = FrequencyResponse(grid, np.ones(64, complex), unit="dimensionless")

@@ -248,7 +248,8 @@ class TestDecompose:
         monkeypatch.setattr(margins, "value_at", counting_value_at)
         points = [(f, "gain") for f in np.geomspace(20.0, 400.0, k).tolist()]
         assert len(decompose_margins(l_old, r, points)) == k
-        assert len(read) == 2 and read[0] is l_old and read[1] is one_plus(r)
+        # 1+rho is built afresh on each call, so the second read equals it by value
+        assert len(read) == 2 and read[0] is l_old and read[1] == one_plus(r)
 
 
 class TestSummarize:

@@ -1,11 +1,16 @@
-"""Byte guard for the ``margin-gate`` command: every subcommand form, in process.
+"""Byte guard for the ``margin-gate`` command: every subcommand form, as a process.
 
-Each run in ``RUNS`` calls ``main`` in a fresh directory of its own, with
-its inputs under ``../in``: the bundled cases ``compliant-A``,
+This module is the one statement of the command's contract. Each run in
+``RUNS`` is a child process of this interpreter, started in a fresh
+directory of its own and under this process's ``-X dev`` and ``-W``
+flags, so a warning fails a row when the suite runs with ``-W error``.
+The child runs the code that the installed ``margin-gate`` console script
+runs, ``main`` of ``margingate.cli``, from the package this process
+imported. Its inputs are under ``../in``: the bundled cases ``compliant-A``,
 ``tableII-like`` and ``invalid-header``, the random case that
 ``synth --seed 0`` writes (``seed-0``), a ``--synth`` case file for each
 of those with curves, L_old and L_new loop-gain files, and one network
-file. Three more cases hold ``compliant-A``'s inputs in other forms:
+file. Five more cases hold ``compliant-A``'s inputs in other forms:
 ``regrid`` (each network on a grid of its own, so ``check`` resamples),
 ``polar`` (the existing plant as a ``freq_hz,mag_ohm,phase_deg`` table),
 ``bom`` (that file behind a UTF-8 byte-order mark), ``tagged`` (the
@@ -14,28 +19,31 @@ network ``negative``) and ``zero-sample`` (the existing plant with one
 sample of 0 ohm).
 ``golden_cli.json`` pins, for each run, the exit code, stdout, stderr and
 the SHA-256 digest of every file the run writes. A change that alters any
-of them must say why and edit that run's row. A case gives the same bytes
-by every route, so each ``check-synth-X`` row equals its ``check-files-X``
-twin, and ``synth-case`` equals ``synth-seed``.
+of them must say why and edit that run's row; a new behaviour of the
+command is one new row. A case gives the same bytes by every route, so
+each ``check-synth-X`` row equals its ``check-files-X`` twin, and
+``synth-case`` equals ``synth-seed``.
 
 The digests, like those of ``test_golden.py``, hold only where numpy picks
 the same SIMD kernels; so do the floats printed on stdout. To rewrite the
-pins from the current code:
+pins from the current code, through the same runner:
 
     PYTHONPATH=src python tests/test_cli_bytes.py
 """
-import contextlib
 import hashlib
-import io
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from margingate.cli import RunConfig, main, run_assessment
+import margingate
+from margingate.cli import RunConfig, run_assessment
 from margingate.fixtures import (
     _TABLEII_SCALE,
     BUNDLED_CASES,
@@ -55,6 +63,9 @@ from margingate.netsynth import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# what the console script that setuptools generates for margin-gate runs
+MAIN = "import sys; from margingate.cli import main; sys.exit(main())"
 FORMATS = "json,markdown,nyquist_svg,bode_svg"
 CURVE_CASES = ("compliant-A", "tableII-like", "seed-0")
 FILE_CASES = (*BUNDLED_CASES, "seed-0", "regrid", "polar", "bom")
@@ -92,6 +103,12 @@ RUNS = {
     "check-gm-min-db-inf": _check("compliant-A", "--gm-min-db", "inf"),
     **{f"check-critical-freqs-{f}": _check("compliant-A", "--critical-freqs", f)
        for f in ("0", "inf")},
+    # refused at the config stage, before the missing file is read
+    "check-critical-freqs-nan-missing-z-ppm": ["check", "--z-ppm", "missing.csv",
+                                               *_check("compliant-A")[3:],
+                                               "--critical-freqs", "nan"],
+    "check-gm-min-db-inf-missing-z-ppm": ["check", "--z-ppm", "missing.csv",
+                                          *_check("compliant-A")[3:], "--gm-min-db", "inf"],
     "check-z-ppm-is-a-loop-gain": ["check", "--z-ppm", "../in/compliant-A/l_old.csv",
                                    *_check("compliant-A")[3:]],
     "check-sequence-tags-disagree": _check("tagged"),
@@ -222,23 +239,27 @@ def write_inputs(d: Path) -> None:
     (d / "tagged" / "l_old.csv").write_bytes(b"# sequence=positive\n" + l_old_csv)
 
 
+def interpreter(dev_mode=sys.flags.dev_mode, warnoptions=tuple(sys.warnoptions)):
+    """This Python under the given warning flags, by default this process's own."""
+    return [sys.executable, *(["-X", "dev"] if dev_mode else []),
+            *(f"-W{w}" for w in warnoptions)]
+
+
 def run(base: Path, run_id: str) -> dict:
     """Run ``RUNS[run_id]`` in ``base/run_id``; what it printed, returned and wrote."""
     d = base / run_id
     d.mkdir()
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(d)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(RUNS[run_id])
-    finally:
-        os.chdir(cwd)
+    # a relative PYTHONPATH such as src would not hold in the run's directory
+    src = str(Path(margingate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([*interpreter(), "-c", MAIN, *RUNS[run_id]], cwd=d, timeout=60,
+                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
     files = {
         p.relative_to(d).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(d.rglob("*")) if p.is_file()
     }
-    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+    return {"code": proc.returncode, "stdout": proc.stdout.decode("utf-8"),
+            "stderr": proc.stderr.decode("utf-8"), "files": files}
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +279,26 @@ def test_each_route_of_a_case_is_pinned_to_the_same_bytes():
     for case in CURVE_CASES:
         assert rows[f"check-synth-{case}"] == rows[f"check-files-{case}"], case
     assert rows["synth-case"] == rows["synth-seed"]
+
+
+def test_the_child_runs_what_the_console_script_runs():
+    # read as text: Python 3.10 has no tomllib
+    scripts = PYPROJECT.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    module, name = re.search(r'^margin-gate = "([\w.]+):(\w+)"$', scripts, re.M).groups()
+    assert (module, name) == ("margingate.cli", "main")
+    assert MAIN == f"import sys; from {module} import {name}; sys.exit({name}())"
+
+
+@pytest.mark.parametrize("flags", [(), (True, ("default", "error", "ignore::UserWarning"))],
+                         ids=["own", "given"])
+def test_children_inherit_the_warning_flags(flags):
+    # by default this process's own flags; the given set, one a plain run lacks, is
+    # what -X dev -W error -W ignore::UserWarning sets (dev mode adds "default")
+    dev_mode, warnoptions = flags or (sys.flags.dev_mode, sys.warnoptions)
+    probe = "import sys; print(sys.flags.dev_mode, sys.warnoptions)"
+    out = subprocess.run([*interpreter(*flags), "-c", probe], capture_output=True, check=True,
+                         timeout=60)
+    assert out.stdout.decode() == f"{dev_mode} {list(warnoptions)}\n"
 
 
 @pytest.mark.parametrize("run_id", list(RUNS))
